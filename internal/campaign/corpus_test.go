@@ -6,23 +6,54 @@ package campaign
 // identical coverage signals. CI runs this under -race, so the replay
 // also proves the campaign engine itself is data-race free.
 //
-// Regenerate the seed files after changing the encoding:
+// Each entry's coverage signal (decision hash and transition bitmap)
+// is also pinned in testdata/corpus_signals.txt — outside the fuzz
+// directory, whose every file the fuzzer reads as corpus — so a change
+// that moves any committed scenario onto a different path fails here.
 //
-//	go test ./internal/campaign -run TestWriteSeedCorpus -write-corpus
+// Regenerate the seed files after changing the encoding, and the pins
+// after an intentional change of scheduling or monitor behaviour:
+//
+//	go test ./internal/campaign -run 'TestWriteSeedCorpus|TestCampaignCorpus' -write-corpus
 
 import (
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
 var writeCorpus = flag.Bool("write-corpus", false, "rewrite the committed seed corpus files")
 
-var corpusDir = filepath.Join("testdata", "fuzz", "FuzzCampaign")
+var (
+	corpusDir   = filepath.Join("testdata", "fuzz", "FuzzCampaign")
+	signalsPath = filepath.Join("testdata", "corpus_signals.txt")
+)
+
+// signalLine renders one entry's pinned coverage signal.
+func signalLine(name string, out *Outcome) string {
+	return fmt.Sprintf("%s hash=%016x bitmap=%016x", name, out.Hash, out.Bitmap)
+}
+
+// readSignals loads the committed pins, keyed by entry name.
+func readSignals(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(signalsPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -write-corpus)", err)
+	}
+	pins := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		pins[name] = line
+	}
+	return pins
+}
 
 // seedCorpus names every committed entry. The two historical bugs
 // lead; the rest cover one leg of the state space each.
@@ -94,6 +125,25 @@ func TestCampaignCorpus(t *testing.T) {
 			t.Fatalf("historical bug seed %s missing from the corpus", want)
 		}
 	}
+	var (
+		mu      sync.Mutex
+		signals []string // recorded under -write-corpus
+		pins    map[string]string
+	)
+	if *writeCorpus {
+		t.Cleanup(func() {
+			sort.Strings(signals)
+			if err := os.WriteFile(signalsPath, []byte(strings.Join(signals, "\n")+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		})
+	} else {
+		pins = readSignals(t)
+		if len(pins) != len(entries) {
+			t.Fatalf("%s pins %d entries, the corpus has %d (regenerate with -write-corpus)",
+				signalsPath, len(pins), len(entries))
+		}
+	}
 	for _, e := range entries {
 		e := e
 		t.Run(e.Name(), func(t *testing.T) {
@@ -117,6 +167,17 @@ func TestCampaignCorpus(t *testing.T) {
 			if first.Hash != again.Hash || first.Bitmap != again.Bitmap {
 				t.Fatalf("coverage signal not deterministic: %#x/%#x vs %#x/%#x",
 					first.Hash, first.Bitmap, again.Hash, again.Bitmap)
+			}
+			got := signalLine(e.Name(), first)
+			if *writeCorpus {
+				mu.Lock()
+				signals = append(signals, got)
+				mu.Unlock()
+				return
+			}
+			if want := pins[e.Name()]; got != want {
+				t.Fatalf("coverage signal moved off its pin (intentional? rerun with -write-corpus and review)\n got: %s\nwant: %s",
+					got, want)
 			}
 		})
 	}

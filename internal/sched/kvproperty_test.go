@@ -36,11 +36,23 @@ import (
 //     overlap or share a domain on one core.
 const kvPropertySchedules = 200
 
+// Decode deadlines sit kvDeadlineMin plus up to kvDeadlineSlack cycles
+// after arrival. A completed session in this suite takes from about 40k
+// cycles alone to 140k (the median) sharing a batch, and about 13M when
+// a mixer mobilenet preempts it, so the window holds deadlines that are
+// met, deadlines cut mid-stream after some tokens, and deadlines already
+// spent when the batch is next dispatched.
+const (
+	kvDeadlineMin   sim.Cycle = 20_000
+	kvDeadlineSlack           = 200_000
+)
+
 func TestKVIsolationRandomSchedules(t *testing.T) {
 	n := kvPropertySchedules
 	if testing.Short() {
 		n = 40
 	}
+	writeSchedulePinsOnUpdate(t)
 	for i := 0; i < n; i++ {
 		seed := int64(i + 1)
 		t.Run(fmt.Sprintf("schedule-%03d", i), func(t *testing.T) {
@@ -92,6 +104,13 @@ func runKVPropertySchedule(t *testing.T, seed int64) {
 		}
 	}
 
+	// About a third of the decode requests carry a finish deadline. The
+	// deadlines come from a second source, so a schedule that draws none
+	// replays exactly as it did before deadlines existed. The first
+	// request never carries one, so every schedule still claims a KV
+	// window to probe.
+	deadlines := rand.New(rand.NewSource(^seed))
+
 	nReq := 3 + rng.Intn(5)
 	id := 0
 	expected := map[int]int{} // decode req -> expected token count
@@ -104,6 +123,9 @@ func runKVPropertySchedule(t *testing.T, seed int64) {
 			Decode:   &spec,
 			Arrival:  sim.Cycle(rng.Intn(300_000)),
 			Priority: sched.Priority(rng.Intn(3) * 5),
+		}
+		if pick, slack := deadlines.Intn(3), deadlines.Intn(kvDeadlineSlack); pick == 0 && i > 0 {
+			r.Deadline = r.Arrival + kvDeadlineMin + sim.Cycle(slack)
 		}
 		expected[id] = spec.Steps + 1
 		if err := sc.Submit(r); err != nil {
@@ -131,13 +153,18 @@ func runKVPropertySchedule(t *testing.T, seed int64) {
 	}
 
 	// Scheduler sanity: completed decode requests emitted their full
-	// token budget, and abort opacity held.
+	// token budget, even when a batch-mate was cut at its deadline; a cut
+	// member never emitted its last token; and abort opacity held.
 	for _, r := range rep.Results {
 		if want, isDecode := expected[r.ID]; isDecode && r.Completed {
 			if r.Tokens != want {
 				t.Fatalf("req %d completed with %d tokens, want %d\n%s",
 					r.ID, r.Tokens, want, rep.DecisionLog())
 			}
+		}
+		if want, isDecode := expected[r.ID]; isDecode && r.Dropped && r.Tokens >= want {
+			t.Fatalf("req %d dropped at its deadline after all %d tokens\n%s",
+				r.ID, r.Tokens, rep.DecisionLog())
 		}
 		if r.Aborted && r.Err != sched.ErrTaskAborted.Error() {
 			t.Fatalf("req %d aborted with non-opaque error %q", r.ID, r.Err)
@@ -156,6 +183,7 @@ func runKVPropertySchedule(t *testing.T, seed int64) {
 	if probe.plants == 0 {
 		t.Fatalf("schedule allocated no KV windows — property vacuous\n%s", rep.DecisionLog())
 	}
+	checkSchedulePin(t, "kv", seed, rep)
 }
 
 // kvPlant is one planted sentinel: the window it lives in and the

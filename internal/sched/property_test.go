@@ -11,6 +11,7 @@ import (
 
 	snpu "repro"
 	"repro/internal/fault"
+	"repro/internal/monitor"
 	"repro/internal/npu"
 	"repro/internal/sched"
 	"repro/internal/schedgen"
@@ -74,6 +75,7 @@ func TestPropertyRandomSchedules(t *testing.T) {
 	if testing.Short() {
 		n = 40
 	}
+	writeSchedulePinsOnUpdate(t)
 	for i := 0; i < n; i++ {
 		seed := int64(i + 1)
 		t.Run(fmt.Sprintf("schedule-%03d", i), func(t *testing.T) {
@@ -205,6 +207,7 @@ func runPropertySchedule(t *testing.T, seed int64) {
 			t.Fatal("report verified with a stale nonce")
 		}
 	}
+	checkSchedulePin(t, "property", seed, rep)
 }
 
 // isolationProbe plants a secret into the scratchpad of every secure
@@ -378,5 +381,55 @@ func TestScheduledHangAbortsOpaquely(t *testing.T) {
 	}
 	if sys.Monitor().QueueLen() != 0 {
 		t.Fatal("aborted task still queued in the monitor")
+	}
+}
+
+// A task the monitor no longer holds is not aborted again. Any
+// untrusted caller may abort a task through the trampoline, here
+// between its admission and its first load: the scheduler's FnLoad is
+// refused, it fails the job closed with the opaque sentinel, and its
+// teardown sends no FnAbort the monitor would refuse — the monitor's
+// transition bitmap never records a failed abort.
+func TestAbortSkipsTaskGoneFromMonitor(t *testing.T) {
+	sys, err := snpu.New(snpu.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := sealFor(t, sys, "k", 3)
+	mon := sys.Monitor()
+	sc, err := sys.NewScheduler(sched.Config{
+		Cores: []int{0},
+		OnDecision: func(d sched.Decision) {
+			if d.Event != "admit" || d.Req != 1 {
+				return
+			}
+			id, err := mon.NextQueued()
+			if err != nil {
+				t.Errorf("admitted task not queued: %v", err)
+				return
+			}
+			if rep := mon.Dispatch(monitor.Call{Func: monitor.FnAbort, Args: []uint64{uint64(id)}}); rep.Err != nil {
+				t.Errorf("hostile abort refused: %v", rep.Err)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Submit(sched.Request{
+		ID: 1, Tenant: "a", Model: "mobilenet", Secure: true, KeyID: "k", Sealed: sealed,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rep.ResultByID(1); !r.Aborted || r.Err != sched.ErrTaskAborted.Error() {
+		t.Fatalf("req 1 = %+v, want an opaque abort\n%s", r, rep.DecisionLog())
+	}
+	failedAbort := uint64(1) << (2*(monitor.FnAbort-monitor.FnSubmit) + 1)
+	if mon.TransitionBitmap()&failedAbort != 0 {
+		t.Fatalf("scheduler sent FnAbort for a task the monitor no longer held\n%s", rep.DecisionLog())
 	}
 }
