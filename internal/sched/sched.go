@@ -199,20 +199,19 @@ type Deps struct {
 
 // reqState tracks one request through its lifetime.
 type reqState struct {
-	req  Request
-	prog *npu.Program
-	// minExec is the compute-cycle floor (the program's peak-rate lower
-	// bound) used for deadline feasibility — it never overestimates, so
-	// feasibility rejection is sound.
-	minExec sim.Cycle
-
-	// progs / tok / tokenEnds drive a decode request: progs[0] is the
-	// prefill, progs[1+t] decode step t (prog aliases progs[0] so the
-	// FnSubmit/measurement path is shared); tok is the pass cursor (==
-	// tokens emitted so far) and tokenEnds the per-token retire cycles.
+	req Request
+	// progs holds one compiled program per pass. A conventional request
+	// is one pass; a decode request is its prefill (progs[0], the program
+	// FnSubmit measures) plus one pass per step. pass is the cursor into
+	// progs — for decode, the tokens emitted so far — and tokenEnds the
+	// per-token retire cycles.
 	progs     []*npu.Program
-	tok       int
+	pass      int
 	tokenEnds []sim.Cycle
+	// minExec is the compute-cycle floor (the passes' summed peak-rate
+	// lower bounds) used for deadline feasibility — it never
+	// overestimates, so feasibility rejection is sound.
+	minExec sim.Cycle
 
 	ex      *npu.Exec
 	started bool
@@ -247,7 +246,11 @@ type reqState struct {
 // same-tenant same-model secure requests sharing one monitor task.
 type job struct {
 	members []*reqState
-	idx     int
+	// cursor indexes the member whose pass runs next; after every pass
+	// it rotates to the next live member. A single-pass member is
+	// terminal by then, so a conventional batch runs its members one
+	// after another, while a decode batch interleaves one token each.
+	cursor  int
 	secure  bool
 	monID   int // monitor task id (secure)
 	prio    Priority
@@ -261,11 +264,9 @@ type job struct {
 	mapped bool
 	coreID int // affine core once started (-1 before)
 
-	// decode marks a continuous decode batch: members interleave
-	// round-robin (rr) one token-pass at a time instead of running
-	// serially through idx, and requests join/leave at token boundaries.
+	// decode marks a continuous decode batch: requests join and leave
+	// at token boundaries.
 	decode bool
-	rr     int
 	// kvLines is the resident KV window claimed for this job's monitor
 	// task (0 until the first load's FnKVAlloc).
 	kvLines int
@@ -273,75 +274,33 @@ type job struct {
 
 func (j *job) lead() *reqState { return j.members[0] }
 
-// cur returns the member at the execution cursor: the serial cursor
-// for conventional jobs, the round-robin cursor for decode batches.
-func (j *job) cur() *reqState {
-	if j.decode {
-		return j.members[j.rr]
-	}
-	return j.members[j.idx]
-}
+func (j *job) cur() *reqState { return j.members[j.cursor] }
 
-func (j *job) done() bool {
-	if j.decode {
-		for _, m := range j.members {
-			if !m.terminal {
-				return false
-			}
-		}
-		return true
-	}
-	return j.idx >= len(j.members)
-}
+func (j *job) done() bool { return j.remaining() == 0 }
 
 // remaining counts members still owed work.
 func (j *job) remaining() int {
-	if j.decode {
-		n := 0
-		for _, m := range j.members {
-			if !m.terminal {
-				n++
-			}
+	n := 0
+	for _, m := range j.members {
+		if !m.terminal {
+			n++
 		}
-		return n
 	}
-	return len(j.members) - j.idx
+	return n
 }
 
-// rotate advances the decode round-robin cursor to the next live
-// member (continuous batching: one token per member per turn).
+// rotate moves the cursor to the next live member, if any.
 func (j *job) rotate() {
-	if !j.decode || j.done() {
-		return
-	}
-	for i := 0; i < len(j.members); i++ {
-		j.rr = (j.rr + 1) % len(j.members)
-		if !j.members[j.rr].terminal {
+	for range j.members {
+		j.cursor = (j.cursor + 1) % len(j.members)
+		if !j.cur().terminal {
 			return
 		}
 	}
 }
 
-// fixCursor re-points the decode cursor at a live member after drops.
-func (j *job) fixCursor() {
-	if j.decode && !j.done() && j.members[j.rr].terminal {
-		j.rotate()
-	}
-}
-
-// curProg is the program of the member's current pass: progs[tok] for
-// decode requests (clamped to the last pass), the single program
-// otherwise.
-func (m *reqState) curProg() *npu.Program {
-	if len(m.progs) > 0 {
-		i := m.tok
-		if i >= len(m.progs) {
-			i = len(m.progs) - 1
-		}
-		return m.progs[i]
-	}
-	return m.prog
-}
+// curProg is the program of the member's current pass.
+func (m *reqState) curProg() *npu.Program { return m.progs[m.pass] }
 
 // coreState is one owned core's scheduling state.
 type coreState struct {
@@ -739,43 +698,36 @@ func (s *Scheduler) prepare() {
 		if rs.terminal { // shed at submit time: nothing to compile
 			return
 		}
+		// A decode request compiles its prefill and every step;
+		// CompileCached makes the repeated step shapes cheap across
+		// same-spec requests.
+		var passes []workload.Workload
 		if rs.req.Decode != nil {
-			// One program per pass: the prefill plus every decode step.
-			// CompileCached makes the repeated step shapes cheap across
-			// same-spec requests.
-			passes := rs.req.Decode.Passes()
-			rs.progs = make([]*npu.Program, len(passes))
-			var total sim.Cycle
-			for i, p := range passes {
-				prog, _, err := npu.CompileCached(p, s.deps.Cfg, 0, npu.DefaultLayout)
-				if err != nil {
-					rs.errMsg = err.Error()
-					rs.progs = nil
-					return
-				}
-				rs.progs[i] = prog
-				total += sim.Cycle(prog.IdealComputeCycles)
+			passes = rs.req.Decode.Passes()
+		} else {
+			wl, err := rs.workload()
+			if err != nil {
+				rs.errMsg = err.Error()
+				return
 			}
-			rs.prog = rs.progs[0]
-			rs.minExec = total
-			return
-		}
-		wl, err := rs.workload()
-		if err != nil {
-			rs.errMsg = err.Error()
-			return
+			passes = append(passes, wl)
 		}
 		layout := npu.DefaultLayout
 		if !rs.req.Secure {
 			layout = driver.LayoutFor(rs.req.ID)
 		}
-		prog, _, err := npu.CompileCached(wl, s.deps.Cfg, 0, layout)
-		if err != nil {
-			rs.errMsg = err.Error()
-			return
+		progs := make([]*npu.Program, len(passes))
+		var floor sim.Cycle
+		for i, p := range passes {
+			prog, _, err := npu.CompileCached(p, s.deps.Cfg, 0, layout)
+			if err != nil {
+				rs.errMsg = err.Error()
+				return
+			}
+			progs[i] = prog
+			floor += sim.Cycle(prog.IdealComputeCycles)
 		}
-		rs.prog = prog
-		rs.minExec = sim.Cycle(prog.IdealComputeCycles)
+		rs.progs, rs.minExec = progs, floor
 	}
 	if w <= 1 {
 		for _, rs := range s.all {
@@ -803,7 +755,7 @@ func (s *Scheduler) prepare() {
 	ordered := append([]*reqState(nil), s.all...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].req.ID < ordered[j].req.ID })
 	for _, rs := range ordered {
-		if rs.prog == nil && !rs.terminal {
+		if rs.progs == nil && !rs.terminal {
 			s.reject(rs, rs.req.Arrival, rs.errMsg)
 		}
 	}
@@ -865,8 +817,8 @@ func (s *Scheduler) admit(rs *reqState, at sim.Cycle) {
 		rep := s.deps.Monitor.Dispatch(monitor.Call{
 			Func:     monitor.FnSubmit,
 			Shared:   rs.req.Sealed,
-			Program:  rs.prog,
-			Expected: rs.prog.Measurement(),
+			Program:  rs.progs[0],
+			Expected: rs.progs[0].Measurement(),
 			KeyID:    rs.req.KeyID,
 		})
 		if rep.Err != nil {
@@ -890,7 +842,7 @@ func (s *Scheduler) admit(rs *reqState, at sim.Cycle) {
 		return
 	}
 	wl, _ := rs.workload()
-	task, err := s.deps.Driver.SubmitProgram(wl, rs.prog, false)
+	task, err := s.deps.Driver.SubmitProgram(wl, rs.progs[0], false)
 	if err != nil {
 		if errors.Is(err, mem.ErrNoSpace) {
 			s.waitlist = append(s.waitlist, rs)
@@ -924,14 +876,11 @@ func (s *Scheduler) joinableBatch(rs *reqState) *job {
 		// A continuous decode batch frees a seat whenever a member
 		// leaves, so the bound is on live members; a conventional batch
 		// never shrinks.
+		seats := len(j.members)
 		if j.decode {
-			if j.remaining() >= s.cfg.MaxBatch {
-				continue
-			}
-		} else if len(j.members) >= s.cfg.MaxBatch {
-			continue
+			seats = j.remaining()
 		}
-		if j.decode != (rs.req.Decode != nil) {
+		if seats >= s.cfg.MaxBatch || j.decode != (rs.req.Decode != nil) {
 			continue
 		}
 		lead := j.lead()
@@ -940,7 +889,7 @@ func (s *Scheduler) joinableBatch(rs *reqState) *job {
 		}
 		if lead.req.Tenant == rs.req.Tenant && lead.req.Model == rs.req.Model &&
 			lead.req.KeyID == rs.req.KeyID &&
-			lead.prog.SourceDigest == rs.prog.SourceDigest {
+			lead.progs[0].SourceDigest == rs.progs[0].SourceDigest {
 			return j
 		}
 	}
@@ -1055,27 +1004,9 @@ func (s *Scheduler) dispatchOn(c *coreState, clock sim.Cycle) {
 		if j == nil {
 			return
 		}
-		// Drop members that can no longer meet their finish deadline.
-		if j.decode {
-			for _, m := range j.members {
-				if !m.terminal && s.deadlineExpired(m, start) {
-					s.drop(m, start, c.id)
-				}
-			}
-			j.fixCursor()
-		} else {
-			for !j.done() {
-				m := j.cur()
-				if s.deadlineExpired(m, start) {
-					s.drop(m, start, c.id)
-					j.idx++
-					continue
-				}
-				break
-			}
-		}
+		s.dropExpired(j, start, c.id)
 		if j.done() {
-			s.finishJob(c, j, start, fromResume)
+			s.teardown(c, j, start, false)
 			continue
 		}
 		s.startJob(c, j, start, fromResume)
@@ -1096,6 +1027,29 @@ func (s *Scheduler) deadlineExpired(m *reqState, at sim.Cycle) bool {
 		return at+m.minExec > m.req.Deadline
 	}
 	return at > m.req.Deadline
+}
+
+// dropExpired retires the members of j that can no longer meet their
+// finish deadline at `at`. A decode batch interleaves its members, so
+// every expired live member goes; a conventional batch runs them in
+// order, so only the expired run at the cursor goes, and each later
+// member is checked when the cursor reaches it.
+func (s *Scheduler) dropExpired(j *job, at sim.Cycle, core int) {
+	if !j.decode {
+		for !j.done() && s.deadlineExpired(j.cur(), at) {
+			s.drop(j.cur(), at, core, "drop")
+			j.rotate()
+		}
+		return
+	}
+	for _, m := range j.members {
+		if !m.terminal && s.deadlineExpired(m, at) {
+			s.drop(m, at, core, "drop")
+		}
+	}
+	if !j.done() && j.cur().terminal {
+		j.rotate()
+	}
 }
 
 // pickFor removes and returns the highest-priority job core c can
@@ -1144,7 +1098,7 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 		if rep.Err != nil {
 			// Load of a verified task on a healthy core should not fail;
 			// fail the whole job closed if it does.
-			s.abortJob(c, j, start, rep.Err)
+			s.abortJob(c, j, start)
 			return
 		}
 		if j.loadCost > 0 {
@@ -1154,10 +1108,7 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 		if resumed {
 			// Restore the checkpointed accumulator context that the
 			// mandatory preemption flush saved.
-			cost := spad.FlushCost(npu.FlushLiveBytes(m.curProg()), s.deps.Cfg.DRAMBytesPerCycle,
-				s.deps.Cfg.DRAMLatency, s.deps.Stats)
-			start += cost
-			s.flushCycles += cost
+			start += s.flush(npu.FlushLiveBytes(m.curProg()))
 		}
 		if j.decode && j.kvLines == 0 {
 			// First placement of a decode batch: claim a resident KV
@@ -1178,14 +1129,11 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 				Args: []uint64{uint64(j.monID), uint64(c.id), uint64(lines), uint64(spec.KVBytes())},
 			})
 			if rep.Err != nil {
-				s.abortJob(c, j, start, rep.Err)
+				s.abortJob(c, j, start)
 				return
 			}
 			j.kvLines = lines
-			cost := spad.FlushCost(uint64(lines*lineBytes), s.deps.Cfg.DRAMBytesPerCycle,
-				s.deps.Cfg.DRAMLatency, s.deps.Stats)
-			start += cost
-			s.flushCycles += cost
+			start += s.flush(uint64(lines * lineBytes))
 			s.decide(start, c.id, "kv_alloc", m, fmt.Sprintf("lines=%d domain=%d", lines, rep.Value))
 		}
 	} else if s.deps.Monitor != nil && !j.mapped {
@@ -1198,7 +1146,7 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 			}
 			c.slots[j.slot] = true
 		}
-		lo, hi := m.prog.VASpan()
+		lo, hi := m.curProg().VASpan()
 		vbase := mem.VirtAddr(mem.PageAlignDown(mem.PhysAddr(lo)))
 		size := uint64(mem.PageAlignUp(mem.PhysAddr(hi)) - mem.PhysAddr(vbase))
 		rep := s.deps.Monitor.Dispatch(monitor.Call{
@@ -1206,7 +1154,7 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 			Args: []uint64{uint64(c.id), uint64(j.slot), uint64(vbase), uint64(m.task.Chunk), size},
 		})
 		if rep.Err != nil {
-			s.abortJob(c, j, start, rep.Err)
+			s.abortJob(c, j, start)
 			return
 		}
 		j.mapped = true
@@ -1222,30 +1170,31 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 	s.decide(start, c.id, ev, m, fmt.Sprintf("prio=%d", j.prio))
 }
 
-// advance runs c's current member for one tile slice and handles
-// completion, faults, and boundary preemption.
+// advance runs c's current member for one tile slice. A slice that
+// completes the member's pass is a pass boundary: a decode member emits
+// one token there (and leaves the batch after its last), and the cursor
+// rotates to the next live member, where joiners admitted mid-run
+// become eligible. The resident KV window claimed in startJob is
+// untouched by all of this — only job teardown scrubs it. A slice that
+// ends mid-pass is a tile boundary, where a higher-priority job may
+// preempt.
 func (s *Scheduler) advance(c *coreState) {
 	j := c.cur
-	if j.decode {
-		s.advanceDecode(c, j)
-		return
-	}
 	m := j.cur()
 	if m.ex == nil {
-		m.ex = npu.NewExec(c.core, m.prog, m.req.ID+10000)
+		m.ex = npu.NewExec(c.core, m.curProg(), m.req.ID+10000)
 		if !m.started {
 			m.started = true
 			m.start = c.freeAt
 		}
 		m.core = c.id
 		if m.checkpoint > 0 {
-			// Retried member: restart from the last completed layer
-			// boundary and pay the checkpoint-restore flush.
+			// Retried member: restart the interrupted pass from its last
+			// completed layer boundary and pay the checkpoint-restore
+			// flush (for decode, re-deriving the KV state the abort
+			// scrubbed).
 			m.ex.SkipToLayer(m.checkpoint)
-			cost := spad.FlushCost(npu.FlushLiveBytes(m.prog), s.deps.Cfg.DRAMBytesPerCycle,
-				s.deps.Cfg.DRAMLatency, s.deps.Stats)
-			c.freeAt += cost
-			s.flushCycles += cost
+			c.freeAt += s.flush(npu.FlushLiveBytes(m.curProg()))
 		}
 	}
 	end, err := m.ex.RunUntil(c.freeAt, npu.BoundaryTile)
@@ -1254,7 +1203,7 @@ func (s *Scheduler) advance(c *coreState) {
 		if errors.As(err, &hang) {
 			c.freeAt = hang.Detected
 		}
-		s.faultJob(c, j, c.freeAt, err)
+		s.faultJob(c, j, c.freeAt)
 		return
 	}
 	c.freeAt = end
@@ -1271,138 +1220,50 @@ func (s *Scheduler) advance(c *coreState) {
 		return
 	}
 
-	if m.ex.Done() {
+	if !m.ex.Done() {
+		// §IV-B boundary preemption: a strictly higher-priority placeable
+		// job evicts the running one at the tile boundary.
+		if s.preemptorWaiting(c, j.prio) {
+			s.preempt(c, end)
+		}
+		return
+	}
+	m.ex, m.checkpoint = nil, 0
+	m.pass++
+	if j.decode {
+		m.tokenEnds = append(m.tokenEnds, end)
+		s.decide(end, c.id, "token", m, fmt.Sprintf("tok=%d/%d", m.pass, len(m.progs)))
+	}
+	if m.pass == len(m.progs) {
 		m.finish = end
 		m.terminal, m.completed = true, true
 		inc(s.obsComplete)
 		if s.obsLatency != nil {
 			s.obsLatency.Observe(int64(end - m.req.Arrival))
 		}
+		if j.decode {
+			// The last token was the member's final output: it leaves the
+			// batch, freeing its seat for a joiner.
+			s.decide(end, c.id, "leave", m, fmt.Sprintf("tokens=%d", m.pass))
+		}
 		s.decide(end, c.id, "complete", m, fmt.Sprintf("latency=%d", end-m.req.Arrival))
-		j.idx++
-		// Drop any queued batch-mates that can no longer finish in time.
-		for !j.done() {
-			next := j.cur()
-			if s.deadlineExpired(next, end) {
-				s.drop(next, end, c.id)
-				j.idx++
-				continue
-			}
-			break
-		}
-		if j.done() {
-			s.finishJob(c, j, end, false)
-		}
-		return
 	}
-
-	// §IV-B boundary preemption: a strictly higher-priority placeable
-	// job evicts the running one at the tile boundary.
-	if s.preemptorWaiting(c, j.prio) {
-		s.preempt(c, end)
-	}
+	s.nextPass(c, j)
 }
 
-// advanceDecode runs one tile slice of the continuous decode batch on
-// core c. Each member's current pass (prefill, then one per decode
-// step) runs tile-by-tile exactly as a plain workload does; completing
-// a pass emits one token and is the *token boundary* at which the
-// round-robin cursor rotates to the next live member, joiners admitted
-// mid-run become eligible, and finished members leave the batch. The
-// member's resident KV window (claimed in startJob) is untouched by
-// all of this — only job teardown scrubs it.
-func (s *Scheduler) advanceDecode(c *coreState, j *job) {
-	m := j.cur()
-	if m.ex == nil {
-		m.ex = npu.NewExec(c.core, m.curProg(), m.req.ID+10000)
-		if !m.started {
-			m.started = true
-			m.start = c.freeAt
-		}
-		m.core = c.id
-		if m.checkpoint > 0 {
-			// Retried member: restart the interrupted pass from its last
-			// layer boundary; the flush models re-deriving the KV state
-			// the abort scrubbed.
-			m.ex.SkipToLayer(m.checkpoint)
-			cost := spad.FlushCost(npu.FlushLiveBytes(m.curProg()), s.deps.Cfg.DRAMBytesPerCycle,
-				s.deps.Cfg.DRAMLatency, s.deps.Stats)
-			c.freeAt += cost
-			s.flushCycles += cost
-		}
-	}
-	end, err := m.ex.RunUntil(c.freeAt, npu.BoundaryTile)
-	if err != nil {
-		var hang *npu.HangError
-		if errors.As(err, &hang) {
-			c.freeAt = hang.Detected
-		}
-		s.faultJob(c, j, c.freeAt, err)
-		return
-	}
-	c.freeAt = end
-	if cl := m.ex.CurrentLayer(); cl > m.checkpoint {
-		m.checkpoint = cl
-	}
-	s.admitUpTo(end)
-
-	if m.req.Deadline > 0 && end > m.req.Deadline {
-		s.missDeadlineDecode(c, j, end)
-		return
-	}
-
-	if m.ex.Done() {
-		// Pass complete: one token out.
-		m.ex = nil
-		m.checkpoint = 0
-		m.tok++
-		m.tokenEnds = append(m.tokenEnds, end)
-		s.decide(end, c.id, "token", m, fmt.Sprintf("tok=%d/%d", m.tok, len(m.progs)))
-		if m.tok >= len(m.progs) {
-			// Last step's token was the member's final output: it leaves
-			// the batch, freeing its seat for a joiner.
-			m.finish = end
-			m.terminal, m.completed = true, true
-			inc(s.obsComplete)
-			if s.obsLatency != nil {
-				s.obsLatency.Observe(int64(end - m.req.Arrival))
-			}
-			s.decide(end, c.id, "leave", m, fmt.Sprintf("tokens=%d", m.tok))
-			s.decide(end, c.id, "complete", m, fmt.Sprintf("latency=%d", end-m.req.Arrival))
-		}
-		j.rotate()
-		if j.done() {
-			s.finishJob(c, j, end, false)
-		}
-		return
-	}
-
-	if s.preemptorWaiting(c, j.prio) {
-		s.preempt(c, end)
-	}
-}
-
-// missDeadlineDecode cuts one decode member at the tile boundary that
-// crossed its deadline. The member leaves the batch; its batch-mates
-// keep decoding and the shared KV window stays resident for them.
-func (s *Scheduler) missDeadlineDecode(c *coreState, j *job, at sim.Cycle) {
-	m := j.cur()
-	if j.secure {
-		cost := spad.FlushCost(npu.FlushLiveBytes(m.curProg()), s.deps.Cfg.DRAMBytesPerCycle,
-			s.deps.Cfg.DRAMLatency, s.deps.Stats)
-		c.freeAt = at + cost
-		s.flushCycles += cost
-	}
-	m.terminal, m.dropped = true, true
-	m.finish = at
-	m.ex = nil
-	m.errMsg = "sched: deadline missed"
-	inc(s.obsDeadlineMiss)
-	s.decide(at, c.id, "deadline_miss", m, fmt.Sprintf("deadline=%d", m.req.Deadline))
-	s.decide(at, c.id, "leave", m, fmt.Sprintf("tokens=%d", m.tok))
+// nextPass moves j's cursor on after a pass ended at c.freeAt,
+// completed or cut. A conventional batch then drops the queued members
+// that can no longer finish in time; a decode batch drops nothing at a
+// token boundary (an expired member is cut after its next slice, or
+// dropped at the batch's next dispatch). A job with no live member left
+// is torn down.
+func (s *Scheduler) nextPass(c *coreState, j *job) {
 	j.rotate()
+	if !j.decode {
+		s.dropExpired(j, c.freeAt, c.id)
+	}
 	if j.done() {
-		s.finishJob(c, j, c.freeAt, false)
+		s.teardown(c, j, c.freeAt, false)
 	}
 }
 
@@ -1422,6 +1283,15 @@ func (s *Scheduler) preemptorWaiting(c *coreState, prio Priority) bool {
 	return false
 }
 
+// flush charges the DMA walk of moving `bytes` between a scratchpad and
+// DRAM — the §IV-B context save, its restore, a KV claim or a KV scrub —
+// to the episode's flush total and returns its cycles.
+func (s *Scheduler) flush(bytes uint64) sim.Cycle {
+	cost := spad.FlushCost(bytes, s.deps.Cfg.DRAMBytesPerCycle, s.deps.Cfg.DRAMLatency, s.deps.Stats)
+	s.flushCycles += cost
+	return cost
+}
+
 // preempt evicts c's current job at a tile boundary. Secure victims
 // pay the mandatory flush (monitor scrub + ID-bit reassignment + the
 // context save on the critical path); non-secure victims cost nothing
@@ -1438,13 +1308,10 @@ func (s *Scheduler) preempt(c *coreState, at sim.Cycle) {
 	if j.secure {
 		rep := s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnPreempt, Args: []uint64{uint64(j.monID)}})
 		if rep.Err != nil {
-			s.abortJob(c, j, at, rep.Err)
+			s.abortJob(c, j, at)
 			return
 		}
-		cost := spad.FlushCost(npu.FlushLiveBytes(m.curProg()), s.deps.Cfg.DRAMBytesPerCycle,
-			s.deps.Cfg.DRAMLatency, s.deps.Stats)
-		c.freeAt = at + cost
-		s.flushCycles += cost
+		c.freeAt = at + s.flush(npu.FlushLiveBytes(m.curProg()))
 		s.invalidateWindows(c)
 	}
 	s.decide(at, c.id, "preempt", m, fmt.Sprintf("prio=%d", j.prio))
@@ -1452,25 +1319,30 @@ func (s *Scheduler) preempt(c *coreState, at sim.Cycle) {
 	c.cur = nil
 }
 
-// finishJob tears the job's residency down after its last member.
-func (s *Scheduler) finishJob(c *coreState, j *job, at sim.Cycle, wasResumed bool) {
+// teardown releases a job's residency once it is done (abort false)
+// or has failed (abort true). A secure job's resident KV window is
+// scrubbed with its task — the monitor zeroes it; this pays the
+// streaming cost of walking it — and the task then leaves the monitor:
+// by FnUnload when done, by the fail-closed FnAbort when failed, the
+// latter only while the monitor still holds the task. Non-secure
+// members release their DMA chunk and translation-window slot.
+func (s *Scheduler) teardown(c *coreState, j *job, at sim.Cycle, abort bool) {
 	if j.secure {
 		s.closeBatch(j)
-		if j.decode && j.kvLines > 0 {
-			// §IV-B flush contract: the batch's resident KV window is
-			// scrubbed with the task. FnUnload below does the actual
-			// ResetSecure+zero; this pays its streaming cost.
-			cost := spad.FlushCost(uint64(j.kvLines*s.deps.Cfg.SpadLineBytes),
-				s.deps.Cfg.DRAMBytesPerCycle, s.deps.Cfg.DRAMLatency, s.deps.Stats)
-			c.freeAt = at + cost
-			s.flushCycles += cost
+		if j.kvLines > 0 {
+			c.freeAt = at + s.flush(uint64(j.kvLines*s.deps.Cfg.SpadLineBytes))
 			s.decide(at, c.id, "kv_scrub", j.lead(), fmt.Sprintf("lines=%d", j.kvLines))
 			j.kvLines = 0
 		}
-		if rep := s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnUnload, Args: []uint64{uint64(j.monID)}}); rep.Err == nil {
+		args := []uint64{uint64(j.monID)}
+		if !abort {
+			if rep := s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnUnload, Args: args}); rep.Err == nil {
+				s.invalidateWindows(c)
+			}
+		} else if _, err := s.deps.Monitor.Task(j.monID); err == nil {
+			_ = s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnAbort, Args: args})
 			s.invalidateWindows(c)
 		}
-		s.memFreed = true
 	} else {
 		for _, m := range j.members {
 			if m.task != nil {
@@ -1482,12 +1354,11 @@ func (s *Scheduler) finishJob(c *coreState, j *job, at sim.Cycle, wasResumed boo
 			c.slots[j.slot] = false
 			j.slot = 0
 		}
-		s.memFreed = true
 	}
+	s.memFreed = true
 	if c.cur == j {
 		c.cur = nil
 	}
-	_ = wasResumed
 }
 
 // invalidateWindows records that the monitor's ClearTask wiped every
@@ -1498,43 +1369,6 @@ func (s *Scheduler) invalidateWindows(c *coreState) {
 		if !o.secure {
 			o.mapped = false
 		}
-	}
-}
-
-// teardownJob scrubs a failing job's residency: the monitor aborts and
-// zeroes the secure task fail-closed; non-secure members release their
-// DMA chunk and translation-window slot.
-func (s *Scheduler) teardownJob(c *coreState, j *job, at sim.Cycle) {
-	if j.secure {
-		s.closeBatch(j)
-		if j.decode && j.kvLines > 0 {
-			// Fail-closed KV scrub: FnAbort wipes the window; the abort
-			// path still pays the streaming cost of walking it.
-			cost := spad.FlushCost(uint64(j.kvLines*s.deps.Cfg.SpadLineBytes),
-				s.deps.Cfg.DRAMBytesPerCycle, s.deps.Cfg.DRAMLatency, s.deps.Stats)
-			c.freeAt = at + cost
-			s.flushCycles += cost
-			s.decide(at, c.id, "kv_scrub", j.lead(), fmt.Sprintf("lines=%d", j.kvLines))
-			j.kvLines = 0
-		}
-		task, err := s.deps.Monitor.Task(j.monID)
-		if err == nil && task != nil {
-			_ = s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnAbort, Args: []uint64{uint64(j.monID)}})
-			s.invalidateWindows(c)
-		}
-		s.memFreed = true
-	} else {
-		for _, m := range j.members {
-			if m.task != nil {
-				_ = s.deps.Driver.Release(m.task)
-				m.task = nil
-			}
-		}
-		if j.slot > 0 && j.slot < len(c.slots) {
-			c.slots[j.slot] = false
-			j.slot = 0
-		}
-		s.memFreed = true
 	}
 }
 
@@ -1553,35 +1387,28 @@ func (s *Scheduler) abortMember(m *reqState, at sim.Cycle, core int, retryable b
 // abortJob is the fail-closed path for monitor-call failures: the
 // monitor scrubs and destroys the secure task; every unfinished member
 // surfaces only the opaque ErrTaskAborted, with no retry — a task the
-// monitor refused is not coming back.
-func (s *Scheduler) abortJob(c *coreState, j *job, at sim.Cycle, cause error) {
-	s.teardownJob(c, j, at)
-	for i := j.idx; i < len(j.members); i++ {
-		if j.members[i].terminal {
-			continue
+// monitor refused is not coming back. The cause is never surfaced.
+func (s *Scheduler) abortJob(c *coreState, j *job, at sim.Cycle) {
+	s.teardown(c, j, at, true)
+	for _, m := range j.members {
+		if !m.terminal {
+			s.abortMember(m, at, c.id, false)
 		}
-		s.abortMember(j.members[i], at, c.id, false)
-	}
-	_ = cause // never surfaced: the abort is opaque to the untrusted side
-	if c.cur == j {
-		c.cur = nil
 	}
 }
 
 // faultJob handles an execution fault (hang, unrecovered data error).
 // The fail-closed abort is paid exactly as abortJob — scratchpads
-// scrubbed, task destroyed — and then policy decides what the
-// untrusted side does next: secure members with restart budget left
-// re-enter the queue after an exponential backoff and restart from
-// their last completed layer checkpoint through a fresh FnSubmit;
-// everyone else is abandoned with the same opaque error, marked
-// Retryable so clients know a resubmission is worthwhile.
-func (s *Scheduler) faultJob(c *coreState, j *job, at sim.Cycle, cause error) {
-	s.teardownJob(c, j, at)
-	_ = cause // never surfaced — same opacity as abortJob
+// scrubbed, task destroyed, cause never surfaced — and then policy
+// decides what the untrusted side does next: secure members with
+// restart budget left re-enter the queue after an exponential backoff
+// and restart from their last completed layer checkpoint through a
+// fresh FnSubmit; everyone else is abandoned with the same opaque
+// error, marked Retryable so clients know a resubmission is worthwhile.
+func (s *Scheduler) faultJob(c *coreState, j *job, at sim.Cycle) {
+	s.teardown(c, j, at, true)
 	retry := j.secure && s.cfg.MaxRestarts > 0
-	for i := j.idx; i < len(j.members); i++ {
-		m := j.members[i]
+	for _, m := range j.members {
 		if m.terminal {
 			continue
 		}
@@ -1610,51 +1437,36 @@ func (s *Scheduler) faultJob(c *coreState, j *job, at sim.Cycle, cause error) {
 		}
 		return x.req.ID < y.req.ID
 	})
-	if c.cur == j {
-		c.cur = nil
-	}
 }
 
 // missDeadline cuts c's running member at the tile boundary that
 // crossed its finish deadline. The cut is a policy decision, but its
 // isolation consequence is not negotiable: a secure member's live
 // accumulator state is flushed (§IV-B) before the core is reused. The
-// job's remaining batch-mates keep the core.
+// member's batch-mates keep the core, and a decode batch its resident
+// KV window.
 func (s *Scheduler) missDeadline(c *coreState, j *job, at sim.Cycle) {
 	m := j.cur()
 	if j.secure {
-		cost := spad.FlushCost(npu.FlushLiveBytes(m.curProg()), s.deps.Cfg.DRAMBytesPerCycle,
-			s.deps.Cfg.DRAMLatency, s.deps.Stats)
-		c.freeAt = at + cost
-		s.flushCycles += cost
+		c.freeAt = at + s.flush(npu.FlushLiveBytes(m.curProg()))
 	}
+	s.drop(m, at, c.id, "deadline_miss")
+	if j.decode {
+		s.decide(at, c.id, "leave", m, fmt.Sprintf("tokens=%d", m.pass))
+	}
+	s.nextPass(c, j)
+}
+
+// drop retires a member that can no longer meet its finish deadline:
+// ev is "drop" for one cut before it (re)starts, "deadline_miss" for
+// one cut mid-run.
+func (s *Scheduler) drop(m *reqState, at sim.Cycle, core int, ev string) {
 	m.terminal, m.dropped = true, true
 	m.finish = at
 	m.ex = nil
 	m.errMsg = "sched: deadline missed"
 	inc(s.obsDeadlineMiss)
-	s.decide(at, c.id, "deadline_miss", m, fmt.Sprintf("deadline=%d", m.req.Deadline))
-	j.idx++
-	for !j.done() {
-		next := j.cur()
-		if s.deadlineExpired(next, c.freeAt) {
-			s.drop(next, c.freeAt, c.id)
-			j.idx++
-			continue
-		}
-		break
-	}
-	if j.done() {
-		s.finishJob(c, j, c.freeAt, false)
-	}
-}
-
-func (s *Scheduler) drop(m *reqState, at sim.Cycle, core int) {
-	m.terminal, m.dropped = true, true
-	m.finish = at
-	m.errMsg = "sched: deadline missed"
-	inc(s.obsDeadlineMiss)
-	s.decide(at, core, "drop", m, fmt.Sprintf("deadline=%d", m.req.Deadline))
+	s.decide(at, core, ev, m, fmt.Sprintf("deadline=%d", m.req.Deadline))
 }
 
 func (s *Scheduler) reject(rs *reqState, at sim.Cycle, msg string) {
@@ -1681,11 +1493,10 @@ func (s *Scheduler) rejectStranded(at sim.Cycle) {
 			s.closeBatch(j)
 			_ = s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnUnload, Args: []uint64{uint64(j.monID)}})
 		}
-		for i := j.idx; i < len(j.members); i++ {
-			if j.members[i].terminal {
-				continue
+		for _, m := range j.members {
+			if !m.terminal {
+				s.reject(m, at, "no capacity")
 			}
-			s.reject(j.members[i], at, "no capacity")
 		}
 	}
 	s.ready = nil
