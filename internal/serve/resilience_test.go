@@ -326,3 +326,34 @@ func TestServeHealthAndGracefulDrain(t *testing.T) {
 	}
 	_ = sys
 }
+
+// A drain episode that sheds a queued victim counts it on /metrics as
+// a /v1/run episode does, so after a graceful shutdown the serve.shed
+// counter and the /v1/status shed tally agree.
+func TestServeQueueBoundDrainShedMetric(t *testing.T) {
+	_, srv := bootResilient(t, Config{Cores: []int{0}, MaxQueuePerTenant: 2})
+	h := srv.Handler()
+	for _, body := range []string{
+		`{"id":1,"tenant":"a","model":"mobilenet"}`,
+		`{"id":2,"tenant":"a","model":"mobilenet"}`,
+		// Outranks the full queue: admitted by shedding request 2.
+		`{"id":3,"tenant":"a","model":"mobilenet","priority":10}`,
+	} {
+		if rec := do(t, h, "POST", "/v1/submit", body); rec.Code != http.StatusAccepted {
+			t.Fatalf("submit %s: %d %s", body, rec.Code, rec.Body)
+		}
+	}
+	rep, err := srv.DrainAndFinish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep == nil || rep.Shed != 1 {
+		t.Fatalf("drain episode: %+v", rep)
+	}
+	if rec := do(t, h, "GET", "/v1/status", ""); !strings.Contains(rec.Body.String(), `"shed":1`) {
+		t.Fatalf("status shed tally: %s", rec.Body)
+	}
+	if rec := do(t, h, "GET", "/metrics", ""); !strings.Contains(rec.Body.String(), "\nserve_shed 1\n") {
+		t.Fatal("/metrics serve_shed disagrees with the status shed tally of 1 after a drain")
+	}
+}

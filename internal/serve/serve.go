@@ -441,32 +441,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "no pending requests")
 		return
 	}
-	rep, err := s.sched.Run()
-	// The scheduler is consumed either way; arm the next episode.
-	if rerr := s.resetScheduler(); rerr != nil && err == nil {
-		err = rerr
-	}
+	rep, err := s.runEpisode()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.episodes++
-	s.completed += rep.Completed
-	s.rejected += rep.Rejected
-	s.dropped += rep.Dropped
-	s.aborted += rep.Aborted
-	s.shed += rep.Shed
-	s.recovered += rep.Recovered
-	if s.obsShed != nil {
-		for i := 0; i < rep.Shed; i++ {
-			s.obsShed.Inc()
-		}
-	}
-	for _, res := range rep.Results {
-		s.results[res.ID] = res
-		delete(s.pending, res.ID)
-	}
-	s.last = rep
 	out := RunReport{
 		Episode:     s.episodes,
 		Results:     rep.Results,
@@ -639,7 +618,15 @@ func (s *Server) DrainAndFinish() (*sched.Report, error) {
 	if s.sched.Pending() == 0 {
 		return nil, nil
 	}
+	return s.runEpisode()
+}
+
+// runEpisode runs the pending requests as one scheduler episode, arms
+// the next one, and folds the report into the status tallies, the
+// serve.shed counter and the result map. The caller holds s.mu.
+func (s *Server) runEpisode() (*sched.Report, error) {
 	rep, err := s.sched.Run()
+	// The scheduler is consumed either way; arm the next episode.
 	if rerr := s.resetScheduler(); rerr != nil && err == nil {
 		err = rerr
 	}
@@ -653,6 +640,9 @@ func (s *Server) DrainAndFinish() (*sched.Report, error) {
 	s.aborted += rep.Aborted
 	s.shed += rep.Shed
 	s.recovered += rep.Recovered
+	if s.obsShed != nil {
+		s.obsShed.Add(int64(rep.Shed))
+	}
 	for _, res := range rep.Results {
 		s.results[res.ID] = res
 		delete(s.pending, res.ID)
