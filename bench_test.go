@@ -381,7 +381,7 @@ func BenchmarkDecodeServing(b *testing.B) {
 	var res *DecodeBenchResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = DecodeBench(1, DecodeBenchConfig{})
+		res, err = DecodeBench(1, false)
 		if err != nil {
 			b.Fatal(err)
 		}

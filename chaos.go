@@ -18,10 +18,10 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultChaosRates is the fault-rate sweep (events per million
-// cycles). Rate 0 is the control row: it must match an uninstrumented
-// run cycle-for-cycle.
-var DefaultChaosRates = []float64{0, 1, 5, 20}
+// chaosRates is the fault-rate sweep (events per million cycles).
+// Rate 0 is the control row: it must match an uninstrumented run
+// cycle-for-cycle.
+var chaosRates = []float64{0, 1, 5, 20}
 
 // ChaosRow is one rate point of the sweep.
 type ChaosRow struct {
@@ -88,13 +88,10 @@ func ChaosKey(seed int64) []byte {
 
 // Chaos runs the fault-rate sweep for one model. Each rate gets a plan
 // generated from a seed derived deterministically from (seed, rate
-// index) over the control run's horizon, a freshly booted SoC, and a
-// resilient secure run. The same seed always yields a byte-identical
+// index) over the control run's horizon, a scrubbed SoC from the pool,
+// and a resilient secure run. The same seed always yields a byte-identical
 // table.
-func Chaos(model string, seed int64, ratesPerM []float64) (*ChaosResult, error) {
-	if len(ratesPerM) == 0 {
-		ratesPerM = DefaultChaosRates
-	}
+func Chaos(model string, seed int64) (*ChaosResult, error) {
 	res := &ChaosResult{Model: model, Seed: seed}
 
 	// Control run: empty plan, establishes the horizon and the
@@ -105,7 +102,7 @@ func Chaos(model string, seed int64, ratesPerM []float64) (*ChaosResult, error) 
 	}
 	horizon := control.Cycles
 
-	for i, rate := range ratesPerM {
+	for i, rate := range chaosRates {
 		row := ChaosRow{RatePerM: rate}
 		if rate == 0 {
 			row.Cycles = control.Cycles
@@ -151,7 +148,7 @@ func (row *ChaosRow) fill(rep SecureRunReport, snap map[string]int64) {
 // chaosRun boots a fresh protected SoC, arms it with the plan, and
 // runs one resilient secure inference.
 func chaosRun(model string, seed int64, plan fault.Plan) (SecureRunReport, map[string]int64, error) {
-	sys, err := acquireSystem(DefaultConfig())
+	sys, err := acquireSystem()
 	if err != nil {
 		return SecureRunReport{}, nil, err
 	}

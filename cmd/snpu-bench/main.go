@@ -156,7 +156,7 @@ func suiteSpecs() []expSpec {
 			return out, nil
 		}},
 		{"serve", func(o options) ([]section, error) {
-			res, err := snpu.ServeBench(o.seed, snpu.ServeBenchConfig{})
+			res, err := snpu.ServeBench(o.seed)
 			if err != nil {
 				return nil, err
 			}
@@ -164,13 +164,7 @@ func suiteSpecs() []expSpec {
 			return []section{{title, res.TableString()}}, nil
 		}},
 		{"decode", func(o options) ([]section, error) {
-			dcfg := snpu.DecodeBenchConfig{}
-			if o.small {
-				// CI smoke shape: fewer requests, two batch widths.
-				dcfg.Requests = 6
-				dcfg.Batches = []int{1, 2}
-			}
-			res, err := snpu.DecodeBench(o.seed, dcfg)
+			res, err := snpu.DecodeBench(o.seed, o.small)
 			if err != nil {
 				return nil, err
 			}
@@ -179,13 +173,7 @@ func suiteSpecs() []expSpec {
 			return []section{{title, res.TableString()}}, nil
 		}},
 		{"resilience", func(o options) ([]section, error) {
-			rcfg := snpu.ResilienceBenchConfig{}
-			if o.small {
-				// CI smoke shape: one load, both fault rates, few requests.
-				rcfg.Requests = 12
-				rcfg.LoadsPerM = []float64{0.4}
-			}
-			res, err := snpu.ResilienceBench(o.seed, rcfg)
+			res, err := snpu.ResilienceBench(o.seed, o.small)
 			if err != nil {
 				return nil, err
 			}
@@ -198,7 +186,7 @@ func suiteSpecs() []expSpec {
 			if len(o.models) > 0 {
 				model = o.models[0].Name
 			}
-			res, err := snpu.Chaos(model, o.seed, nil)
+			res, err := snpu.Chaos(model, o.seed)
 			if err != nil {
 				return nil, err
 			}

@@ -21,35 +21,15 @@ import (
 	"repro/internal/workload"
 )
 
-// DecodeBenchConfig tunes the decode sweep. The zero value selects the
-// defaults below.
-type DecodeBenchConfig struct {
-	// Requests per batch point (default 10).
-	Requests int
-	// Batches are the MaxBatch widths to sweep (default 1, 2, 4).
-	Batches []int
-	// Cores for the scheduler (default 0, 1).
-	Cores []int
-	// Tenants is the number of submitting tenants (default 2); each
-	// tenant decodes its own spec, so batches never mix specs.
-	Tenants int
-}
+// The sweep's shape: decodeRequests decode requests per batch point
+// from decodeTenants tenants on two cores, at MaxBatch 1, 2 and 4.
+// Each tenant decodes its own spec, so batches never mix specs.
+const (
+	decodeRequests = 10
+	decodeTenants  = 2
+)
 
-func (c DecodeBenchConfig) withDefaults() DecodeBenchConfig {
-	if c.Requests <= 0 {
-		c.Requests = 10
-	}
-	if len(c.Batches) == 0 {
-		c.Batches = []int{1, 2, 4}
-	}
-	if len(c.Cores) == 0 {
-		c.Cores = []int{0, 1}
-	}
-	if c.Tenants <= 0 || c.Tenants > 4 {
-		c.Tenants = 2
-	}
-	return c
-}
+var decodeBatches = []int{1, 2, 4}
 
 // decodeSpecFor is the per-tenant decode geometry: small enough that a
 // sweep cell stays fast, distinct enough that the same-spec batching
@@ -149,49 +129,32 @@ func DecodeTrace(seed int64, n, tenants int) []sched.Request {
 	return reqs
 }
 
-// DecodeBench runs the batch-width sweep. Each point boots a fresh
-// protected SoC (through the pool), replays the seeded trace through a
-// scheduler episode, and summarizes per-token timing.
-func DecodeBench(seed int64, cfg DecodeBenchConfig) (*DecodeBenchResult, error) {
-	cfg = cfg.withDefaults()
-	res := &DecodeBenchResult{Seed: seed}
-	for _, batch := range cfg.Batches {
-		row, err := decodeBatchPoint(seed, batch, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("decode batch %d: %w", batch, err)
-		}
-		res.Rows = append(res.Rows, row)
+// DecodeBench runs the batch-width sweep; small selects the CI smoke
+// shape (6 requests, batch widths 1 and 2). Each point replays the
+// seeded trace through one scheduler episode on a pooled protected SoC
+// and summarizes per-token timing.
+func DecodeBench(seed int64, small bool) (*DecodeBenchResult, error) {
+	requests, batches := decodeRequests, decodeBatches
+	if small {
+		requests, batches = 6, []int{1, 2}
 	}
-	return res, nil
+	rows, err := experiments.MapIndexed(len(batches), func(i int) (DecodeBenchRow, error) {
+		row, err := decodeBatchPoint(seed, batches[i], requests)
+		if err != nil {
+			return DecodeBenchRow{}, fmt.Errorf("decode batch %d: %w", batches[i], err)
+		}
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &DecodeBenchResult{Seed: seed, Rows: rows}, nil
 }
 
-func decodeBatchPoint(seed int64, batch int, cfg DecodeBenchConfig) (DecodeBenchRow, error) {
-	sys, err := acquireSystem(DefaultConfig())
-	if err != nil {
-		return DecodeBenchRow{}, err
-	}
-	defer sys.release()
-	key := ChaosKey(seed)
-	if err := sys.ProvisionKey("t0-key", key); err != nil {
-		return DecodeBenchRow{}, err
-	}
-	sealed, err := SealModel(key, []byte("decode preemptor model"))
-	if err != nil {
-		return DecodeBenchRow{}, err
-	}
-	sc, err := sys.NewScheduler(sched.Config{Cores: cfg.Cores, MaxBatch: batch})
-	if err != nil {
-		return DecodeBenchRow{}, err
-	}
-	for _, r := range DecodeTrace(seed, cfg.Requests, cfg.Tenants) {
-		if r.Decode == nil {
-			r.Sealed = sealed
-		}
-		if err := sc.Submit(r); err != nil {
-			return DecodeBenchRow{}, err
-		}
-	}
-	rep, err := sc.Run()
+func decodeBatchPoint(seed int64, batch, requests int) (DecodeBenchRow, error) {
+	rep, _, err := runEpisode(seed, decodeTenants, nil, sched.Config{Cores: []int{0, 1}, MaxBatch: batch},
+		DecodeTrace(seed, requests, decodeTenants),
+		func(string) []byte { return []byte("decode preemptor model") })
 	if err != nil {
 		return DecodeBenchRow{}, err
 	}
@@ -238,9 +201,5 @@ func interTokenPercentiles(tokenTimes map[int][]sim.Cycle) (p50, p99 sim.Cycle) 
 			gaps = append(gaps, times[i]-times[i-1])
 		}
 	}
-	if len(gaps) == 0 {
-		return 0, 0
-	}
-	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
-	return gaps[len(gaps)/2], gaps[(len(gaps)*99)/100]
+	return percentiles(gaps)
 }

@@ -249,11 +249,11 @@ func TestChaosDeterministicPerSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep is a multi-inference run")
 	}
-	a, err := Chaos("yololite", 11, []float64{0, 2})
+	a, err := Chaos("yololite", 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Chaos("yololite", 11, []float64{0, 2})
+	b, err := Chaos("yololite", 11)
 	if err != nil {
 		t.Fatal(err)
 	}

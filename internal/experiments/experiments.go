@@ -37,9 +37,11 @@ type SoC struct {
 	NPU     *npu.NPU
 }
 
-// NewSoC boots a system with the given NPU config and per-core
-// translator factory (nil = identity/no protection).
-func NewSoC(cfg npu.Config, makeXlate func(core int) xlate.Translator) (*SoC, error) {
+// NewSoC boots a system: memory regions, secure-boot chain, and an
+// NPU whose per-core translators come from makeXlate, called with the
+// SoC's counters (nil = identity/no protection). It is the one boot
+// path: snpu.New builds its Guarders through makeXlate.
+func NewSoC(cfg npu.Config, makeXlate func(core int, stats *sim.Stats) xlate.Translator) (*SoC, error) {
 	phys := mem.NewPhysical()
 	regions := []mem.Region{
 		{Name: "normal", Base: NormalBase, Size: NormalSize, Owner: mem.Normal, CrossPerm: mem.PermRW},
@@ -61,12 +63,24 @@ func NewSoC(cfg npu.Config, makeXlate func(core int) xlate.Translator) (*SoC, er
 		return nil, err
 	}
 	stats := sim.NewStats()
-	acc, err := npu.New(cfg, phys, stats, makeXlate)
+	var perCore func(core int) xlate.Translator
+	if makeXlate != nil {
+		perCore = func(core int) xlate.Translator { return makeXlate(core, stats) }
+	}
+	acc, err := npu.New(cfg, phys, stats, perCore)
 	if err != nil {
 		return nil, err
 	}
 	RecordSoCStats(stats)
 	return &SoC{Phys: phys, Machine: machine, Stats: stats, NPU: acc}, nil
+}
+
+// Reset scrubs the SoC back to its freshly booted state: the NPU (with
+// its boot translators restored), backing memory, and every counter.
+func (soc *SoC) Reset() {
+	soc.NPU.Reset()
+	soc.Phys.Reset()
+	soc.Stats.Reset()
 }
 
 // Mechanism names one access-control configuration of Fig. 13.

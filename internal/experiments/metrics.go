@@ -30,20 +30,19 @@ func CollectSoCStats(on bool) {
 	collect.sinks = nil
 }
 
-// CollectingSoCStats reports whether a collection window is open.
-// Pool layers (the SoC pool here, the System pool at the repo root)
-// check it to fall back to fresh boots, since collection counts one
-// sink per boot.
-func CollectingSoCStats() bool {
+// collecting reports whether a collection window is open. Pools check
+// it to fall back to fresh boots, since collection counts one sink per
+// boot.
+func collecting() bool {
 	collect.mu.Lock()
 	defer collect.mu.Unlock()
 	return collect.enabled
 }
 
 // RecordSoCStats registers one booted SoC's counter sink with the
-// collector (no-op while collection is off). Every SoC constructor —
-// NewSoC here and snpu.New — calls it, so a collection window sees
-// each system an experiment boots.
+// collector (no-op while collection is off). NewSoC, the one boot path
+// (snpu.New boots through it too), calls it, so a collection window
+// sees each system an experiment boots.
 func RecordSoCStats(s *sim.Stats) {
 	if s == nil {
 		return

@@ -7,6 +7,7 @@ import (
 	"repro/internal/npu"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // exportCollected runs fn inside a stats-collection window and returns
@@ -76,5 +77,29 @@ func TestCollectSoCStatsWindow(t *testing.T) {
 	RecordSoCStats(sim.NewStats())
 	if got := len(DrainSoCStats()); got != 0 {
 		t.Fatalf("disabled window recorded %d sinks, want 0", got)
+	}
+}
+
+// Regression: a pooled cell's SoC used to be scrubbed at release even
+// inside a collection window, zeroing its registered sink before the
+// export, so -metrics-dir wrote 0 for every counter of Fig. 13.
+func TestCollectedSinksKeepCounters(t *testing.T) {
+	w, err := workload.Lookup("yololite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	CollectSoCStats(true)
+	defer CollectSoCStats(false)
+	if _, err := Fig13([]workload.Workload{w}, npu.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	var lookups, requests int64
+	for _, s := range DrainSoCStats() {
+		lookups += s.Get(sim.CtrIOTLBLookups)
+		requests += s.Get(sim.CtrDMARequests)
+	}
+	if lookups == 0 || requests == 0 {
+		t.Fatalf("collected sinks read %s=%d and %s=%d; released SoCs were scrubbed before export",
+			sim.CtrIOTLBLookups, lookups, sim.CtrDMARequests, requests)
 	}
 }

@@ -7,16 +7,18 @@ import (
 	"repro/internal/npu"
 )
 
-// SoC pooling: booting a SoC per experiment cell (regions, boot chain,
+// Pooling: booting a SoC per experiment cell (regions, boot chain,
 // NPU, scratchpads, mesh) was a large share of the suite's allocation
 // churn, and the GC pressure it generated is what capped parallel
-// speedup below 1x. Instead, released SoCs are scrubbed back to their
-// freshly booted state (see SoC.Release) and reused by the next cell
-// with the same npu.Config.
+// speedup below 1x. Instead, a released instance is scrubbed back to
+// its freshly booted state and reused by the next cell with the same
+// key. One Pool type serves both the experiment cells here (SoCs keyed
+// by npu.Config) and the root package's sweeps (Systems keyed by
+// snpu.Config).
 //
-// The determinism contract: a cell run on a recycled SoC produces
+// The determinism contract: a cell run on a recycled instance produces
 // byte-identical cycles, tables, and stats to the same cell on a fresh
-// boot. That holds because Release power-cycles every piece of
+// boot. That holds because the scrub power-cycles every piece of
 // observable state — timing resources, pipelines, L2 contents,
 // scratchpad payload/tags/valid/parity, mesh locks/inboxes/dead links,
 // backing pages, ECC damage, core domains, installed translators, and
@@ -25,105 +27,125 @@ import (
 // contract; TestPoolNoSecretLeak pins the isolation half (no prior
 // tenant's bytes survive a recycle).
 //
-// Pooling is transparently disabled while -metrics-dir collection is
-// on: that mode aggregates one registered sink per *booted* SoC, so
-// reuse would fold several cells into one sink. Cycle counts are
-// pooling-independent either way, so the toggle cannot change results.
+// Reuse is off while a -metrics-dir collection window is open: that
+// mode aggregates one registered sink per *booted* instance, so reuse
+// would fold several cells into one sink, and a scrub would zero a
+// sink before it is exported. An instance released while reuse is off
+// is therefore dropped unscrubbed; nothing reuses it. Cycle counts are
+// pooling-independent either way, so the switch cannot change results.
 
-// poolMaxPerKey caps each config bucket; a parallel runner needs at
-// most one SoC per worker in flight, so beyond ~2x the machine width
-// extra instances are just held memory.
-func poolMaxPerKey() int { return 2 * runtime.GOMAXPROCS(0) }
-
-var socPool = struct {
+var pooling struct {
 	sync.Mutex
-	disabled bool
-	buckets  map[npu.Config][]*SoC
-	hits     uint64
-	misses   uint64
-}{buckets: make(map[npu.Config][]*SoC)}
+	off bool
+	// epoch counts SetPooling(false) calls; a pool filled in an older
+	// epoch drops its instances on next use.
+	epoch uint64
+}
 
-// SetPooling toggles SoC reuse (on by default). Turning it off also
-// drops every pooled instance, so differentials can force the
-// fresh-boot path.
+// SetPooling toggles reuse in every Pool (on by default). Turning it
+// off also makes every pool drop its instances, so differentials can
+// force the fresh-boot path.
 func SetPooling(on bool) {
-	socPool.Lock()
-	defer socPool.Unlock()
-	socPool.disabled = !on
+	pooling.Lock()
+	defer pooling.Unlock()
+	pooling.off = !on
 	if !on {
-		socPool.buckets = make(map[npu.Config][]*SoC)
+		pooling.epoch++
 	}
 }
 
-// PoolingEnabled reports whether Acquire may reuse pooled SoCs.
-func PoolingEnabled() bool {
-	socPool.Lock()
-	defer socPool.Unlock()
-	return !socPool.disabled
-}
-
-// PoolCounters reports lifetime pool hits (recycled SoCs handed out)
-// and misses (fresh boots via AcquireSoC).
-func PoolCounters() (hits, misses uint64) {
-	socPool.Lock()
-	defer socPool.Unlock()
-	return socPool.hits, socPool.misses
-}
-
-// poolActive reports whether reuse is currently allowed: not switched
-// off, and not in a metrics-collection window.
-func poolActive() bool {
-	collect.mu.Lock()
-	collecting := collect.enabled
-	collect.mu.Unlock()
-	if collecting {
-		return false
+// poolState reports the current drop epoch and whether reuse is
+// allowed: pooling on, and no metrics-collection window open.
+func poolState() (epoch uint64, active bool) {
+	if collecting() {
+		return 0, false
 	}
-	socPool.Lock()
-	defer socPool.Unlock()
-	return !socPool.disabled
+	pooling.Lock()
+	defer pooling.Unlock()
+	return pooling.epoch, !pooling.off
 }
+
+// Pool is a keyed free list of booted instances. The zero value is
+// ready to use. Each key holds at most 2 × GOMAXPROCS instances: a
+// parallel runner needs at most one in flight per worker, so beyond
+// that extra instances are just held memory.
+type Pool[K comparable, T any] struct {
+	mu           sync.Mutex
+	free         map[K][]T
+	epoch        uint64
+	hits, misses uint64
+}
+
+// bucket returns k's free list, first dropping every instance pooled
+// before the last SetPooling(false). The caller holds p.mu.
+func (p *Pool[K, T]) bucket(epoch uint64, k K) []T {
+	if p.free == nil || p.epoch != epoch {
+		p.free = make(map[K][]T)
+		p.epoch = epoch
+	}
+	return p.free[k]
+}
+
+// Get returns a pooled instance for k when one is free, and boot()
+// otherwise.
+func (p *Pool[K, T]) Get(k K, boot func() (T, error)) (T, error) {
+	if epoch, active := poolState(); active {
+		p.mu.Lock()
+		if b := p.bucket(epoch, k); len(b) > 0 {
+			t := b[len(b)-1]
+			p.free[k] = b[:len(b)-1]
+			p.hits++
+			p.mu.Unlock()
+			return t, nil
+		}
+		p.misses++
+		p.mu.Unlock()
+	}
+	return boot()
+}
+
+// Put hands t back under k. While reuse is active, scrub resets t to
+// its freshly booted state first — at hand-back, so no tenant's data
+// sits in the pool — and t is pooled unless the scrub fails or the
+// bucket is full. While reuse is off, t is dropped without a scrub.
+func (p *Pool[K, T]) Put(k K, t T, scrub func() error) {
+	epoch, active := poolState()
+	if !active || scrub() != nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if b := p.bucket(epoch, k); len(b) < 2*runtime.GOMAXPROCS(0) {
+		p.free[k] = append(b, t)
+	}
+}
+
+// Counters reports lifetime hits (recycled instances handed out) and
+// misses (fresh boots while reuse was active).
+func (p *Pool[K, T]) Counters() (hits, misses uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.hits, p.misses
+}
+
+// socs pools the experiment cells' SoCs.
+var socs Pool[npu.Config, *SoC]
+
+// PoolCounters reports the SoC pool's lifetime hits and misses.
+func PoolCounters() (hits, misses uint64) { return socs.Counters() }
 
 // AcquireSoC returns a ready SoC for cfg — recycled when one is
 // pooled, freshly booted otherwise. Callers must hand it back with
 // Release when the cell completes. Only identity-translator systems
-// (the NewSoC(cfg, nil) shape every cell uses) are pooled; cells
-// needing a custom translator factory must call NewSoC directly.
+// (the NewSoC(cfg, nil) shape every cell uses) are pooled.
 func AcquireSoC(cfg npu.Config) (*SoC, error) {
-	if poolActive() {
-		socPool.Lock()
-		if b := socPool.buckets[cfg]; len(b) > 0 {
-			soc := b[len(b)-1]
-			socPool.buckets[cfg] = b[:len(b)-1]
-			socPool.hits++
-			socPool.Unlock()
-			return soc, nil
-		}
-		socPool.misses++
-		socPool.Unlock()
-	}
-	return NewSoC(cfg, nil)
+	return socs.Get(cfg, func() (*SoC, error) { return NewSoC(cfg, nil) })
 }
 
-// Release scrubs the SoC back to its freshly booted state and returns
-// it to the pool. Scrubbing happens here — at hand-back, not at the
-// next acquire — so no tenant's data sits in the pool in the interim.
-// Safe to call on a nil SoC (error paths).
+// Release hands the SoC back to the pool.
 func (soc *SoC) Release() {
-	if soc == nil {
-		return
-	}
-	soc.NPU.Reset()
-	soc.Phys.Reset()
-	soc.Stats.Reset()
-	if !poolActive() {
-		return
-	}
-	cfg := soc.NPU.Config()
-	socPool.Lock()
-	defer socPool.Unlock()
-	if len(socPool.buckets[cfg]) >= poolMaxPerKey() {
-		return
-	}
-	socPool.buckets[cfg] = append(socPool.buckets[cfg], soc)
+	socs.Put(soc.NPU.Config(), soc, func() error {
+		soc.Reset()
+		return nil
+	})
 }

@@ -68,7 +68,7 @@ func writeStats(buf *bytes.Buffer, stats map[string]int64) {
 func TestPooledDifferential(t *testing.T) {
 	var models []workload.Workload
 	for _, n := range []string{"alexnet", "yololite"} {
-		w, err := workload.ByName(n)
+		w, err := workload.Lookup(n)
 		if err != nil {
 			t.Fatal(err)
 		}

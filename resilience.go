@@ -50,10 +50,10 @@ const DefaultMaxRestarts = 3
 // nothing — simulated timing is bit-identical to an uninstrumented
 // run, which TestZeroFaultDeterminism pins down.
 func (s *System) InstallFaultPlan(p fault.Plan) {
-	s.inj = fault.NewInjector(p, s.stats)
-	s.acc.AttachInjector(s.inj)
+	s.inj = fault.NewInjector(p, s.soc.Stats)
+	s.soc.NPU.AttachInjector(s.inj)
 	s.inj.AttachTrace(s.obs.Trace())
-	s.phys.EnableECC(s.stats)
+	s.soc.Phys.EnableECC(s.soc.Stats)
 }
 
 // Injector exposes the armed injector (nil before InstallFaultPlan).
@@ -88,7 +88,7 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 	if maxRestarts <= 0 {
 		maxRestarts = DefaultMaxRestarts
 	}
-	s.acc.ResetTiming()
+	s.soc.NPU.ResetTiming()
 	injectedBefore := s.inj.Injected()
 	spadLines := s.cfg.NPU.SpadLines()
 	prog := h.prog.prog
@@ -115,7 +115,7 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 			return rep, lrep.Err
 		}
 		h.Cores = []int{core}
-		c, err := s.acc.Core(core)
+		c, err := s.soc.NPU.Core(core)
 		if err != nil {
 			return rep, err
 		}
@@ -149,8 +149,8 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 				Utilization: npu.Utilization(prog, now, s.cfg.NPU.SystolicDim),
 				MACs:        prog.TotalMACs,
 			}
-			if s.inj.Injected() > injectedBefore && s.stats != nil {
-				s.stats.Inc(sim.CtrRecoveredFaults)
+			if s.inj.Injected() > injectedBefore && s.soc.Stats != nil {
+				s.soc.Stats.Inc(sim.CtrRecoveredFaults)
 			}
 			return rep, nil
 		}
@@ -173,15 +173,15 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 		if consecutive >= maxRestarts {
 			rep.Aborted = true
 			rep.Cycles = now // cycles burned before giving up
-			if s.stats != nil {
-				s.stats.Inc(sim.CtrUnrecoveredFaults)
+			if s.soc.Stats != nil {
+				s.soc.Stats.Inc(sim.CtrUnrecoveredFaults)
 			}
 			return rep, ErrTaskAborted
 		}
 		consecutive++
 		rep.Restarts++
-		if s.stats != nil {
-			s.stats.Inc(sim.CtrTaskRestarts)
+		if s.soc.Stats != nil {
+			s.soc.Stats.Inc(sim.CtrTaskRestarts)
 		}
 		rec.BeginEpoch(fmt.Sprintf("restart-%d", rep.Restarts), now)
 
@@ -211,7 +211,7 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 		}
 		h.ID = int(srep.Value)
 		restoreFrom := now
-		now += spad.FlushCost(npu.FlushLiveBytes(prog), s.cfg.NPU.DRAMBytesPerCycle, s.cfg.NPU.DRAMLatency, s.stats)
+		now += spad.FlushCost(npu.FlushLiveBytes(prog), s.cfg.NPU.DRAMBytesPerCycle, s.cfg.NPU.DRAMLatency, s.soc.Stats)
 		rec.Record(trace.Event{
 			Name: "monitor.restore", Kind: trace.KindMonitor, Core: core,
 			Start: restoreFrom, End: now,

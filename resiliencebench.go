@@ -12,9 +12,7 @@ package snpu
 // is byte-identical at any -j width and across fresh SoCs.
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/experiments"
 	"repro/internal/fault"
@@ -22,55 +20,21 @@ import (
 	"repro/internal/sim"
 )
 
-// ResilienceBenchConfig tunes the sweep grid. The zero value selects
-// the defaults below (a small 2×2 grid so the full suite stays fast).
-type ResilienceBenchConfig struct {
-	// Requests per grid cell (default 24).
-	Requests int
-	// LoadsPerM are offered arrival rates in requests per million
-	// cycles (default light and overloaded: 0.2, 0.8).
-	LoadsPerM []float64
-	// FaultRatesPerM are transient-fault rates per million cycles fed
-	// to fault.TransientRates (default 0.1, 1 — an idle core accrues
-	// every overdue event and delivers the burst at dispatch, so rates
-	// beyond a few per Mcyc make every first attempt lethal).
-	FaultRatesPerM []float64
-	// Cores for the scheduler (default 0..3).
-	Cores []int
-	// Tenants is the number of submitting tenants (default 3).
-	Tenants int
-	// MaxRestarts is the per-request retry budget (default 2).
-	MaxRestarts int
-	// RetryBackoff is the base backoff in cycles (0 = sched default).
-	RetryBackoff sim.Cycle
-	// MaxQueuePerTenant bounds each tenant's queue (default 5).
-	MaxQueuePerTenant int
-}
+// The grid's shape: resilienceRequests requests per cell from
+// resilienceTenants tenants on four cores, every request deadlined,
+// with a per-request retry budget of 2 and per-tenant queues bounded
+// at 5. The fault rates feed fault.TransientRates; an idle core
+// accrues every overdue event and delivers the burst at dispatch, so
+// rates beyond a few per Mcyc would make every first attempt lethal.
+const (
+	resilienceRequests = 24
+	resilienceTenants  = 3
+)
 
-func (c ResilienceBenchConfig) withDefaults() ResilienceBenchConfig {
-	if c.Requests <= 0 {
-		c.Requests = 24
-	}
-	if len(c.LoadsPerM) == 0 {
-		c.LoadsPerM = []float64{0.2, 0.8}
-	}
-	if len(c.FaultRatesPerM) == 0 {
-		c.FaultRatesPerM = []float64{0.1, 1}
-	}
-	if len(c.Cores) == 0 {
-		c.Cores = []int{0, 1, 2, 3}
-	}
-	if c.Tenants <= 0 {
-		c.Tenants = 3
-	}
-	if c.MaxRestarts <= 0 {
-		c.MaxRestarts = 2
-	}
-	if c.MaxQueuePerTenant <= 0 {
-		c.MaxQueuePerTenant = 5
-	}
-	return c
-}
+var (
+	resilienceLoadsPerM      = []float64{0.2, 0.8}
+	resilienceFaultRatesPerM = []float64{0.1, 1}
+)
 
 // ResilienceBenchRow is one (fault rate, load) cell.
 type ResilienceBenchRow struct {
@@ -147,18 +111,20 @@ func ResilienceTrace(seed int64, loadPerM float64, n, tenants int) []sched.Reque
 	return reqs
 }
 
-// ResilienceBench runs the grid. Each cell boots a fresh protected
-// SoC, installs a seeded transient-fault plan, provisions per-tenant
-// keys, replays the deadlined trace through one scheduler episode with
+// ResilienceBench runs the grid; small selects the CI smoke shape
+// (12 requests, one load of 0.4/Mcyc, both fault rates). Each cell
+// installs a seeded transient-fault plan on a pooled protected SoC,
+// replays the deadlined trace through one scheduler episode with
 // retries and queue bounds armed, and summarizes the report.
-func ResilienceBench(seed int64, cfg ResilienceBenchConfig) (*ResilienceBenchResult, error) {
-	cfg = cfg.withDefaults()
-	res := &ResilienceBenchResult{Seed: seed}
-	nRates, nLoads := len(cfg.FaultRatesPerM), len(cfg.LoadsPerM)
-	rows, err := experiments.MapIndexed(nRates*nLoads, func(i int) (ResilienceBenchRow, error) {
-		rate := cfg.FaultRatesPerM[i/nLoads]
-		load := cfg.LoadsPerM[i%nLoads]
-		row, err := resilienceCell(seed+int64(i)*104729, rate, load, cfg)
+func ResilienceBench(seed int64, small bool) (*ResilienceBenchResult, error) {
+	requests, loads := resilienceRequests, resilienceLoadsPerM
+	if small {
+		requests, loads = 12, []float64{0.4}
+	}
+	rates := resilienceFaultRatesPerM
+	rows, err := experiments.MapIndexed(len(rates)*len(loads), func(i int) (ResilienceBenchRow, error) {
+		rate, load := rates[i/len(loads)], loads[i%len(loads)]
+		row, err := resilienceCell(seed+int64(i)*104729, rate, load, requests)
 		if err != nil {
 			return ResilienceBenchRow{}, fmt.Errorf("resilience cell fault=%g load=%g: %w", rate, load, err)
 		}
@@ -167,85 +133,36 @@ func ResilienceBench(seed int64, cfg ResilienceBenchConfig) (*ResilienceBenchRes
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = rows
-	return res, nil
+	return &ResilienceBenchResult{Seed: seed, Rows: rows}, nil
 }
 
-func resilienceCell(seed int64, rate, load float64, cfg ResilienceBenchConfig) (ResilienceBenchRow, error) {
-	sys, err := acquireSystem(DefaultConfig())
+func resilienceCell(seed int64, rate, load float64, requests int) (ResilienceBenchRow, error) {
+	plan := fault.Generate(seed, resilienceHorizon(load, requests), fault.TransientRates(rate))
+	trace := ResilienceTrace(seed, load, requests, resilienceTenants)
+	rep, shed, err := runEpisode(seed, resilienceTenants, &plan, sched.Config{
+		Cores:             []int{0, 1, 2, 3},
+		MaxRestarts:       2,
+		MaxQueuePerTenant: 5,
+	}, trace, func(blobKey string) []byte { return []byte("resilience model " + blobKey) })
 	if err != nil {
 		return ResilienceBenchRow{}, err
 	}
-	defer sys.release()
-	sys.InstallFaultPlan(fault.Generate(seed, resilienceHorizon(load, cfg.Requests), fault.TransientRates(rate)))
-	keys := make(map[string][]byte, cfg.Tenants)
-	sealedFor := make(map[string][]byte)
-	for t := 0; t < cfg.Tenants; t++ {
-		keyID := fmt.Sprintf("t%d-key", t)
-		key := ChaosKey(seed + int64(t))
-		if err := sys.ProvisionKey(keyID, key); err != nil {
-			return ResilienceBenchRow{}, err
-		}
-		keys[keyID] = key
+	row := ResilienceBenchRow{
+		FaultPerM: rate,
+		LoadPerM:  load,
+		// Shed at admission counts with the victims shed mid-trace.
+		Requests:    len(trace) - shed,
+		Completed:   rep.Completed,
+		GoodputPerM: perMcyc(rep.Completed, rep.Makespan),
+		Retries:     rep.Retries,
+		Recovered:   rep.Recovered,
+		Shed:        shed + rep.Shed,
+		Dropped:     rep.Dropped,
+		Aborted:     rep.Aborted,
+		Rejected:    rep.Rejected,
+		FlushCycles: rep.FlushCycles,
+		Makespan:    rep.Makespan,
 	}
-	sc, err := sys.NewScheduler(sched.Config{
-		Cores:             cfg.Cores,
-		MaxRestarts:       cfg.MaxRestarts,
-		RetryBackoff:      cfg.RetryBackoff,
-		MaxQueuePerTenant: cfg.MaxQueuePerTenant,
-	})
-	if err != nil {
-		return ResilienceBenchRow{}, err
-	}
-	row := ResilienceBenchRow{FaultPerM: rate, LoadPerM: load}
-	for _, r := range ResilienceTrace(seed, load, cfg.Requests, cfg.Tenants) {
-		if r.Secure {
-			sealKey := r.KeyID + "/" + r.Model
-			if sealedFor[sealKey] == nil {
-				blob, err := SealModel(keys[r.KeyID], []byte("resilience model "+sealKey))
-				if err != nil {
-					return ResilienceBenchRow{}, err
-				}
-				sealedFor[sealKey] = blob
-			}
-			r.Sealed = sealedFor[sealKey]
-		}
-		switch err := sc.Submit(r); {
-		case err == nil:
-			row.Requests++
-		case errors.Is(err, sched.ErrQueueFull):
-			// Shed at admission: counted with the victims shed mid-trace.
-			row.Shed++
-		default:
-			return ResilienceBenchRow{}, err
-		}
-	}
-	rep, err := sc.Run()
-	if err != nil {
-		return ResilienceBenchRow{}, err
-	}
-	row.Completed = rep.Completed
-	row.Retries = rep.Retries
-	row.Recovered = rep.Recovered
-	row.Shed += rep.Shed
-	row.Dropped = rep.Dropped
-	row.Aborted = rep.Aborted
-	row.Rejected = rep.Rejected
-	row.FlushCycles = rep.FlushCycles
-	row.Makespan = rep.Makespan
-	if rep.Makespan > 0 {
-		row.GoodputPerM = float64(rep.Completed) * 1e6 / float64(rep.Makespan)
-	}
-	var lats []sim.Cycle
-	for _, r := range rep.Results {
-		if r.Completed {
-			lats = append(lats, r.Latency())
-		}
-	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		row.P50 = lats[len(lats)/2]
-		row.P99 = lats[(len(lats)*99)/100]
-	}
+	row.P50, row.P99 = percentiles(completedLatencies(rep))
 	return row, nil
 }

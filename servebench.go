@@ -11,45 +11,22 @@ package snpu
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/experiments"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// ServeBenchConfig tunes the load sweep. The zero value selects the
-// defaults below.
-type ServeBenchConfig struct {
-	// Requests per load point (default 36).
-	Requests int
-	// LoadsPerM are the offered arrival rates in requests per million
-	// cycles. The defaults straddle the 4-core capacity of the default
-	// mix (~0.2 done/Mcyc): light, near-saturation, and overloaded.
-	LoadsPerM []float64
-	// Cores for the scheduler (default 0..3).
-	Cores []int
-	// Tenants is the number of submitting tenants (default 3).
-	Tenants int
-	// MaxBatch passes through to the scheduler (0 = default).
-	MaxBatch int
-}
+// The sweep's shape: serveRequests requests per load point from
+// serveTenants tenants on four cores. The offered rates straddle the
+// 4-core capacity of the default mix (~0.2 done/Mcyc): light,
+// near-saturation, and overloaded.
+const (
+	serveRequests = 36
+	serveTenants  = 3
+)
 
-func (c ServeBenchConfig) withDefaults() ServeBenchConfig {
-	if c.Requests <= 0 {
-		c.Requests = 36
-	}
-	if len(c.LoadsPerM) == 0 {
-		c.LoadsPerM = []float64{0.05, 0.2, 0.8}
-	}
-	if len(c.Cores) == 0 {
-		c.Cores = []int{0, 1, 2, 3}
-	}
-	if c.Tenants <= 0 {
-		c.Tenants = 3
-	}
-	return c
-}
+var serveLoadsPerM = []float64{0.05, 0.2, 0.8}
 
 // serveModels is the request-mix model pool (kept to the cheaper
 // workloads so the sweep stays fast).
@@ -137,100 +114,53 @@ func ServeTrace(seed int64, loadPerM float64, n, tenants int) []sched.Request {
 	return reqs
 }
 
-// ServeBench runs the load sweep. Each load point boots a fresh
-// protected SoC, provisions per-tenant sealing keys, replays the
-// seeded trace through a scheduler episode, and summarizes the report.
-func ServeBench(seed int64, cfg ServeBenchConfig) (*ServeBenchResult, error) {
-	cfg = cfg.withDefaults()
-	res := &ServeBenchResult{Seed: seed}
-	for li, load := range cfg.LoadsPerM {
-		row, err := serveLoadPoint(seed+int64(li)*104729, load, cfg)
+// ServeBench runs the load sweep. Each load point replays the seeded
+// trace through one scheduler episode on a pooled protected SoC and
+// summarizes the report.
+func ServeBench(seed int64) (*ServeBenchResult, error) {
+	rows, err := experiments.MapIndexed(len(serveLoadsPerM), func(i int) (ServeBenchRow, error) {
+		load := serveLoadsPerM[i]
+		row, err := serveLoadPoint(seed+int64(i)*104729, load, serveRequests)
 		if err != nil {
-			return nil, fmt.Errorf("serve load %g: %w", load, err)
+			return ServeBenchRow{}, fmt.Errorf("serve load %g: %w", load, err)
 		}
-		res.Rows = append(res.Rows, row)
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &ServeBenchResult{Seed: seed, Rows: rows}, nil
 }
 
-func serveLoadPoint(seed int64, load float64, cfg ServeBenchConfig) (ServeBenchRow, error) {
-	sys, err := acquireSystem(DefaultConfig())
+func serveLoadPoint(seed int64, load float64, requests int) (ServeBenchRow, error) {
+	rep, _, err := runEpisode(seed, serveTenants, nil, sched.Config{Cores: []int{0, 1, 2, 3}},
+		ServeTrace(seed, load, requests, serveTenants),
+		func(blobKey string) []byte { return []byte("serve model " + blobKey) })
 	if err != nil {
 		return ServeBenchRow{}, err
 	}
-	defer sys.release()
-	keys := make(map[string][]byte, cfg.Tenants)
-	sealedFor := make(map[string][]byte, cfg.Tenants)
-	for t := 0; t < cfg.Tenants; t++ {
-		keyID := fmt.Sprintf("t%d-key", t)
-		key := ChaosKey(seed + int64(t))
-		if err := sys.ProvisionKey(keyID, key); err != nil {
-			return ServeBenchRow{}, err
-		}
-		keys[keyID] = key
-	}
-	sc, err := sys.NewScheduler(sched.Config{Cores: cfg.Cores, MaxBatch: cfg.MaxBatch})
-	if err != nil {
-		return ServeBenchRow{}, err
-	}
-	trace := ServeTrace(seed, load, cfg.Requests, cfg.Tenants)
-	for _, r := range trace {
-		if r.Secure {
-			// One sealed blob per (tenant, model): batch-mates share it,
-			// and sealing cost scales with the blob, not the request.
-			sealKey := r.KeyID + "/" + r.Model
-			if sealedFor[sealKey] == nil {
-				blob, err := SealModel(keys[r.KeyID], []byte("serve model "+sealKey))
-				if err != nil {
-					return ServeBenchRow{}, err
-				}
-				sealedFor[sealKey] = blob
-			}
-			r.Sealed = sealedFor[sealKey]
-		}
-		if err := sc.Submit(r); err != nil {
-			return ServeBenchRow{}, err
-		}
-	}
-	rep, err := sc.Run()
-	if err != nil {
-		return ServeBenchRow{}, err
-	}
-	return summarizeServe(load, rep), nil
-}
-
-func summarizeServe(load float64, rep *sched.Report) ServeBenchRow {
 	row := ServeBenchRow{
-		LoadPerM:    load,
-		Requests:    len(rep.Results),
-		Completed:   rep.Completed,
-		Dropped:     rep.Dropped,
-		Aborted:     rep.Aborted,
-		Rejected:    rep.Rejected,
-		Makespan:    rep.Makespan,
-		Preemptions: rep.Preemptions,
-		BatchedRuns: rep.BatchedRuns,
-		FlushCycles: rep.FlushCycles,
+		LoadPerM:       load,
+		Requests:       len(rep.Results),
+		Completed:      rep.Completed,
+		Dropped:        rep.Dropped,
+		Aborted:        rep.Aborted,
+		Rejected:       rep.Rejected,
+		Makespan:       rep.Makespan,
+		ThroughputPerM: perMcyc(rep.Completed, rep.Makespan),
+		Preemptions:    rep.Preemptions,
+		BatchedRuns:    rep.BatchedRuns,
+		FlushCycles:    rep.FlushCycles,
 	}
-	var lats []sim.Cycle
+	row.P50, row.P99 = percentiles(completedLatencies(rep))
 	perTenant := map[string]float64{}
 	for _, r := range rep.Results {
-		if !r.Completed {
-			continue
+		if r.Completed {
+			perTenant[r.Tenant]++
 		}
-		lats = append(lats, r.Latency())
-		perTenant[r.Tenant]++
-	}
-	if row.Makespan > 0 {
-		row.ThroughputPerM = float64(row.Completed) * 1e6 / float64(row.Makespan)
-	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		row.P50 = lats[len(lats)/2]
-		row.P99 = lats[(len(lats)*99)/100]
 	}
 	row.Fairness = jain(perTenant)
-	return row
+	return row, nil
 }
 
 // jain is Jain's fairness index over the map's values.

@@ -81,10 +81,7 @@ func SealModel(key, model []byte) ([]byte, error) {
 // use: the simulation clock is shared state.
 type System struct {
 	cfg      Config
-	phys     *mem.Physical
-	machine  *tee.Machine
-	stats    *sim.Stats
-	acc      *npu.NPU
+	soc      *experiments.SoC
 	guarders map[int]*guarder.Guarder
 	drv      *driver.Driver
 	mon      *monitor.Monitor
@@ -99,52 +96,28 @@ type System struct {
 // New boots a system: memory regions, secure-boot chain, NPU cores
 // (with per-core Guarders when protected), driver, and monitor.
 func New(cfg Config) (*System, error) {
-	phys := mem.NewPhysical()
-	for _, r := range []mem.Region{
-		{Name: "normal", Base: experiments.NormalBase, Size: experiments.NormalSize, Owner: mem.Normal, CrossPerm: mem.PermRW},
-		{Name: "npu-reserved", Base: experiments.ReservedBase, Size: experiments.ReservedSize, Owner: mem.Normal, CrossPerm: mem.PermRW},
-		{Name: "secure", Base: experiments.SecureBase, Size: experiments.SecureSize, Owner: mem.Secure},
-	} {
-		if err := phys.AddRegion(r); err != nil {
-			return nil, err
-		}
-	}
-	machine := tee.NewMachine(phys)
-	blobs := [][]byte{[]byte("trusted-loader"), []byte("trusted-firmware"), []byte("teeos"), []byte("npu-monitor")}
-	for i, name := range []string{"trusted-loader", "trusted-firmware", "teeos", "npu-monitor"} {
-		machine.BootChain().AddStage(name, tee.MeasureBytes(blobs[i]))
-	}
-	if err := machine.Boot(blobs); err != nil {
-		return nil, err
-	}
-
-	stats := sim.NewStats()
 	guarders := make(map[int]*guarder.Guarder)
-	makeXlate := func(core int) xlate.Translator {
-		if !cfg.Protected {
-			return xlate.NewIdentity(stats)
+	var makeXlate func(core int, stats *sim.Stats) xlate.Translator
+	if cfg.Protected {
+		makeXlate = func(core int, stats *sim.Stats) xlate.Translator {
+			g := guarder.NewDefault(stats)
+			guarders[core] = g
+			return g
 		}
-		g := guarder.NewDefault(stats)
-		guarders[core] = g
-		return g
 	}
-	acc, err := npu.New(cfg.NPU, phys, stats, makeXlate)
+	soc, err := experiments.NewSoC(cfg.NPU, makeXlate)
 	if err != nil {
 		return nil, err
 	}
-	experiments.RecordSoCStats(stats)
 	sys := &System{
 		cfg:      cfg,
-		phys:     phys,
-		machine:  machine,
-		stats:    stats,
-		acc:      acc,
+		soc:      soc,
 		guarders: guarders,
-		drv:      driver.New(cfg.NPU, experiments.ReservedBase, experiments.ReservedSize, stats),
+		drv:      driver.New(cfg.NPU, experiments.ReservedBase, experiments.ReservedSize, soc.Stats),
 		nextSlot: make(map[int]int),
 	}
 	if cfg.Protected {
-		mon, err := monitor.New(machine, acc, guarders, experiments.SecureBase, experiments.SecureSize, stats)
+		mon, err := monitor.New(soc.Machine, soc.NPU, guarders, experiments.SecureBase, experiments.SecureSize, soc.Stats)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +131,7 @@ func New(cfg Config) (*System, error) {
 }
 
 // Stats exposes the system-wide counters.
-func (s *System) Stats() *sim.Stats { return s.stats }
+func (s *System) Stats() *sim.Stats { return s.soc.Stats }
 
 // Reset power-cycles the system back to its just-booted state so it
 // can be reused by another benchmark cell (arena-style pooling; see
@@ -177,9 +150,7 @@ func (s *System) Stats() *sim.Stats { return s.stats }
 // stats — to the same run on a fresh New(cfg) system, and no prior
 // tenant's bytes are observable afterwards.
 func (s *System) Reset() error {
-	s.acc.Reset()
-	s.phys.Reset()
-	s.stats.Reset()
+	s.soc.Reset()
 	for _, g := range s.guarders {
 		g.Reset()
 	}
@@ -211,10 +182,10 @@ func (s *System) Reset() error {
 func (s *System) EnableObservability(cfg obs.Config) *obs.Observer {
 	o := obs.NewObserver(cfg)
 	for _, name := range sim.CanonicalCounters() {
-		s.stats.Counter(name)
+		s.soc.Stats.Counter(name)
 	}
-	o.Registry().AttachStats(s.stats)
-	s.acc.AttachObserver(o)
+	o.Registry().AttachStats(s.soc.Stats)
+	s.soc.NPU.AttachObserver(o)
 	if s.mon != nil {
 		s.mon.AttachObserver(o)
 	}
@@ -228,7 +199,7 @@ func (s *System) EnableObservability(cfg obs.Config) *obs.Observer {
 func (s *System) Observer() *obs.Observer { return s.obs }
 
 // NPU exposes the accelerator (cores, mesh, channel).
-func (s *System) NPU() *npu.NPU { return s.acc }
+func (s *System) NPU() *npu.NPU { return s.soc.NPU }
 
 // Driver exposes the untrusted driver stack.
 func (s *System) Driver() *driver.Driver { return s.drv }
@@ -238,7 +209,7 @@ func (s *System) Monitor() *monitor.Monitor { return s.mon }
 
 // Machine exposes the trust anchor (for examples that demonstrate the
 // privilege gate; real untrusted code never holds the secure context).
-func (s *System) Machine() *tee.Machine { return s.machine }
+func (s *System) Machine() *tee.Machine { return s.soc.Machine }
 
 // InferenceResult reports one completed inference.
 type InferenceResult struct {
@@ -255,16 +226,6 @@ type InferenceResult struct {
 func Workloads() []string {
 	names := make([]string, 0, 6)
 	for _, w := range workload.All() {
-		names = append(names, w.Name)
-	}
-	return names
-}
-
-// ExtraWorkloads lists the additional models beyond the paper's
-// evaluation set (vgg16, gpt-decode, dlrm).
-func ExtraWorkloads() []string {
-	var names []string
-	for _, w := range workload.Extras() {
 		names = append(names, w.Name)
 	}
 	return names
@@ -287,13 +248,13 @@ func (s *System) RunModel(name string) (InferenceResult, error) {
 // history (use TimeShare or the NPU's lower-level API for genuinely
 // concurrent execution).
 func (s *System) RunWorkload(w workload.Workload) (InferenceResult, error) {
-	s.acc.ResetTiming()
+	s.soc.NPU.ResetTiming()
 	task, err := s.drv.Submit(w, 0, false)
 	if err != nil {
 		return InferenceResult{}, err
 	}
 	defer func() { _ = s.drv.Release(task) }()
-	core, err := s.acc.Core(0)
+	core, err := s.soc.NPU.Core(0)
 	if err != nil {
 		return InferenceResult{}, err
 	}
@@ -347,13 +308,13 @@ func (s *System) RunModelTraced(name string, w io.Writer) (InferenceResult, erro
 // RunWorkloadTraced is RunModelTraced for a caller-provided workload
 // (e.g. one lowered from a graph-IR file).
 func (s *System) RunWorkloadTraced(wl workload.Workload, w io.Writer) (InferenceResult, error) {
-	s.acc.ResetTiming()
+	s.soc.NPU.ResetTiming()
 	task, err := s.drv.Submit(wl, 0, false)
 	if err != nil {
 		return InferenceResult{}, err
 	}
 	defer func() { _ = s.drv.Release(task) }()
-	core, err := s.acc.Core(0)
+	core, err := s.soc.NPU.Core(0)
 	if err != nil {
 		return InferenceResult{}, err
 	}
@@ -439,14 +400,14 @@ func (s *System) Attest(h *SecureTaskHandle, nonce uint64) (AttestationReport, e
 	if h == nil || h.prog == nil {
 		return AttestationReport{}, fmt.Errorf("snpu: nil task handle")
 	}
-	return s.machine.Attest(s.machine.SecureContext(), tee.Measurement(h.prog.prog.Measurement()), nonce)
+	return s.soc.Machine.Attest(s.soc.Machine.SecureContext(), tee.Measurement(h.prog.prog.Measurement()), nonce)
 }
 
 // VerifyAttestation is the model owner's check: the report must carry
 // the expected boot chain, the expected program measurement, and the
 // fresh nonce. Owners call this before provisioning their sealing key.
 func (s *System) VerifyAttestation(r AttestationReport, expectedTask [32]byte, nonce uint64) error {
-	return s.machine.VerifyReport(r, s.machine.BootChain().Attestation(), tee.Measurement(expectedTask), nonce)
+	return s.soc.Machine.VerifyReport(r, s.soc.Machine.BootChain().Attestation(), tee.Measurement(expectedTask), nonce)
 }
 
 // SubmitSecure compiles a built-in model as a secure task and submits
@@ -504,7 +465,7 @@ func (s *System) RunSecure(h *SecureTaskHandle) (InferenceResult, error) {
 		return InferenceResult{}, fmt.Errorf("snpu: baseline system has no monitor")
 	}
 	const core = 0
-	s.acc.ResetTiming()
+	s.soc.NPU.ResetTiming()
 	spadLines := s.cfg.NPU.SpadLines()
 	rep := s.mon.Dispatch(monitor.Call{
 		Func: monitor.FnLoad,
@@ -514,7 +475,7 @@ func (s *System) RunSecure(h *SecureTaskHandle) (InferenceResult, error) {
 		return InferenceResult{}, rep.Err
 	}
 	h.Cores = []int{core}
-	c, err := s.acc.Core(core)
+	c, err := s.soc.NPU.Core(core)
 	if err != nil {
 		return InferenceResult{}, err
 	}
@@ -559,7 +520,7 @@ func (s *System) RunModelParallel(name string, cores []int, mode TransferMode) (
 	if err != nil {
 		return ModelParallelResult{}, err
 	}
-	s.acc.ResetTiming()
+	s.soc.NPU.ResetTiming()
 	var mapWindow npu.MapWindow
 	if s.mon != nil {
 		mapWindow = func(coreID int, prog *npu.Program) error {
@@ -578,7 +539,7 @@ func (s *System) RunModelParallel(name string, cores []int, mode TransferMode) (
 			return s.mon.MapNonSecure(coreID, 2, shmWindowVA, shmPA, 16<<20)
 		}
 	}
-	return s.acc.RunModelParallel(w, cores, mode, shmWindowVA, mapWindow)
+	return s.soc.NPU.RunModelParallel(w, cores, mode, shmWindowVA, mapWindow)
 }
 
 // TimeShareResult re-exports the driver's time-sharing report.
@@ -603,11 +564,11 @@ const (
 // automatically.
 func (s *System) NewScheduler(cfg sched.Config) (*sched.Scheduler, error) {
 	sc, err := sched.New(sched.Deps{
-		NPU:     s.acc,
+		NPU:     s.soc.NPU,
 		Monitor: s.mon,
 		Driver:  s.drv,
 		Cfg:     s.cfg.NPU,
-		Stats:   s.stats,
+		Stats:   s.soc.Stats,
 	}, cfg)
 	if err != nil {
 		return nil, err
@@ -641,8 +602,8 @@ func (s *System) TimeShare(nameA, nameB string, gran FlushGranularity, flush boo
 		return TimeShareResult{}, err
 	}
 	defer func() { _ = s.drv.Release(tb) }()
-	s.acc.ResetTiming()
-	core, err := s.acc.Core(0)
+	s.soc.NPU.ResetTiming()
+	core, err := s.soc.NPU.Core(0)
 	if err != nil {
 		return TimeShareResult{}, err
 	}

@@ -39,16 +39,12 @@ var sweepPins = []struct {
 	name   string
 	render func(seed int64) (string, error)
 }{
-	{"serve", func(seed int64) (string, error) { return table(ServeBench(seed, ServeBenchConfig{})) }},
-	{"resilience", func(seed int64) (string, error) { return table(ResilienceBench(seed, ResilienceBenchConfig{})) }},
-	{"resilience-small", func(seed int64) (string, error) {
-		return table(ResilienceBench(seed, ResilienceBenchConfig{Requests: 12, LoadsPerM: []float64{0.4}}))
-	}},
-	{"decode", func(seed int64) (string, error) { return table(DecodeBench(seed, DecodeBenchConfig{})) }},
-	{"decode-small", func(seed int64) (string, error) {
-		return table(DecodeBench(seed, DecodeBenchConfig{Requests: 6, Batches: []int{1, 2}}))
-	}},
-	{"chaos-yololite", func(seed int64) (string, error) { return table(Chaos("yololite", seed, nil)) }},
+	{"serve", func(seed int64) (string, error) { return table(ServeBench(seed)) }},
+	{"resilience", func(seed int64) (string, error) { return table(ResilienceBench(seed, false)) }},
+	{"resilience-small", func(seed int64) (string, error) { return table(ResilienceBench(seed, true)) }},
+	{"decode", func(seed int64) (string, error) { return table(DecodeBench(seed, false)) }},
+	{"decode-small", func(seed int64) (string, error) { return table(DecodeBench(seed, true)) }},
+	{"chaos-yololite", func(seed int64) (string, error) { return table(Chaos("yololite", seed)) }},
 }
 
 // parseSweepGolden splits the golden file into its "== key ==" sections.

@@ -24,13 +24,13 @@ func renderSystemScenario(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 
-	res, err := ServeBench(3, ServeBenchConfig{Requests: 12, LoadsPerM: []float64{0.2}})
+	row, err := serveLoadPoint(3, 0.2, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.WriteString(res.TableString())
+	buf.WriteString((&ServeBenchResult{Rows: []ServeBenchRow{row}}).TableString())
 
-	sys, err := acquireSystem(DefaultConfig())
+	sys, err := acquireSystem()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSystemPoolNoSecretLeak(t *testing.T) {
 	experiments.SetPooling(true)
 	defer experiments.SetPooling(true)
 
-	sys, err := acquireSystem(DefaultConfig())
+	sys, err := acquireSystem()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestSystemPoolNoSecretLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	secret := bytes.Repeat([]byte{0xA5}, 4096)
-	sys.phys.Write(experiments.ReservedBase, secret)
-	sys.phys.Write(experiments.SecureBase, secret)
+	sys.soc.Phys.Write(experiments.ReservedBase, secret)
+	sys.soc.Phys.Write(experiments.SecureBase, secret)
 
 	sys.release()
-	got, err := acquireSystem(DefaultConfig())
+	got, err := acquireSystem()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSystemPoolNoSecretLeak(t *testing.T) {
 		{"npu-reserved", experiments.ReservedBase},
 		{"secure", experiments.SecureBase},
 	} {
-		got.phys.Read(region.at, buf)
+		got.soc.Phys.Read(region.at, buf)
 		if i := bytes.IndexByte(buf, 0xA5); i >= 0 {
 			t.Errorf("prior tenant's byte observable in %s region at offset %d", region.name, i)
 		}
