@@ -29,7 +29,7 @@ func benchModels(b *testing.B) []workload.Workload {
 	if testing.Short() {
 		var out []workload.Workload
 		for _, n := range []string{"alexnet", "yololite"} {
-			w, err := workload.ByName(n)
+			w, err := workload.Lookup(n)
 			if err != nil {
 				b.Fatal(err)
 			}

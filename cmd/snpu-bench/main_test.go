@@ -23,7 +23,7 @@ func testModels(t *testing.T) []workload.Workload {
 	}
 	var out []workload.Workload
 	for _, n := range []string{"alexnet", "yololite"} {
-		w, err := workload.ByName(n)
+		w, err := workload.Lookup(n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ func fastModels(t *testing.T) []workload.Workload {
 	t.Helper()
 	var out []workload.Workload
 	for _, name := range []string{"alexnet", "yololite"} {
-		w, err := workload.ByName(name)
+		w, err := workload.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}

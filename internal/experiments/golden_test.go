@@ -24,7 +24,7 @@ const (
 
 func goldenModel(t *testing.T, name string) workload.Workload {
 	t.Helper()
-	w, err := workload.ByName(name)
+	w, err := workload.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func (e errAt) Error() string { return "cell failed" }
 // in cmd/snpu-bench.
 func TestParallelDeterminism(t *testing.T) {
 	cfg := npu.DefaultConfig()
-	w, err := workload.ByName("yololite")
+	w, err := workload.Lookup("yololite")
 	if err != nil {
 		t.Fatal(err)
 	}

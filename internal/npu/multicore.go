@@ -189,7 +189,7 @@ func (n *NPU) SetCoreDomains(ctx tee.Context, cores []int, d spad.DomainID) erro
 	return nil
 }
 
-// TransferMode selects how pipelined stages exchange activations
+// TransferMode selects how model-parallel cores exchange activations
 // (Fig. 16/17).
 type TransferMode uint8
 
@@ -206,112 +206,4 @@ func (m TransferMode) String() string {
 		return "noc"
 	}
 	return "shared-memory"
-}
-
-// Stage is one segment of a pipeline mapping: a program slice bound to
-// a core.
-type Stage struct {
-	Core    int
-	Program *Program
-	// ActOutBytes is the activation volume handed to the next stage.
-	ActOutBytes uint64
-}
-
-// PipelineResult reports one pipelined run.
-type PipelineResult struct {
-	TotalCycles    sim.Cycle
-	TransferCycles sim.Cycle
-	Batches        int
-}
-
-// RunPipeline streams `batches` inferences through the staged cores,
-// moving inter-stage activations per mode. Stage s of batch b starts
-// when (a) stage s finished batch b-1 and (b) stage s-1's batch-b
-// output arrived. This is the Fig. 17 experiment harness.
-func (n *NPU) RunPipeline(stages []Stage, batches int, mode TransferMode, shmVA mem.VirtAddr) (PipelineResult, error) {
-	if len(stages) == 0 || batches <= 0 {
-		return PipelineResult{}, fmt.Errorf("npu: empty pipeline")
-	}
-	stageCores := make([]int, len(stages))
-	for i, st := range stages {
-		stageCores[i] = st.Core
-	}
-	if err := n.validateCores(stageCores); err != nil {
-		return PipelineResult{}, err
-	}
-	coreFree := make([]sim.Cycle, len(stages))
-	var res PipelineResult
-	var prevStageDone []sim.Cycle = make([]sim.Cycle, len(stages))
-
-	for b := 0; b < batches; b++ {
-		var upstreamReady sim.Cycle
-		for s, st := range stages {
-			core, err := n.Core(st.Core)
-			if err != nil {
-				return PipelineResult{}, err
-			}
-			start := coreFree[s]
-			if upstreamReady > start {
-				start = upstreamReady
-			}
-			ex := NewExec(core, st.Program, 1000+st.Core)
-			done, err := ex.Run(start)
-			if err != nil {
-				return PipelineResult{}, err
-			}
-			// Hand activations to the next stage.
-			if s+1 < len(stages) && st.ActOutBytes > 0 {
-				next, err := n.Core(stages[s+1].Core)
-				if err != nil {
-					return PipelineResult{}, err
-				}
-				tDone, tCycles, err := n.transfer(core, next, st.ActOutBytes, mode, shmVA, done)
-				if err != nil {
-					return PipelineResult{}, err
-				}
-				res.TransferCycles += tCycles
-				upstreamReady = tDone
-			} else {
-				upstreamReady = done
-			}
-			coreFree[s] = done
-			prevStageDone[s] = done
-		}
-	}
-	for _, d := range prevStageDone {
-		if d > res.TotalCycles {
-			res.TotalCycles = d
-		}
-	}
-	res.Batches = batches
-	return res, nil
-}
-
-// transfer moves bytes from src to dst starting at `at`, returning the
-// arrival cycle and the transfer's own duration.
-func (n *NPU) transfer(src, dst *Core, bytes uint64, mode TransferMode, shmVA mem.VirtAddr, at sim.Cycle) (sim.Cycle, sim.Cycle, error) {
-	switch mode {
-	case TransferNoC:
-		flits := int((bytes + noc.FlitBytes - 1) / noc.FlitBytes)
-		done, err := src.router.Transfer(dst.coord, flits, nil, at)
-		if err != nil {
-			return 0, 0, err
-		}
-		return done, done - at, nil
-	case TransferSharedMemory:
-		// Producer stores to the shared DRAM buffer, consumer reloads:
-		// two DRAM round trips through the (permission-restricted)
-		// shared region, both on the contended channel.
-		storeDone, err := src.dmaEng.DoPipelined(storeLoad(shmVA, bytes, true, src), nil, src.domain, at)
-		if err != nil {
-			return 0, 0, err
-		}
-		loadDone, err := dst.dmaEng.DoPipelined(storeLoad(shmVA, bytes, false, dst), nil, dst.domain, storeDone)
-		if err != nil {
-			return 0, 0, err
-		}
-		return loadDone, loadDone - at, nil
-	default:
-		return 0, 0, fmt.Errorf("npu: unknown transfer mode %d", mode)
-	}
 }

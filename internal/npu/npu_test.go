@@ -283,38 +283,6 @@ func TestGuardedExecNeedsMappings(t *testing.T) {
 	}
 }
 
-func TestPipelineNoCFasterThanSharedMemory(t *testing.T) {
-	prog, _, err := Compile(smallWorkload(), DefaultConfig(), 0, DefaultLayout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(mode TransferMode) sim.Cycle {
-		n := testNPU(t, DefaultConfig(), nil)
-		stages := []Stage{
-			{Core: 0, Program: prog, ActOutBytes: 64 << 10},
-			{Core: 1, Program: prog, ActOutBytes: 64 << 10},
-			{Core: 2, Program: prog},
-		}
-		res, err := n.RunPipeline(stages, 4, mode, 0x4000_0000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TotalCycles
-	}
-	nocT := run(TransferNoC)
-	shmT := run(TransferSharedMemory)
-	if nocT >= shmT {
-		t.Fatalf("NoC pipeline (%d) not faster than shared-memory (%d)", nocT, shmT)
-	}
-}
-
-func TestPipelineValidation(t *testing.T) {
-	n := testNPU(t, DefaultConfig(), nil)
-	if _, err := n.RunPipeline(nil, 1, TransferNoC, 0); err == nil {
-		t.Fatal("empty pipeline accepted")
-	}
-}
-
 func TestTransferModeString(t *testing.T) {
 	if TransferNoC.String() != "noc" || TransferSharedMemory.String() != "shared-memory" {
 		t.Fatal("mode names")

@@ -92,6 +92,9 @@ func TestRunModelParallelValidation(t *testing.T) {
 	if _, err := n.RunModelParallel(w, []int{99}, TransferNoC, 0, nil); err == nil {
 		t.Fatal("out-of-range core accepted")
 	}
+	if _, err := n.RunModelParallel(w, []int{0, 1}, TransferMode(9), 0, nil); err == nil {
+		t.Fatal("unknown transfer mode accepted")
+	}
 }
 
 func TestRunModelParallelMapWindowFailurePropagates(t *testing.T) {
@@ -125,29 +128,6 @@ func TestRunModelParallelSingleCoreDegeneratesToSolo(t *testing.T) {
 	}
 	if res.TotalCycles <= 0 {
 		t.Fatal("no cycles")
-	}
-}
-
-func TestRunPipelineSharedMemoryMode(t *testing.T) {
-	prog, _, err := Compile(smallWorkload(), DefaultConfig(), 0, DefaultLayout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := testNPU(t, DefaultConfig(), nil)
-	stages := []Stage{
-		{Core: 0, Program: prog, ActOutBytes: 4096},
-		{Core: 1, Program: prog},
-	}
-	res, err := n.RunPipeline(stages, 2, TransferSharedMemory, 0x8000_0000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Batches != 2 || res.TransferCycles <= 0 {
-		t.Fatalf("result %+v", res)
-	}
-	// Unknown transfer mode rejected.
-	if _, err := n.RunPipeline(stages, 1, TransferMode(9), 0); err == nil {
-		t.Fatal("unknown transfer mode accepted")
 	}
 }
 

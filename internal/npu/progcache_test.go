@@ -14,7 +14,7 @@ import (
 // identical to an uncached Compile.
 func TestCompileCachedSharesPrograms(t *testing.T) {
 	ResetProgCache()
-	w, err := workload.ByName("yololite")
+	w, err := workload.Lookup("yololite")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCompileCachedSharesPrograms(t *testing.T) {
 func TestCompileCachedEviction(t *testing.T) {
 	ResetProgCache()
 	defer ResetProgCache()
-	w, err := workload.ByName("mobilenet")
+	w, err := workload.Lookup("mobilenet")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestCompileCachedEviction(t *testing.T) {
 func TestCompileCachedConcurrent(t *testing.T) {
 	ResetProgCache()
 	defer ResetProgCache()
-	w, err := workload.ByName("alexnet")
+	w, err := workload.Lookup("alexnet")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCompileCachedConcurrent(t *testing.T) {
 func TestCompileOpCountExact(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, name := range []string{"alexnet", "yololite", "mobilenet"} {
-		w, err := workload.ByName(name)
+		w, err := workload.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}

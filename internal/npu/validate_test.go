@@ -31,28 +31,6 @@ func TestRunModelParallelRejectsOutOfRangeCores(t *testing.T) {
 	}
 }
 
-// Regression: RunPipeline tracked core availability per *stage*, so a
-// stage list reusing one core double-claimed its pipeline. Duplicates
-// and out-of-range stage cores must be rejected up front.
-func TestRunPipelineRejectsBadStageCores(t *testing.T) {
-	n := testNPU(t, DefaultConfig(), nil)
-	prog, _, err := Compile(smallWorkload(), n.Config(), 0, DefaultLayout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dup := []Stage{{Core: 0, Program: prog}, {Core: 0, Program: prog}}
-	if _, err := n.RunPipeline(dup, 2, TransferNoC, 0x8100_0000); err == nil {
-		t.Fatal("duplicate stage cores accepted")
-	}
-	oor := []Stage{{Core: 0, Program: prog}, {Core: n.Config().Tiles, Program: prog}}
-	if _, err := n.RunPipeline(oor, 2, TransferNoC, 0x8100_0000); err == nil {
-		t.Fatal("out-of-range stage core accepted")
-	}
-	if got := n.Channel().NextFree(); got != 0 {
-		t.Fatalf("channel claimed to %d before validation", got)
-	}
-}
-
 // Distinct, in-range cores still run.
 func TestRunModelParallelValidCoresStillRun(t *testing.T) {
 	n := testNPU(t, DefaultConfig(), nil)

@@ -57,7 +57,7 @@ func measOf(t *testing.T, model string) [32]byte {
 	if m, ok := measBy[model]; ok {
 		return m
 	}
-	w, err := workload.ByNameExtended(model)
+	w, err := workload.Lookup(model)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,11 +61,11 @@ func TestDLRMChains(t *testing.T) {
 
 func TestByNameExtended(t *testing.T) {
 	for _, name := range []string{"resnet", "vgg16", "gpt-decode", "dlrm"} {
-		if _, err := ByNameExtended(name); err != nil {
+		if _, err := Lookup(name); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if _, err := ByNameExtended("nope"); err == nil {
+	if _, err := Lookup("nope"); err == nil {
 		t.Fatal("unknown model found")
 	}
 }

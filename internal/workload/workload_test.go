@@ -22,7 +22,7 @@ func TestAllModelsValidate(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	for _, name := range []string{"googlenet", "alexnet", "yololite", "mobilenet", "resnet", "bert"} {
-		w, err := ByName(name)
+		w, err := Lookup(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -30,7 +30,7 @@ func TestByName(t *testing.T) {
 			t.Fatalf("got %q", w.Name)
 		}
 	}
-	if _, err := ByName("vgg"); err == nil {
+	if _, err := Lookup("vgg"); err == nil {
 		t.Fatal("unknown model found")
 	}
 }
@@ -53,7 +53,7 @@ func TestModelScaleSanity(t *testing.T) {
 		{"bert", 8, 14, 80, 120},
 	}
 	for _, c := range cases {
-		w, err := ByName(c.name)
+		w, err := Lookup(c.name)
 		if err != nil {
 			t.Fatal(err)
 		}
