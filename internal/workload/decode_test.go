@@ -12,12 +12,12 @@ func TestDecodeSpecValidate(t *testing.T) {
 	}
 	bad := []DecodeSpec{
 		{},
-		{Layers: 1, Hidden: 10, Heads: 3, FFN: 4, Prompt: 2, Steps: 1},                   // hidden % heads
-		{Layers: 1, Hidden: 8, Heads: 2, FFN: 4, Prompt: 2, Steps: MaxDecodeSteps + 1},   // steps cap
-		{Layers: 1, Hidden: 8, Heads: 2, FFN: 4, Prompt: MaxDecodeContext, Steps: 1},     // context cap
-		{Layers: MaxDecodeLayers + 1, Hidden: 8, Heads: 2, FFN: 4, Prompt: 2, Steps: 1},  // depth cap
-		{Layers: 1, Hidden: MaxDecodeWidth + 2, Heads: 2, FFN: 4, Prompt: 2, Steps: 1},   // width cap
-		{Layers: 1, Hidden: 8, Heads: 2, FFN: 4, Prompt: 2, Steps: 0},                    // no steps
+		{Layers: 1, Hidden: 10, Heads: 3, FFN: 4, Prompt: 2, Steps: 1},                  // hidden % heads
+		{Layers: 1, Hidden: 8, Heads: 2, FFN: 4, Prompt: 2, Steps: MaxDecodeSteps + 1},  // steps cap
+		{Layers: 1, Hidden: 8, Heads: 2, FFN: 4, Prompt: MaxDecodeContext, Steps: 1},    // context cap
+		{Layers: MaxDecodeLayers + 1, Hidden: 8, Heads: 2, FFN: 4, Prompt: 2, Steps: 1}, // depth cap
+		{Layers: 1, Hidden: MaxDecodeWidth + 2, Heads: 2, FFN: 4, Prompt: 2, Steps: 1},  // width cap
+		{Layers: 1, Hidden: 8, Heads: 2, FFN: 4, Prompt: 2, Steps: 0},                   // no steps
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -185,4 +185,3 @@ func BERT(cfg BERTConfig) Workload {
 	}
 	return Workload{Name: "bert", Layers: layers}
 }
-
