@@ -145,8 +145,8 @@ func (row *ChaosRow) fill(rep SecureRunReport, snap map[string]int64) {
 	}
 }
 
-// chaosRun boots a fresh protected SoC, arms it with the plan, and
-// runs one resilient secure inference.
+// chaosRun takes a scrubbed protected SoC from the pool, arms it with
+// the plan, and runs one resilient secure inference.
 func chaosRun(model string, seed int64, plan fault.Plan) (SecureRunReport, map[string]int64, error) {
 	sys, err := acquireSystem()
 	if err != nil {

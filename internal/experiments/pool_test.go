@@ -3,7 +3,10 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/npu"
@@ -169,5 +172,48 @@ func TestPoolNoSecretLeak(t *testing.T) {
 	got.Phys.Read(ReservedBase, buf)
 	if i := bytes.IndexByte(buf, 0xA5); i >= 0 {
 		t.Errorf("prior tenant's DRAM byte observable at offset %d", i)
+	}
+}
+
+// TestPoolConcurrentUse drives one Pool from several goroutines over
+// two keys: no instance is handed to two holders at once, every miss
+// is one boot, and no key keeps more than 2 × GOMAXPROCS instances.
+func TestPoolConcurrentUse(t *testing.T) {
+	const goroutines, rounds = 8, 200
+	var p Pool[int, *int]
+	var boots atomic.Int64
+	var held sync.Map
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				x, err := p.Get(i%2, func() (*int, error) {
+					boots.Add(1)
+					return new(int), nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, dup := held.LoadOrStore(x, true); dup {
+					t.Error("one instance handed to two holders")
+					return
+				}
+				held.Delete(x)
+				p.Put(i%2, x, func() error { return nil })
+			}
+		}()
+	}
+	wg.Wait()
+	hits, misses := p.Counters()
+	if hits+misses != goroutines*rounds || int64(misses) != boots.Load() {
+		t.Fatalf("hits %d + misses %d over %d gets with %d boots", hits, misses, goroutines*rounds, boots.Load())
+	}
+	for k, b := range p.free {
+		if len(b) > 2*runtime.GOMAXPROCS(0) {
+			t.Errorf("key %d holds %d instances, cap %d", k, len(b), 2*runtime.GOMAXPROCS(0))
+		}
 	}
 }

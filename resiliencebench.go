@@ -148,14 +148,14 @@ func resilienceCell(seed int64, rate, load float64, requests int) (ResilienceBen
 		return ResilienceBenchRow{}, err
 	}
 	row := ResilienceBenchRow{
-		FaultPerM: rate,
-		LoadPerM:  load,
-		// Shed at admission counts with the victims shed mid-trace.
+		FaultPerM:   rate,
+		LoadPerM:    load,
 		Requests:    len(trace) - shed,
 		Completed:   rep.Completed,
 		GoodputPerM: perMcyc(rep.Completed, rep.Makespan),
 		Retries:     rep.Retries,
 		Recovered:   rep.Recovered,
+		// Shed at admission counts with the victims shed mid-trace.
 		Shed:        shed + rep.Shed,
 		Dropped:     rep.Dropped,
 		Aborted:     rep.Aborted,
