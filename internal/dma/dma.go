@@ -94,6 +94,8 @@ type Engine struct {
 	stats *sim.Stats
 	l2    *cache.L2 // optional shared L2 in front of DRAM
 	inj   *fault.Injector
+	// Counter cells, resolved on each counter's first increment.
+	ctrRequests, ctrPackets, ctrBytes, ctrDRAMRequests, ctrDRAMBytes *int64
 
 	// Observability: pre-resolved instruments, nil unless AttachObserver
 	// was called. core labels this engine's spans on the timeline.
@@ -195,13 +197,7 @@ func (e *Engine) Do(req Request, sp *spad.Scratchpad, domain spad.DomainID, at s
 		return 0, fmt.Errorf("dma: %s %d bytes at va %#x: %w", req.Dir, req.Bytes, uint64(req.VA), err)
 	}
 
-	if e.stats != nil {
-		e.stats.Inc(sim.CtrDMARequests)
-		e.stats.Add(sim.CtrDMAPackets, int64((req.Bytes+xlate.PacketBytes-1)/xlate.PacketBytes))
-		e.stats.Add(sim.CtrDMABytes, int64(req.Bytes))
-		e.stats.Inc(sim.CtrDRAMRequests)
-		e.stats.Add(sim.CtrDRAMBytes, int64(req.Bytes))
-	}
+	e.count(req)
 
 	// The translator's stall delays issue; then the L2 (if attached)
 	// serves hits from its banks while misses pay the channel.
@@ -225,6 +221,15 @@ func (e *Engine) Do(req Request, sp *spad.Scratchpad, domain spad.DomainID, at s
 	e.obsProf.MaybeSample(at)
 	e.recordXfer(req.Dir, at, done)
 	return done, nil
+}
+
+// count adds one translated request to the DMA and DRAM counters.
+func (e *Engine) count(req Request) {
+	e.stats.AddCell(&e.ctrRequests, sim.CtrDMARequests, 1)
+	e.stats.AddCell(&e.ctrPackets, sim.CtrDMAPackets, int64((req.Bytes+xlate.PacketBytes-1)/xlate.PacketBytes))
+	e.stats.AddCell(&e.ctrBytes, sim.CtrDMABytes, int64(req.Bytes))
+	e.stats.AddCell(&e.ctrDRAMRequests, sim.CtrDRAMRequests, 1)
+	e.stats.AddCell(&e.ctrDRAMBytes, sim.CtrDRAMBytes, int64(req.Bytes))
 }
 
 // applyStalls consumes due DMA-stall events. Each one freezes the
@@ -317,13 +322,7 @@ func (e *Engine) DoPipelined(reqs []Request, sp *spad.Scratchpad, domain spad.Do
 		if err != nil {
 			return 0, fmt.Errorf("dma: %s %d bytes at va %#x: %w", req.Dir, req.Bytes, uint64(req.VA), err)
 		}
-		if e.stats != nil {
-			e.stats.Inc(sim.CtrDMARequests)
-			e.stats.Add(sim.CtrDMAPackets, int64((req.Bytes+xlate.PacketBytes-1)/xlate.PacketBytes))
-			e.stats.Add(sim.CtrDMABytes, int64(req.Bytes))
-			e.stats.Inc(sim.CtrDRAMRequests)
-			e.stats.Add(sim.CtrDRAMBytes, int64(req.Bytes))
-		}
+		e.count(req)
 		issue += res.Stall
 		issue, err = e.applyStalls(issue)
 		if err != nil {

@@ -98,3 +98,23 @@ func TestMechanismsMoveIdenticalBytes(t *testing.T) {
 		}
 	}
 }
+
+// A contended IOMMU cell exports non-zero IOTLB hits and misses, and
+// every miss is a page walk (Fig. 13's IOTLB metrics).
+func TestContendedIOTLBHitsAndMisses(t *testing.T) {
+	w, err := workload.Lookup("yololite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := RunContended(w, Mechanism{Name: "iotlb-16", IOTLBEntries: 16}, npu.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := stats[sim.CtrIOTLBHits], stats[sim.CtrIOTLBMisses]
+	if hits == 0 || misses == 0 {
+		t.Fatalf("iotlb.hits=%d iotlb.misses=%d, want both counted", hits, misses)
+	}
+	if walks := stats[sim.CtrPageWalks]; misses != walks {
+		t.Fatalf("iotlb.misses=%d, iommu.pagewalks=%d", misses, walks)
+	}
+}

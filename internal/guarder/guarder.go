@@ -78,6 +78,8 @@ type Guarder struct {
 	checks []CheckReg
 	trans  []TransReg
 	stats  *sim.Stats
+	// Counter cells, resolved on each counter's first increment.
+	ctrChecks, ctrTranslations *int64
 	// ProgramWrites counts secure register writes, an input to the
 	// hardware-cost and reconfiguration-overhead analysis.
 	ProgramWrites uint64
@@ -180,10 +182,8 @@ func (g *Guarder) Translate(req xlate.Request, at sim.Cycle) (xlate.Result, erro
 	if req.Bytes == 0 {
 		return xlate.Result{}, fmt.Errorf("guarder: empty request")
 	}
-	if g.stats != nil {
-		g.stats.Inc(sim.CtrGuarderChecks)
-		g.stats.Inc(sim.CtrTranslations)
-	}
+	g.stats.AddCell(&g.ctrChecks, sim.CtrGuarderChecks, 1)
+	g.stats.AddCell(&g.ctrTranslations, sim.CtrTranslations, 1)
 	var pa mem.PhysAddr
 	found := false
 	for _, tr := range g.trans {

@@ -55,6 +55,8 @@ type IOMMU struct {
 	curTask int
 	// WalkStallCycles accumulates total stall for reporting.
 	WalkStallCycles sim.Cycle
+	// Counter cells, resolved on each counter's first increment.
+	ctrLookups, ctrHits, ctrMisses, ctrTranslations, ctrStall, ctrWalks, ctrWalkCycles *int64
 
 	// Observability: pre-resolved instruments, nil unless AttachObserver
 	// was called.
@@ -154,12 +156,13 @@ func (u *IOMMU) Translate(req xlate.Request, at sim.Cycle) (xlate.Result, error)
 	for page := firstPage; ; page += mem.PageSize {
 		va := mem.VirtAddr(page)
 		pte, hit := u.tlb.Lookup(asid, va)
-		if !hit {
+		if hit {
+			u.stats.AddCell(&u.ctrHits, sim.CtrIOTLBHits, 1)
+		} else {
 			walked, accesses, err := u.table.Walk(va)
-			if u.stats != nil {
-				u.stats.Inc(sim.CtrPageWalks)
-				u.stats.Add(sim.CtrPageWalkCycles, int64(u.cfg.WalkCyclesPerAccess)*int64(accesses))
-			}
+			u.stats.AddCell(&u.ctrMisses, sim.CtrIOTLBMisses, 1)
+			u.stats.AddCell(&u.ctrWalks, sim.CtrPageWalks, 1)
+			u.stats.AddCell(&u.ctrWalkCycles, sim.CtrPageWalkCycles, int64(u.cfg.WalkCyclesPerAccess)*int64(accesses))
 			stall += u.cfg.WalkCyclesPerAccess * sim.Cycle(accesses)
 			if err != nil {
 				return xlate.Result{}, err
@@ -191,18 +194,18 @@ func (u *IOMMU) Translate(req xlate.Request, at sim.Cycle) (xlate.Result, error)
 
 	// Energy/count model: the IOTLB is consulted for every memory
 	// packet, not just per page (Fig. 13(b)). The per-page Lookup calls
-	// above already counted once per page; add the remaining packets.
+	// above already counted once per page; add the remaining packets,
+	// which hit the entry their page just filled or found.
 	packets := req.Packets()
 	pages := uint64(lastPage-firstPage)/mem.PageSize + 1
 	if packets > pages {
 		u.tlb.Lookups += packets - pages
 		u.tlb.Hits += packets - pages
+		u.stats.AddCell(&u.ctrHits, sim.CtrIOTLBHits, int64(packets-pages))
 	}
-	if u.stats != nil {
-		u.stats.Add(sim.CtrIOTLBLookups, int64(packets))
-		u.stats.Add(sim.CtrTranslations, int64(packets))
-		u.stats.Add(sim.CtrTranslationStall, int64(stall))
-	}
+	u.stats.AddCell(&u.ctrLookups, sim.CtrIOTLBLookups, int64(packets))
+	u.stats.AddCell(&u.ctrTranslations, sim.CtrTranslations, int64(packets))
+	u.stats.AddCell(&u.ctrStall, sim.CtrTranslationStall, int64(stall))
 	u.WalkStallCycles += stall
 	if stall > 0 && u.obsWalk != nil {
 		u.obsWalk.Observe(int64(stall))

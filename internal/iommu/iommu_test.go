@@ -320,3 +320,33 @@ func TestIOMMUThrashingSmallTLB(t *testing.T) {
 		t.Fatalf("4-entry TLB stall (%d) not worse than 32-entry (%d)", small, big)
 	}
 }
+
+// sim.Stats carries the IOTLB's own hit and miss counts: every
+// per-page lookup and every further packet of a request counts once,
+// and every miss is one page walk.
+func TestIOMMUCountsHitsAndMisses(t *testing.T) {
+	u, stats := newIOMMU(t, 4)
+	reqs := []xlate.Request{
+		{VA: 0x10000, Bytes: 4096, Need: mem.PermRead, World: mem.Normal},     // miss + 63 packet hits
+		{VA: 0x10040, Bytes: 128, Need: mem.PermRead, World: mem.Normal},      // hit + 1
+		{VA: 0x10fc0, Bytes: 128, Need: mem.PermRead, World: mem.Normal},      // hit, miss (page cross)
+		{VA: 0x20000, Bytes: 5 * 4096, Need: mem.PermRead, World: mem.Normal}, // 5 misses + 315 packet hits
+		{VA: 0x10000, Bytes: 64, Need: mem.PermRead, World: mem.Normal},       // evicted by now: miss
+	}
+	for _, r := range reqs {
+		if _, err := u.Translate(r, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tlb := u.TLB()
+	hits, misses := stats.Get(sim.CtrIOTLBHits), stats.Get(sim.CtrIOTLBMisses)
+	if hits == 0 || misses == 0 {
+		t.Fatalf("iotlb.hits=%d iotlb.misses=%d, want both counted", hits, misses)
+	}
+	if uint64(hits) != tlb.Hits {
+		t.Fatalf("iotlb.hits=%d, IOTLB.Hits=%d", hits, tlb.Hits)
+	}
+	if uint64(misses) != tlb.Misses || misses != stats.Get(sim.CtrPageWalks) {
+		t.Fatalf("iotlb.misses=%d, IOTLB.Misses=%d, iommu.pagewalks=%d", misses, tlb.Misses, stats.Get(sim.CtrPageWalks))
+	}
+}

@@ -29,15 +29,15 @@ func (m *Mesh) Multicast(pkt Packet, dsts []Coord, at sim.Cycle) (sim.Cycle, err
 	if m.cfg.Peephole {
 		for _, dst := range dsts {
 			if m.IDSource(dst) != pkt.SrcID {
-				if m.stats != nil {
-					m.stats.Inc(sim.CtrNoCAuthFail)
+				if m.ctrAuthFail != nil {
+					*m.ctrAuthFail++
 				}
 				return 0, fmt.Errorf("%w: multicast %v(id=%d) -> %v(id=%d)",
 					ErrAuthFailed, pkt.Src, pkt.SrcID, dst, m.IDSource(dst))
 			}
 		}
-		if m.stats != nil {
-			m.stats.Add(sim.CtrNoCAuthPass, int64(len(dsts)))
+		if m.ctrAuthPass != nil {
+			*m.ctrAuthPass += int64(len(dsts))
 		}
 	}
 	// Build the multicast tree: the union of the XY paths' links,
@@ -78,9 +78,9 @@ func (m *Mesh) Multicast(pkt Packet, dsts []Coord, at sim.Cycle) (sim.Cycle, err
 		m.links[idx].Claim(start, flitCycles)
 	}
 	done := start + sim.Cycle(maxHops)*m.cfg.RouterDelay + flitCycles
-	if m.stats != nil {
-		m.stats.Inc(sim.CtrNoCPackets)
-		m.stats.Add(sim.CtrNoCFlits, int64(pkt.Flits))
+	if m.ctrPackets != nil {
+		*m.ctrPackets++
+		*m.ctrFlits += int64(pkt.Flits)
 	}
 	if pkt.Payload != nil {
 		for _, dst := range dsts {

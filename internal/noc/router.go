@@ -77,14 +77,14 @@ func (r *RouterController) BeginSend(dst Coord, at sim.Cycle) (sim.Cycle, error)
 		dstID := r.mesh.IDSource(dst)
 		if srcID != dstID {
 			r.state = StateIdle
-			if r.mesh.stats != nil {
-				r.mesh.stats.Inc(sim.CtrNoCAuthFail)
+			if r.mesh.ctrAuthFail != nil {
+				*r.mesh.ctrAuthFail++
 			}
 			return 0, fmt.Errorf("%w: handshake %v(id=%d) -> %v(id=%d)",
 				ErrAuthFailed, r.node, srcID, dst, dstID)
 		}
-		if r.mesh.stats != nil {
-			r.mesh.stats.Inc(sim.CtrNoCAuthPass)
+		if r.mesh.ctrAuthPass != nil {
+			*r.mesh.ctrAuthPass++
 		}
 	}
 	// Verified: lock the channel so no other core can use it.

@@ -61,6 +61,9 @@ type Core struct {
 	stats  *sim.Stats
 	pipe   pipeline
 	inj    *fault.Injector
+	// Counter cells the executor increments per compute op, resolved
+	// on each counter's first increment.
+	ctrMACs, ctrComputeCycles *int64
 	// xl0 is the translator the core booted with; Reset restores it so
 	// a pooled tile sheds whatever mechanism (IOMMU, Guarder) the
 	// previous experiment cell installed.

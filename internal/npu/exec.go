@@ -164,10 +164,8 @@ func (e *Exec) RunUntil(from sim.Cycle, boundary Boundary) (sim.Cycle, error) {
 			})
 			pipe.computeFree = end
 			e.ComputeBusy += op.Cycles
-			if e.core.stats != nil {
-				e.core.stats.Add(sim.CtrComputeMACs, op.MACs)
-				e.core.stats.Add(sim.CtrComputeCycles, int64(op.Cycles))
-			}
+			e.core.stats.AddCell(&e.core.ctrMACs, sim.CtrComputeMACs, op.MACs)
+			e.core.stats.AddCell(&e.core.ctrComputeCycles, sim.CtrComputeCycles, int64(op.Cycles))
 			if e.core.obsTile != nil {
 				e.core.obsTile.Observe(int64(op.Cycles))
 			}

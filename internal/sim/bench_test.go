@@ -34,8 +34,8 @@ func BenchmarkEngineInterleaved(b *testing.B) {
 	}
 }
 
-// BenchmarkStatsAdd measures the by-name counter path every component
-// hits on every request.
+// BenchmarkStatsAdd measures the by-name counter path the per-call
+// sites (monitor calls, faults, context switches) take.
 func BenchmarkStatsAdd(b *testing.B) {
 	b.ReportAllocs()
 	s := NewStats()
@@ -45,8 +45,8 @@ func BenchmarkStatsAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkStatsCounterHandle measures the resolved-handle fast path
-// hot components use instead of repeated map lookups.
+// BenchmarkStatsCounterHandle measures the resolved-cell fast path the
+// per-op sites take through AddCell instead of repeated map lookups.
 func BenchmarkStatsCounterHandle(b *testing.B) {
 	b.ReportAllocs()
 	s := NewStats()

@@ -12,11 +12,14 @@ import (
 // (parallel experiment cells each own a private Stats).
 //
 // Counters are stored behind stable *int64 cells so hot components can
-// resolve a name once with Counter and increment through the pointer,
-// skipping the per-event map lookup. Reset zeroes the cells in place,
+// resolve a name once and increment through the pointer, skipping the
+// per-event map lookup (AddCell). Reset zeroes the cells in place,
 // keeping outstanding handles valid.
 type Stats struct {
 	counters map[string]*int64
+	// resolves counts name-to-cell map resolutions (every Counter
+	// call), so tests can assert the per-op paths stay off the map.
+	resolves int64
 }
 
 // NewStats returns an empty counter set.
@@ -28,6 +31,7 @@ func NewStats() *Stats {
 // first use. The pointer stays valid across Reset (which zeroes it),
 // so components may cache it for the lifetime of the Stats.
 func (s *Stats) Counter(name string) *int64 {
+	s.resolves++
 	if c, ok := s.counters[name]; ok {
 		return c
 	}
@@ -43,6 +47,25 @@ func (s *Stats) Add(name string, delta int64) {
 
 // Inc increments counter name by one.
 func (s *Stats) Inc(name string) { s.Add(name, 1) }
+
+// AddCell increments counter name by delta through *cell, a handle the
+// caller keeps in one of its fields: the first call resolves the name
+// and stores the cell there, later calls skip the map. The counter is
+// created on that first call, as Add would create it, so Names and
+// Snapshot list exactly the counters some increment touched. Cache a
+// cell only in a component whose Stats is fixed at construction. A nil
+// Stats ignores the call.
+func (s *Stats) AddCell(cell **int64, name string, delta int64) {
+	if s == nil {
+		return
+	}
+	c := *cell
+	if c == nil {
+		c = s.Counter(name)
+		*cell = c
+	}
+	*c += delta
+}
 
 // Get reads counter name, zero if never written.
 func (s *Stats) Get(name string) int64 {

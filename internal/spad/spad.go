@@ -98,6 +98,8 @@ type Scratchpad struct {
 	parity []uint8
 	inj    *fault.Injector
 	stats  *sim.Stats
+	// Counter cells, resolved on each counter's first increment.
+	ctrReads, ctrWrites *int64
 }
 
 // New builds a scratchpad; payload bytes are zero, all lines
@@ -196,9 +198,7 @@ func (s *Scratchpad) Read(core DomainID, line int, dst []byte) error {
 	if err := s.checkDomain(core); err != nil {
 		return err
 	}
-	if s.stats != nil {
-		s.stats.Inc(sim.CtrSpadReads)
-	}
+	s.stats.AddCell(&s.ctrReads, sim.CtrSpadReads, 1)
 	if s.cfg.Isolated {
 		switch s.cfg.Kind {
 		case Exclusive:
@@ -234,9 +234,7 @@ func (s *Scratchpad) Write(core DomainID, line int, src []byte) error {
 	if err := s.checkDomain(core); err != nil {
 		return err
 	}
-	if s.stats != nil {
-		s.stats.Inc(sim.CtrSpadWrites)
-	}
+	s.stats.AddCell(&s.ctrWrites, sim.CtrSpadWrites, 1)
 	if s.cfg.Isolated && s.cfg.Kind == Shared && s.ids[line] != core && core == NonSecure {
 		return s.deny("write", core, line)
 	}
