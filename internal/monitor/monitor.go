@@ -45,6 +45,9 @@ type SecureTask struct {
 	// SpadLines is the scratchpad range reserved per core.
 	SpadLines [2]int
 	Loaded    bool
+	// spanLo and spanHi bound the VAs the measured ops touch, derived
+	// at submit from those ops; Load programs the Guarder from them.
+	spanLo, spanHi mem.VirtAddr
 }
 
 // Transition bits for the monitor's state-transition coverage bitmap
@@ -243,8 +246,10 @@ func (m *Monitor) Submit(spec TaskSpec) (int, error) {
 		}
 	}
 	// Trusted allocator: the task's working buffers live in secure
-	// memory, never in the driver-controlled reserved heap.
-	lo, hi := spec.Program.VASpan()
+	// memory, never in the driver-controlled reserved heap. The window
+	// comes from the ops just measured, not from anything the program
+	// recorded about itself.
+	lo, hi := npu.SpanOf(spec.Program.Ops)
 	size := uint64(mem.PageAlignUp(mem.PhysAddr(hi)) - mem.PageAlignDown(mem.PhysAddr(lo)))
 	chunk, err := m.alloc.Alloc(size, mem.PageSize)
 	if err != nil {
@@ -258,6 +263,8 @@ func (m *Monitor) Submit(spec TaskSpec) (int, error) {
 		Chunk:     chunk,
 		ChunkSize: size,
 		Topology:  spec.Topology,
+		spanLo:    lo,
+		spanHi:    hi,
 	}
 	m.nextID++
 	m.queue = append(m.queue, task)
@@ -316,11 +323,10 @@ func (m *Monitor) Load(taskID int, cores []int, spadFrom, spadTo int) error {
 			return m.reject(err)
 		}
 		if g, ok := m.guarders[ci]; ok {
-			lo, hi := task.Program.VASpan()
-			vbase := mem.VirtAddr(mem.PageAlignDown(mem.PhysAddr(lo)))
+			vbase := mem.VirtAddr(mem.PageAlignDown(mem.PhysAddr(task.spanLo)))
 			if err := g.SetTransReg(m.ctx, 0, guarder.TransReg{
 				VBase: vbase, PBase: task.Chunk,
-				Size: uint64(mem.PageAlignUp(mem.PhysAddr(hi)) - mem.PhysAddr(vbase)), Valid: true,
+				Size: uint64(mem.PageAlignUp(mem.PhysAddr(task.spanHi)) - mem.PhysAddr(vbase)), Valid: true,
 			}); err != nil {
 				return m.reject(err)
 			}

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -96,33 +98,84 @@ type Program struct {
 	// name, so two graphs that happen to tile to the same ops still
 	// attest distinctly.
 	SourceDigest [sha256.Size]byte
+
+	// derived holds the VA span Compile recorded and the owner's
+	// measurement once someone asks for it. It belongs to the *Program
+	// Compile built: a by-value copy, which may carry other Ops, sees
+	// no recorded span and no memo.
+	derived *derived
 }
+
+// derived is what a compiled Program keeps about its own op stream.
+type derived struct {
+	prog   *Program
+	lo, hi mem.VirtAddr
+	once   sync.Once
+	owner  [sha256.Size]byte
+}
+
+// own returns p's derived values, or nil when p was not built by
+// Compile (decoded task images, literals) or is a copy of a program
+// that was.
+func (p *Program) own() *derived {
+	if d := p.derived; d != nil && d.prog == p {
+		return d
+	}
+	return nil
+}
+
+// measureCalls counts Measurement calls, so tests can pin how many
+// hashes an admission costs.
+var measureCalls atomic.Int64
+
+// measureChunkOps is how many ops Measurement encodes per hash write.
+const measureChunkOps = 64
 
 // Measurement hashes the source digest and the op stream — the
 // code-integrity measurement the NPU Monitor's code verifier checks
 // before loading a secure task, and the value an attestation quote
-// binds.
+// binds. The hashed bytes are the name, the source digest, then seven
+// little-endian 64-bit words per op (kind, VA, bytes, cycles, flits,
+// peer, layer); they are written in chunks of measureChunkOps ops.
 func (p *Program) Measurement() [sha256.Size]byte {
+	measureCalls.Add(1)
 	h := sha256.New()
-	var buf [8]byte
-	write := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
 	h.Write([]byte(p.Name))
 	h.Write(p.SourceDigest[:])
+	const opBytes = 7 * 8
+	buf := make([]byte, 0, measureChunkOps*opBytes)
 	for _, op := range p.Ops {
-		write(uint64(op.Kind))
-		write(uint64(op.VA))
-		write(op.Bytes)
-		write(uint64(op.Cycles))
-		write(uint64(op.Flits))
-		write(uint64(op.Peer))
-		write(uint64(op.Layer))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Kind))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.VA))
+		buf = binary.LittleEndian.AppendUint64(buf, op.Bytes)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Cycles))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Flits))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Peer))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Layer))
+		if len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	var out [sha256.Size]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
+}
+
+// OwnerMeasurement is the measurement a model owner puts in a
+// submission's expected value. A program Compile built hashes once, on
+// the first call, and returns that value afterwards; concurrent callers
+// of a shared compile-cache program are safe. Any other program hashes
+// on every call. The monitor's code verifier never reads this memo: it
+// hashes the ops it is handed (Measurement).
+func (p *Program) OwnerMeasurement() [sha256.Size]byte {
+	d := p.own()
+	if d == nil {
+		return p.Measurement()
+	}
+	d.once.Do(func() { d.owner = p.Measurement() })
+	return d.owner
 }
 
 // Validate statically checks a program's structure: layer indices in
@@ -291,6 +344,8 @@ func Compile(w workload.Workload, cfg Config, spadBudget int, layout Layout) (*P
 		}
 	}
 	p.LiveSpadBytes = maxLive
+	lo, hi := SpanOf(p.Ops)
+	p.derived = &derived{prog: p, lo: lo, hi: hi}
 	st.Ops = len(p.Ops)
 	st.WeightBytes = int64(weightOff)
 	return p, st, nil
@@ -357,10 +412,20 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // VASpan reports the lowest VA and one past the highest VA the
 // program's loads/stores touch — the window the driver must map (and
-// the monitor must cover with translation registers).
+// the monitor must cover with translation registers). A program
+// Compile built returns the span it recorded; any other scans its ops.
 func (p *Program) VASpan() (lo, hi mem.VirtAddr) {
+	if d := p.own(); d != nil {
+		return d.lo, d.hi
+	}
+	return SpanOf(p.Ops)
+}
+
+// SpanOf scans ops for the lowest VA and one past the highest VA their
+// loads and stores touch (zero, zero when there are none).
+func SpanOf(ops []Op) (lo, hi mem.VirtAddr) {
 	first := true
-	for _, op := range p.Ops {
+	for _, op := range ops {
 		if op.Kind != OpLoad && op.Kind != OpStore {
 			continue
 		}

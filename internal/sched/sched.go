@@ -818,7 +818,7 @@ func (s *Scheduler) admit(rs *reqState, at sim.Cycle) {
 			Func:     monitor.FnSubmit,
 			Shared:   rs.req.Sealed,
 			Program:  rs.progs[0],
-			Expected: rs.progs[0].Measurement(),
+			Expected: rs.progs[0].OwnerMeasurement(),
 			KeyID:    rs.req.KeyID,
 		})
 		if rep.Err != nil {

@@ -203,7 +203,7 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 			Func:     monitor.FnSubmit,
 			Shared:   h.sealed,
 			Program:  prog,
-			Expected: prog.Measurement(),
+			Expected: prog.OwnerMeasurement(),
 			KeyID:    h.keyID,
 		})
 		if srep.Err != nil {

@@ -442,7 +442,7 @@ func (s *System) SubmitSecureWorkload(w workload.Workload, keyID string, sealedM
 		Func:     monitor.FnSubmit,
 		Shared:   sealedModel,
 		Program:  prog,
-		Expected: prog.Measurement(),
+		Expected: prog.OwnerMeasurement(),
 		KeyID:    keyID,
 	})
 	if rep.Err != nil {
