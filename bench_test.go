@@ -45,7 +45,7 @@ func benchModels(b *testing.B) []workload.Workload {
 func BenchmarkFig01Utilization(b *testing.B) {
 	cfg := npu.DefaultConfig()
 	models := benchModels(b)
-	var res *experiments.Fig1Result
+	var res *experiments.Result[experiments.Fig1Row]
 	for i := 0; i < b.N; i++ {
 		var err error
 		res, err = experiments.Fig1(models, cfg)
@@ -65,7 +65,7 @@ func BenchmarkFig01Utilization(b *testing.B) {
 // columns (partition vs flush vs sNPU).
 func BenchmarkTable01IsolationMechanisms(b *testing.B) {
 	cfg := npu.DefaultConfig()
-	var res *experiments.Table1Result
+	var res *experiments.Result[experiments.Table1Row]
 	for i := 0; i < b.N; i++ {
 		var err error
 		res, err = experiments.Table1(cfg)
@@ -131,7 +131,7 @@ func BenchmarkFig13bCheckingRequests(b *testing.B) {
 func BenchmarkFig14FlushGranularity(b *testing.B) {
 	cfg := npu.DefaultConfig()
 	models := benchModels(b)
-	var res *experiments.Fig14Result
+	var res *experiments.Result[experiments.Fig14Row]
 	for i := 0; i < b.N; i++ {
 		var err error
 		res, err = experiments.Fig14(models, cfg)
@@ -156,7 +156,7 @@ func BenchmarkFig14FlushGranularity(b *testing.B) {
 // partition vs ID-based dynamic allocation on paired workloads.
 func BenchmarkFig15ScratchpadIsolation(b *testing.B) {
 	cfg := npu.DefaultConfig()
-	var res *experiments.Fig15Result
+	var res *experiments.Result[experiments.Fig15Row]
 	for i := 0; i < b.N; i++ {
 		var err error
 		res, err = experiments.Fig15(cfg)
@@ -177,7 +177,7 @@ func BenchmarkFig15ScratchpadIsolation(b *testing.B) {
 // software NoC, unauthorized NoC, and peephole NoC.
 func BenchmarkFig16NoCMicro(b *testing.B) {
 	cfg := npu.DefaultConfig()
-	var res *experiments.Fig16Result
+	var res *experiments.Result[experiments.Fig16Row]
 	for i := 0; i < b.N; i++ {
 		var err error
 		res, err = experiments.Fig16(cfg)
@@ -197,7 +197,7 @@ func BenchmarkFig16NoCMicro(b *testing.B) {
 func BenchmarkFig17NoCApp(b *testing.B) {
 	cfg := npu.DefaultConfig()
 	models := benchModels(b)
-	var res *experiments.Fig17Result
+	var res *experiments.Result[experiments.Fig17Row]
 	for i := 0; i < b.N; i++ {
 		var err error
 		res, err = experiments.Fig17(models, cfg)
@@ -222,7 +222,7 @@ func BenchmarkFig17NoCApp(b *testing.B) {
 // resources per protection mechanism.
 func BenchmarkFig18HardwareCost(b *testing.B) {
 	p := hwcost.DefaultParams()
-	var res *experiments.Fig18Result
+	var res *experiments.Result[experiments.Fig18Row]
 	for i := 0; i < b.N; i++ {
 		res = experiments.Fig18(p)
 	}
@@ -378,7 +378,7 @@ func BenchmarkAblationBandwidth(b *testing.B) {
 // and reports each batch point's token throughput and inter-token
 // tail as custom metrics.
 func BenchmarkDecodeServing(b *testing.B) {
-	var res *DecodeBenchResult
+	var res *experiments.Result[Episode]
 	for i := 0; i < b.N; i++ {
 		var err error
 		res, err = DecodeBench(1, false)
@@ -388,8 +388,9 @@ func BenchmarkDecodeServing(b *testing.B) {
 	}
 	for _, row := range res.Rows {
 		param := "batch" + strconv.Itoa(row.MaxBatch)
-		b.ReportMetric(row.TokensPerSec, metricName("tok-per-sec", param))
-		b.ReportMetric(float64(row.P99ITL), metricName("p99-itl-cyc", param))
+		_, p99 := row.InterToken()
+		b.ReportMetric(row.TokensPerSec(), metricName("tok-per-sec", param))
+		b.ReportMetric(float64(p99), metricName("p99-itl-cyc", param))
 	}
 }
 

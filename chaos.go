@@ -11,7 +11,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"repro/internal/experiments"
 	"repro/internal/fault"
@@ -40,41 +39,31 @@ type ChaosRow struct {
 	OverheadPct  float64 // vs the rate-0 control row
 }
 
-// ChaosResult is the full sweep for one model and seed.
-type ChaosResult struct {
-	Model string
-	Seed  int64
-	Rows  []ChaosRow
+// outcome names what the run came to.
+func (row ChaosRow) outcome() string {
+	switch {
+	case row.Aborted:
+		return "aborted"
+	case row.Injected == 0:
+		return "clean"
+	}
+	return "recovered"
 }
 
-// TableString renders the sweep as a text table.
-func (r *ChaosResult) TableString() string {
-	header := []string{"rate/Mcyc", "sched", "fired", "ecc-corr", "noc-rty", "dma-rty", "parity", "hangs", "restarts", "remaps", "outcome", "cycles", "overhead"}
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		outcome := "recovered"
-		if row.Aborted {
-			outcome = "aborted"
-		} else if row.Injected == 0 {
-			outcome = "clean"
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%g", row.RatePerM),
-			fmt.Sprintf("%d", row.Scheduled),
-			fmt.Sprintf("%d", row.Injected),
-			fmt.Sprintf("%d", row.ECCCorrected),
-			fmt.Sprintf("%d", row.NoCRetries),
-			fmt.Sprintf("%d", row.DMARetries),
-			fmt.Sprintf("%d", row.ParityErrors),
-			fmt.Sprintf("%d", row.CoreHangs),
-			fmt.Sprintf("%d", row.Restarts),
-			fmt.Sprintf("%d", row.Remaps),
-			outcome,
-			fmt.Sprintf("%d", row.Cycles),
-			fmt.Sprintf("%+.2f%%", row.OverheadPct),
-		})
-	}
-	return experiments.Table(header, rows)
+var chaosCols = []experiments.Column[ChaosRow]{
+	experiments.Col("rate/Mcyc", "%g", func(r ChaosRow) any { return r.RatePerM }),
+	experiments.Col("sched", "%d", func(r ChaosRow) any { return r.Scheduled }),
+	experiments.Col("fired", "%d", func(r ChaosRow) any { return r.Injected }),
+	experiments.Col("ecc-corr", "%d", func(r ChaosRow) any { return r.ECCCorrected }),
+	experiments.Col("noc-rty", "%d", func(r ChaosRow) any { return r.NoCRetries }),
+	experiments.Col("dma-rty", "%d", func(r ChaosRow) any { return r.DMARetries }),
+	experiments.Col("parity", "%d", func(r ChaosRow) any { return r.ParityErrors }),
+	experiments.Col("hangs", "%d", func(r ChaosRow) any { return r.CoreHangs }),
+	experiments.Col("restarts", "%d", func(r ChaosRow) any { return r.Restarts }),
+	experiments.Col("remaps", "%d", func(r ChaosRow) any { return r.Remaps }),
+	experiments.Col("outcome", "%s", func(r ChaosRow) any { return r.outcome() }),
+	experiments.Col("cycles", "%d", func(r ChaosRow) any { return r.Cycles }),
+	experiments.Col("overhead", "%+.2f%%", func(r ChaosRow) any { return r.OverheadPct }),
 }
 
 // ChaosKey derives the sealing key for seeded (reproducible) secure
@@ -86,53 +75,48 @@ func ChaosKey(seed int64) []byte {
 	return k[:]
 }
 
-// Chaos runs the fault-rate sweep for one model. Each rate gets a plan
-// generated from a seed derived deterministically from (seed, rate
-// index) over the control run's horizon, a scrubbed SoC from the pool,
-// and a resilient secure run. The same seed always yields a byte-identical
-// table.
-func Chaos(model string, seed int64) (*ChaosResult, error) {
-	res := &ChaosResult{Model: model, Seed: seed}
-
-	// Control run: empty plan, establishes the horizon and the
-	// overhead baseline.
+// Chaos runs the fault-rate sweep for one model. A control run with
+// an empty plan sets the horizon and the overhead baseline and is the
+// rate-0 row. Each other rate gets a plan generated from a seed derived
+// deterministically from (seed, rate index) over that horizon, a
+// scrubbed SoC from the pool, and a resilient secure run; the rate
+// cells fan out over the experiments worker pool. The same seed always
+// yields a byte-identical table.
+func Chaos(model string, seed int64) (*experiments.Result[ChaosRow], error) {
 	control, _, err := chaosRun(model, seed, fault.Plan{})
 	if err != nil {
 		return nil, err
 	}
-	horizon := control.Cycles
-
-	for i, rate := range chaosRates {
-		row := ChaosRow{RatePerM: rate}
-		if rate == 0 {
-			row.Cycles = control.Cycles
+	rows, err := experiments.MapIndexed(len(chaosRates), func(i int) (ChaosRow, error) {
+		row := ChaosRow{RatePerM: chaosRates[i]}
+		if row.RatePerM == 0 {
 			row.fill(control, nil)
-			res.Rows = append(res.Rows, row)
-			continue
+			return row, nil
 		}
 		planSeed := seed + int64(i+1)*7919 // distinct stream per rate point
-		plan := fault.Generate(planSeed, horizon, fault.UniformRates(rate))
+		plan := fault.Generate(planSeed, control.Cycles, fault.UniformRates(row.RatePerM))
 		row.Scheduled = len(plan.Events)
 		rep, snap, err := chaosRun(model, seed, plan)
 		if err != nil && !errors.Is(err, ErrTaskAborted) {
-			return nil, err
-		}
-		row.Cycles = rep.Cycles
-		if rep.Aborted {
-			row.Aborted = true
+			return ChaosRow{}, err
 		}
 		row.fill(rep, snap)
 		if !row.Aborted && control.Cycles > 0 {
 			row.OverheadPct = 100 * (float64(row.Cycles) - float64(control.Cycles)) / float64(control.Cycles)
 		}
-		res.Rows = append(res.Rows, row)
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &experiments.Result[ChaosRow]{Rows: rows, Cols: chaosCols}, nil
 }
 
-// fill fills the detection/recovery columns from a run report and a
-// counter snapshot.
+// fill fills the outcome and detection/recovery columns from a run
+// report and a counter snapshot (nil for the control row).
 func (row *ChaosRow) fill(rep SecureRunReport, snap map[string]int64) {
+	row.Cycles = rep.Cycles
+	row.Aborted = rep.Aborted
 	row.Injected = rep.Faults
 	row.Restarts = rep.Restarts
 	row.Remaps = rep.Remaps

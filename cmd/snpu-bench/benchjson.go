@@ -130,35 +130,36 @@ var lastResilience *ResilienceSummary
 // lastDecode is the decode sweep's counterpart.
 var lastDecode *DecodeSummary
 
-func recordDecodeSummary(res *snpu.DecodeBenchResult) {
-	sum := &DecodeSummary{Seed: res.Seed}
-	for _, row := range res.Rows {
-		if row.MaxBatch >= sum.MaxBatch {
-			sum.MaxBatch = row.MaxBatch
-			sum.TokensPerSec = row.TokensPerSec
-			sum.P99ITLCycles = int64(row.P99ITL)
-			sum.Tokens = row.Tokens
+func recordDecodeSummary(seed int64, res *experiments.Result[snpu.Episode]) {
+	sum := &DecodeSummary{Seed: seed}
+	for _, ep := range res.Rows {
+		if ep.MaxBatch >= sum.MaxBatch {
+			_, p99 := ep.InterToken()
+			sum.MaxBatch = ep.MaxBatch
+			sum.TokensPerSec = ep.TokensPerSec()
+			sum.P99ITLCycles = int64(p99)
+			sum.Tokens = ep.Report.Tokens
 		}
-		sum.Joins += row.Joins
-		sum.BatchedRuns += row.BatchedRuns
+		sum.Joins += ep.Joins()
+		sum.BatchedRuns += ep.Report.BatchedRuns
 	}
 	lastDecode = sum
 }
 
-func recordResilienceSummary(res *snpu.ResilienceBenchResult) {
-	sum := &ResilienceSummary{Seed: res.Seed, Cells: len(res.Rows)}
-	for i, row := range res.Rows {
-		if i == 0 || row.GoodputPerM < sum.MinGoodputPerM {
-			sum.MinGoodputPerM = row.GoodputPerM
+func recordResilienceSummary(seed int64, res *experiments.Result[snpu.Episode]) {
+	sum := &ResilienceSummary{Seed: seed, Cells: len(res.Rows)}
+	for i, ep := range res.Rows {
+		if goodput := ep.CompletedPerMcyc(); i == 0 || goodput < sum.MinGoodputPerM {
+			sum.MinGoodputPerM = goodput
 		}
-		if int64(row.P99) > sum.MaxP99Cycles {
-			sum.MaxP99Cycles = int64(row.P99)
+		if _, p99 := ep.Latency(); int64(p99) > sum.MaxP99Cycles {
+			sum.MaxP99Cycles = int64(p99)
 		}
-		sum.Retries += row.Retries
-		sum.Recovered += row.Recovered
-		sum.Shed += row.Shed
-		sum.Dropped += row.Dropped
-		sum.Aborted += row.Aborted
+		sum.Retries += ep.Report.Retries
+		sum.Recovered += ep.Report.Recovered
+		sum.Shed += ep.Shed
+		sum.Dropped += ep.Report.Dropped
+		sum.Aborted += ep.Report.Aborted
 	}
 	lastResilience = sum
 }

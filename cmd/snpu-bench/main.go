@@ -160,7 +160,7 @@ func suiteSpecs() []expSpec {
 			if err != nil {
 				return nil, err
 			}
-			title := fmt.Sprintf("Serve — multi-tenant scheduler load sweep (seed %d; beyond-paper)", res.Seed)
+			title := fmt.Sprintf("Serve — multi-tenant scheduler load sweep (seed %d; beyond-paper)", o.seed)
 			return []section{{title, res.TableString()}}, nil
 		}},
 		{"decode", func(o options) ([]section, error) {
@@ -168,8 +168,8 @@ func suiteSpecs() []expSpec {
 			if err != nil {
 				return nil, err
 			}
-			recordDecodeSummary(res)
-			title := fmt.Sprintf("Decode — autoregressive serving with KV residency + continuous batching (seed %d; beyond-paper)", res.Seed)
+			recordDecodeSummary(o.seed, res)
+			title := fmt.Sprintf("Decode — autoregressive serving with KV residency + continuous batching (seed %d; beyond-paper)", o.seed)
 			return []section{{title, res.TableString()}}, nil
 		}},
 		{"resilience", func(o options) ([]section, error) {
@@ -177,20 +177,17 @@ func suiteSpecs() []expSpec {
 			if err != nil {
 				return nil, err
 			}
-			recordResilienceSummary(res)
-			title := fmt.Sprintf("Resilience — fault-rate x load sweep with retry/shed policy (seed %d; beyond-paper)", res.Seed)
+			recordResilienceSummary(o.seed, res)
+			title := fmt.Sprintf("Resilience — fault-rate x load sweep with retry/shed policy (seed %d; beyond-paper)", o.seed)
 			return []section{{title, res.TableString()}}, nil
 		}},
 		{"chaos", func(o options) ([]section, error) {
-			model := "yololite"
-			if len(o.models) > 0 {
-				model = o.models[0].Name
-			}
+			model := o.models[0].Name
 			res, err := snpu.Chaos(model, o.seed)
 			if err != nil {
 				return nil, err
 			}
-			title := fmt.Sprintf("Chaos — seeded fault injection + recovery (%s, seed %d; beyond-paper)", res.Model, res.Seed)
+			title := fmt.Sprintf("Chaos — seeded fault injection + recovery (%s, seed %d; beyond-paper)", model, o.seed)
 			return []section{{title, res.TableString()}}, nil
 		}},
 	}
@@ -247,7 +244,7 @@ func main() {
 	markdown := flag.Bool("markdown", false, "emit fenced code blocks with headings")
 	outPath := flag.String("o", "", "write output to this file instead of stdout")
 	seed := flag.Int64("seed", 1, "seed for randomized experiments (serve, decode, resilience, chaos); same seed = identical output")
-	small := flag.Bool("small", false, "shrink randomized sweeps (resilience) for CI smoke jobs")
+	small := flag.Bool("small", false, "shrink randomized sweeps (resilience, decode) for CI smoke jobs")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "experiment-cell worker pool width; output is identical for any value")
 	benchJSON := flag.String("bench-json", "", "write a perf snapshot (wall-time per experiment, cells/sec, allocs) to this file")
 	benchCompare := flag.Bool("bench-compare", false, "with -bench-json: force the sequential reference pass even at -j 1")

@@ -13,7 +13,6 @@ package snpu
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/experiments"
 	"repro/internal/sched"
@@ -45,56 +44,16 @@ func decodeSpecFor(tenant int) workload.DecodeSpec {
 	}
 }
 
-// DecodeBenchRow is one batch-width point.
-type DecodeBenchRow struct {
-	MaxBatch  int
-	Requests  int
-	Completed int
-	// Tokens is the total autoregressive tokens retired.
-	Tokens   int
-	Makespan sim.Cycle
-	// TokensPerSec is tokens over makespan at the 1 GHz cycle model
-	// (one cycle = one nanosecond).
-	TokensPerSec float64
-	// P50ITL / P99ITL are percentiles of the inter-token latency: the
-	// cycle gaps between a request's consecutive token retirements.
-	P50ITL, P99ITL sim.Cycle
-	// Joins counts mid-run continuous-batching admissions; BatchedRuns
-	// counts requests that shared a batch-mate's FnSubmit.
-	Joins       int
-	BatchedRuns int
-	Preemptions int
-	FlushCycles sim.Cycle
-}
-
-// DecodeBenchResult is the full sweep.
-type DecodeBenchResult struct {
-	Seed int64
-	Rows []DecodeBenchRow
-}
-
-// TableString renders the sweep.
-func (r *DecodeBenchResult) TableString() string {
-	header := []string{"batch", "reqs", "done", "tokens", "makespan-cyc",
-		"tok/s@1GHz", "p50-itl-cyc", "p99-itl-cyc", "joins", "batched", "preempts", "flush-cyc"}
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.MaxBatch),
-			fmt.Sprintf("%d", row.Requests),
-			fmt.Sprintf("%d", row.Completed),
-			fmt.Sprintf("%d", row.Tokens),
-			fmt.Sprintf("%d", row.Makespan),
-			fmt.Sprintf("%.0f", row.TokensPerSec),
-			fmt.Sprintf("%d", row.P50ITL),
-			fmt.Sprintf("%d", row.P99ITL),
-			fmt.Sprintf("%d", row.Joins),
-			fmt.Sprintf("%d", row.BatchedRuns),
-			fmt.Sprintf("%d", row.Preemptions),
-			fmt.Sprintf("%d", row.FlushCycles),
-		})
-	}
-	return experiments.Table(header, rows)
+var decodeCols = []experiments.Column[Episode]{
+	experiments.Col("batch", "%d", func(e Episode) any { return e.MaxBatch }),
+	colRequests, colDone,
+	experiments.Col("tokens", "%d", func(e Episode) any { return e.Report.Tokens }),
+	experiments.Col("makespan-cyc", "%d", func(e Episode) any { return e.Report.Makespan }),
+	experiments.Col("tok/s@1GHz", "%.0f", func(e Episode) any { return e.TokensPerSec() }),
+	experiments.Col("p50-itl-cyc", "%d", func(e Episode) any { p50, _ := e.InterToken(); return p50 }),
+	experiments.Col("p99-itl-cyc", "%d", func(e Episode) any { _, p99 := e.InterToken(); return p99 }),
+	experiments.Col("joins", "%d", func(e Episode) any { return e.Joins() }),
+	colBatched, colPreempts, colFlush,
 }
 
 // DecodeTrace generates the deterministic decode trace shared by every
@@ -131,75 +90,24 @@ func DecodeTrace(seed int64, n, tenants int) []sched.Request {
 
 // DecodeBench runs the batch-width sweep; small selects the CI smoke
 // shape (6 requests, batch widths 1 and 2). Each point replays the
-// seeded trace through one scheduler episode on a pooled protected SoC
-// and summarizes per-token timing.
-func DecodeBench(seed int64, small bool) (*DecodeBenchResult, error) {
+// seeded trace through one scheduler episode on a pooled protected SoC.
+func DecodeBench(seed int64, small bool) (*experiments.Result[Episode], error) {
 	requests, batches := decodeRequests, decodeBatches
 	if small {
 		requests, batches = 6, []int{1, 2}
 	}
-	rows, err := experiments.MapIndexed(len(batches), func(i int) (DecodeBenchRow, error) {
-		row, err := decodeBatchPoint(seed, batches[i], requests)
+	rows, err := experiments.MapIndexed(len(batches), func(i int) (Episode, error) {
+		ep, err := runEpisode(seed, decodeTenants, nil, sched.Config{Cores: []int{0, 1}, MaxBatch: batches[i]},
+			DecodeTrace(seed, requests, decodeTenants),
+			func(string) []byte { return []byte("decode preemptor model") })
 		if err != nil {
-			return DecodeBenchRow{}, fmt.Errorf("decode batch %d: %w", batches[i], err)
+			return Episode{}, fmt.Errorf("decode batch %d: %w", batches[i], err)
 		}
-		return row, nil
+		ep.MaxBatch = batches[i]
+		return ep, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &DecodeBenchResult{Seed: seed, Rows: rows}, nil
-}
-
-func decodeBatchPoint(seed int64, batch, requests int) (DecodeBenchRow, error) {
-	rep, _, err := runEpisode(seed, decodeTenants, nil, sched.Config{Cores: []int{0, 1}, MaxBatch: batch},
-		DecodeTrace(seed, requests, decodeTenants),
-		func(string) []byte { return []byte("decode preemptor model") })
-	if err != nil {
-		return DecodeBenchRow{}, err
-	}
-	return summarizeDecode(batch, rep), nil
-}
-
-func summarizeDecode(batch int, rep *sched.Report) DecodeBenchRow {
-	row := DecodeBenchRow{
-		MaxBatch:    batch,
-		Requests:    len(rep.Results),
-		Completed:   rep.Completed,
-		Tokens:      rep.Tokens,
-		Makespan:    rep.Makespan,
-		BatchedRuns: rep.BatchedRuns,
-		Preemptions: rep.Preemptions,
-		FlushCycles: rep.FlushCycles,
-	}
-	for _, d := range rep.Decisions {
-		if d.Event == "join" {
-			row.Joins++
-		}
-	}
-	if row.Makespan > 0 {
-		// 1 GHz cycle model: one cycle is one nanosecond.
-		row.TokensPerSec = float64(row.Tokens) * 1e9 / float64(row.Makespan)
-	}
-	row.P50ITL, row.P99ITL = interTokenPercentiles(rep.TokenTimes)
-	return row
-}
-
-// interTokenPercentiles pools every request's consecutive token-retire
-// gaps and returns the p50/p99 of the pooled distribution. Request IDs
-// are walked in sorted order so the pooling is deterministic.
-func interTokenPercentiles(tokenTimes map[int][]sim.Cycle) (p50, p99 sim.Cycle) {
-	ids := make([]int, 0, len(tokenTimes))
-	for id := range tokenTimes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var gaps []sim.Cycle
-	for _, id := range ids {
-		times := tokenTimes[id]
-		for i := 1; i < len(times); i++ {
-			gaps = append(gaps, times[i]-times[i-1])
-		}
-	}
-	return percentiles(gaps)
+	return &experiments.Result[Episode]{Rows: rows, Cols: decodeCols}, nil
 }

@@ -40,28 +40,29 @@ func TestDecodeBenchDeterministicAndBatched(t *testing.T) {
 	}
 	// Every point decodes the full trace to completion.
 	for _, row := range res.Rows {
-		if row.Completed != row.Requests {
-			t.Fatalf("batch %d: %d/%d completed", row.MaxBatch, row.Completed, row.Requests)
+		if row.Report.Completed != row.Requests() {
+			t.Fatalf("batch %d: %d/%d completed", row.MaxBatch, row.Report.Completed, row.Requests())
 		}
-		if row.Tokens != solo.Tokens {
+		if row.Report.Tokens != solo.Report.Tokens {
 			t.Fatalf("batch %d retired %d tokens, batch 1 retired %d — token count must not depend on batching",
-				row.MaxBatch, row.Tokens, solo.Tokens)
+				row.MaxBatch, row.Report.Tokens, solo.Report.Tokens)
 		}
-		if row.TokensPerSec <= 0 || row.P99ITL <= 0 {
-			t.Fatalf("batch %d: degenerate metrics %+v", row.MaxBatch, row)
+		if _, p99 := row.InterToken(); row.TokensPerSec() <= 0 || p99 <= 0 {
+			t.Fatalf("batch %d: degenerate metrics: %.0f tok/s, p99 inter-token %d", row.MaxBatch, row.TokensPerSec(), p99)
 		}
 	}
-	if solo.Joins != 0 {
-		t.Fatalf("batch 1 recorded %d joins; continuous batching must be off at width 1", solo.Joins)
+	if solo.Joins() != 0 {
+		t.Fatalf("batch 1 recorded %d joins; continuous batching must be off at width 1", solo.Joins())
 	}
-	if wide.Joins == 0 || wide.BatchedRuns == 0 {
-		t.Fatalf("batch 4 never batched: %+v", wide)
+	if wide.Joins() == 0 || wide.Report.BatchedRuns == 0 {
+		t.Fatalf("batch 4 never batched: %d joins, %d batched runs", wide.Joins(), wide.Report.BatchedRuns)
 	}
 	// The solo sweep's tail contains a full preemption (the plain secure
 	// request runs in the middle of a token stream); batching absorbs it.
-	if wide.P99ITL >= solo.P99ITL {
+	_, soloP99 := solo.InterToken()
+	if _, wideP99 := wide.InterToken(); wideP99 >= soloP99 {
 		t.Fatalf("batching did not cut the inter-token tail: batch1 p99=%d, batch4 p99=%d",
-			solo.P99ITL, wide.P99ITL)
+			soloP99, wideP99)
 	}
 }
 

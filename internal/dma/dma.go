@@ -181,46 +181,13 @@ func (e *Engine) SetTranslator(xl xlate.Translator) { e.xl = xl }
 
 // Do executes one DMA request starting no earlier than cycle `at`,
 // optionally moving real bytes to/from sp, and returns the completion
-// cycle. Denied requests return an error and touch nothing.
+// cycle: a batch of one, so it pays the fixed request latency once.
+// Denied requests return an error and touch nothing.
 func (e *Engine) Do(req Request, sp *spad.Scratchpad, domain spad.DomainID, at sim.Cycle) (sim.Cycle, error) {
 	if req.Bytes == 0 {
 		return at, nil
 	}
-	need := mem.PermRead
-	if req.Dir == ToMemory {
-		need = mem.PermWrite
-	}
-	res, err := e.xl.Translate(xlate.Request{
-		VA: req.VA, Bytes: req.Bytes, Need: need, World: req.World, TaskID: req.TaskID,
-	}, at)
-	if err != nil {
-		return 0, fmt.Errorf("dma: %s %d bytes at va %#x: %w", req.Dir, req.Bytes, uint64(req.VA), err)
-	}
-
-	e.count(req)
-
-	// The translator's stall delays issue; then the L2 (if attached)
-	// serves hits from its banks while misses pay the channel.
-	issue := at + res.Stall
-	issue, err = e.applyStalls(issue)
-	if err != nil {
-		return 0, err
-	}
-	e.injectDRAMFaults(res.PA, req.Bytes, issue)
-	done := e.serveBytes(res.PA, req.Bytes, issue)
-	done, err = e.scrub(res.PA, req.Bytes, done)
-	if err != nil {
-		return 0, err
-	}
-
-	if req.Functional && sp != nil {
-		if err := e.moveBytes(req, res.PA, sp, domain); err != nil {
-			return 0, err
-		}
-	}
-	e.obsProf.MaybeSample(at)
-	e.recordXfer(req.Dir, at, done)
-	return done, nil
+	return e.DoPipelined([]Request{req}, sp, domain, at)
 }
 
 // count adds one translated request to the DMA and DRAM counters.
@@ -347,13 +314,6 @@ func (e *Engine) DoPipelined(reqs []Request, sp *spad.Scratchpad, domain spad.Do
 	e.obsProf.MaybeSample(at)
 	e.recordXfer(reqs[0].Dir, at, lastEnd+e.cfg.RequestLatency)
 	return lastEnd + e.cfg.RequestLatency, nil
-}
-
-// serveBytes fulfils one request's data movement and returns its
-// completion cycle (including the fixed request latency).
-func (e *Engine) serveBytes(pa mem.PhysAddr, bytes uint64, issue sim.Cycle) sim.Cycle {
-	end, _ := e.serveBytesPipelined(pa, bytes, issue)
-	return end + e.cfg.RequestLatency
 }
 
 // serveBytesPipelined fulfils one request without the fixed latency

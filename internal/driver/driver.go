@@ -69,27 +69,11 @@ func (d *Driver) Reserved() *mem.ContigAlloc { return d.reserved }
 // own IOVA range (4 GiB apart) so concurrently mapped tasks never
 // alias in the access-control hardware.
 func (d *Driver) Submit(w workload.Workload, spadBudget int, secure bool) (*Task, error) {
-	layout := LayoutFor(d.nextID)
-	prog, _, err := npu.CompileCached(w, d.cfg, spadBudget, layout)
+	prog, _, err := npu.CompileCached(w, d.cfg, spadBudget, LayoutFor(d.nextID))
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := prog.VASpan()
-	size := uint64(mem.PageAlignUp(mem.PhysAddr(hi)) - mem.PageAlignDown(mem.PhysAddr(lo)))
-	chunk, err := d.reserved.Alloc(size, mem.PageSize)
-	if err != nil {
-		return nil, fmt.Errorf("driver: allocating %d-byte chunk: %w", size, err)
-	}
-	t := &Task{
-		ID:        d.nextID,
-		Model:     w,
-		Program:   prog,
-		Secure:    secure,
-		Chunk:     chunk,
-		ChunkSize: size,
-	}
-	d.nextID++
-	return t, nil
+	return d.SubmitProgram(w, prog, secure)
 }
 
 // Release frees a task's chunk.
@@ -113,8 +97,7 @@ func LayoutFor(id int) npu.Layout {
 // fixed registration order. The caller owns VA-span uniqueness (use
 // LayoutFor).
 func (d *Driver) SubmitProgram(w workload.Workload, prog *npu.Program, secure bool) (*Task, error) {
-	lo, hi := prog.VASpan()
-	size := uint64(mem.PageAlignUp(mem.PhysAddr(hi)) - mem.PageAlignDown(mem.PhysAddr(lo)))
+	_, size := mem.PageWindow(prog.VASpan())
 	chunk, err := d.reserved.Alloc(size, mem.PageSize)
 	if err != nil {
 		return nil, fmt.Errorf("driver: allocating %d-byte chunk: %w", size, err)
@@ -135,21 +118,18 @@ func (d *Driver) SubmitProgram(w workload.Workload, prog *npu.Program, secure bo
 // chunk (the TrustZone-NPU path; with a Guarder, the monitor's context
 // setter programs translation registers instead).
 func (d *Driver) MapTask(u *iommu.IOMMU, t *Task) error {
-	lo, _ := t.Program.VASpan()
-	base := mem.VirtAddr(mem.PageAlignDown(mem.PhysAddr(lo)))
+	base, _ := mem.PageWindow(t.Program.VASpan())
 	return u.Table().MapRange(base, t.Chunk, t.ChunkSize, mem.PermRW, t.Secure)
 }
 
 // RunSolo executes one task alone on a core and reports its runtime.
-func (d *Driver) RunSolo(core *npu.Core, t *Task) (sim.Cycle, error) {
+// A non-nil rec records the run's timeline; nil leaves the core's
+// default (its observer's recorder, if any).
+func (d *Driver) RunSolo(core *npu.Core, t *Task, rec *trace.Recorder) (sim.Cycle, error) {
 	ex := npu.NewExec(core, t.Program, t.ID)
-	return ex.Run(0)
-}
-
-// RunSoloTraced is RunSolo with a timeline recorder attached.
-func (d *Driver) RunSoloTraced(core *npu.Core, t *Task, rec *trace.Recorder) (sim.Cycle, error) {
-	ex := npu.NewExec(core, t.Program, t.ID)
-	ex.Trace = rec
+	if rec != nil {
+		ex.Trace = rec
+	}
 	return ex.Run(0)
 }
 

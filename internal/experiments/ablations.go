@@ -33,15 +33,14 @@ type AblationResult struct {
 	Rows []AblationRow
 }
 
-// TableString renders the sweep.
-func (a *AblationResult) TableString() string {
-	header := []string{"param", "value", "unit"}
-	var rows [][]string
-	for _, r := range a.Rows {
-		rows = append(rows, []string{r.Param, fmt.Sprintf("%.3f", r.Value), r.Unit})
-	}
-	return Table(header, rows)
+var ablationCols = []Column[AblationRow]{
+	Col("param", "%s", func(r AblationRow) any { return r.Param }),
+	Col("value", "%.3f", func(r AblationRow) any { return r.Value }),
+	Col("unit", "%s", func(r AblationRow) any { return r.Unit }),
 }
+
+// TableString renders the sweep.
+func (a *AblationResult) TableString() string { return Render(a.Rows, ablationCols) }
 
 // AblationIOTLBSweep extends Fig. 13(a)'s entry sweep (2..128 entries)
 // on one model, reporting the slowdown vs. the unprotected baseline.
@@ -293,7 +292,7 @@ func AblationPreemption(model string, cfg npu.Config) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	solo, err := d.RunSolo(core, low)
+	solo, err := d.RunSolo(core, low, nil)
 	if err != nil {
 		return nil, err
 	}

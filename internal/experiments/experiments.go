@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§VI) on the simulated SoC. Each Fig/Table
-// function returns typed rows plus a formatted text table, so the
-// same code backs the bench harness (bench_test.go), the CLI
-// (cmd/snpu-bench), and EXPERIMENTS.md.
+// function returns one result type, Result: typed rows plus the
+// columns that render them as a text table, so the same code backs the
+// bench harness (bench_test.go), the CLI (cmd/snpu-bench), and
+// EXPERIMENTS.md. The root package's sweeps return the same type.
 package experiments
 
 import (
@@ -122,7 +123,7 @@ func RunSolo(w workload.Workload, mech Mechanism, cfg npu.Config) (sim.Cycle, ma
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := installMechanism(soc, core, prog, mech); err != nil {
+	if err := installMechanism(soc, core, prog, mech, ReservedBase); err != nil {
 		return 0, nil, err
 	}
 	ex := npu.NewExec(core, prog, 1)
@@ -200,44 +201,42 @@ func RunContended(w workload.Workload, mech Mechanism, cfg npu.Config) (sim.Cycl
 // installShared wires the mechanism for the contended pair. For an
 // IOMMU, one unit serves both cores (stream-tagged entries, so no
 // flush between streams, but full capacity contention). For the
-// Guarder and the baseline, state is per core.
+// Guarder and the baseline, state is per core. Each task's window maps
+// onto its own half of the reserved region.
 func installShared(soc *SoC, core0, core1 *npu.Core, prog0, prog1 *npu.Program, mech Mechanism) error {
-	switch {
-	case mech.IOTLBEntries > 0:
-		ucfg := iommu.DefaultConfig(mech.IOTLBEntries)
-		// The shared sMMU tags entries with stream IDs, so the two
-		// cores' streams coexist (no flush) but contend for capacity.
-		ucfg.FlushOnContextSwitch = false
-		ucfg.TagWithASID = true
-		u := iommu.New(ucfg, soc.Stats)
-		for i, prog := range []*npu.Program{prog0, prog1} {
-			lo, hi := prog.VASpan()
-			vbase := mem.VirtAddr(mem.PageAlignDown(mem.PhysAddr(lo)))
-			size := uint64(mem.PageAlignUp(mem.PhysAddr(hi)) - mem.PhysAddr(vbase))
-			pa := ReservedBase + mem.PhysAddr(uint64(i)*(ReservedSize/2))
-			if err := u.Table().MapRange(vbase, pa, size, mem.PermRW, false); err != nil {
-				return err
-			}
-		}
-		core0.DMA().SetTranslator(u)
-		core1.DMA().SetTranslator(u)
-		return nil
-	default:
-		if err := installMechanism(soc, core0, prog0, mech); err != nil {
+	companionPA := ReservedBase + mem.PhysAddr(ReservedSize/2)
+	if mech.IOTLBEntries == 0 {
+		if err := installMechanism(soc, core0, prog0, mech, ReservedBase); err != nil {
 			return err
 		}
-		return installMechanism2(soc, core1, prog1, mech)
+		return installMechanism(soc, core1, prog1, mech, companionPA)
 	}
+	ucfg := iommu.DefaultConfig(mech.IOTLBEntries)
+	// The shared sMMU tags entries with stream IDs, so the two
+	// cores' streams coexist (no flush) but contend for capacity.
+	ucfg.FlushOnContextSwitch = false
+	ucfg.TagWithASID = true
+	u := iommu.New(ucfg, soc.Stats)
+	pas := []mem.PhysAddr{ReservedBase, companionPA}
+	for i, prog := range []*npu.Program{prog0, prog1} {
+		vbase, size := mem.PageWindow(prog.VASpan())
+		if err := u.Table().MapRange(vbase, pas[i], size, mem.PermRW, false); err != nil {
+			return err
+		}
+	}
+	core0.DMA().SetTranslator(u)
+	core1.DMA().SetTranslator(u)
+	return nil
 }
 
-// installMechanism2 is installMechanism for the companion task's PA
-// window (second half of the reserved region).
-func installMechanism2(soc *SoC, core *npu.Core, prog *npu.Program, mech Mechanism) error {
-	lo, hi := prog.VASpan()
-	vbase := mem.VirtAddr(mem.PageAlignDown(mem.PhysAddr(lo)))
-	size := uint64(mem.PageAlignUp(mem.PhysAddr(hi)) - mem.PhysAddr(vbase))
-	pa := ReservedBase + mem.PhysAddr(ReservedSize/2)
-	if mech.Guarder {
+// installMechanism wires one access-control unit in front of core's
+// DMA engine and installs the program's mappings onto the physical
+// window at pa through the appropriate path: the untrusted driver maps
+// the IOMMU; the secure context setter programs the Guarder.
+func installMechanism(soc *SoC, core *npu.Core, prog *npu.Program, mech Mechanism, pa mem.PhysAddr) error {
+	vbase, size := mem.PageWindow(prog.VASpan())
+	switch {
+	case mech.Guarder:
 		g := guarder.NewDefault(soc.Stats)
 		sec := soc.Machine.SecureContext()
 		if err := g.SetTransReg(sec, 0, guarder.TransReg{VBase: vbase, PBase: pa, Size: size, Valid: true}); err != nil {
@@ -247,34 +246,9 @@ func installMechanism2(soc *SoC, core *npu.Core, prog *npu.Program, mech Mechani
 			return err
 		}
 		core.DMA().SetTranslator(g)
-		return nil
-	}
-	core.DMA().SetTranslator(xlate.NewIdentity(soc.Stats))
-	return nil
-}
-
-// installMechanism wires one access-control unit in front of core's
-// DMA engine and installs the program's mappings through the
-// appropriate path: the untrusted driver maps the IOMMU; the secure
-// context setter programs the Guarder.
-func installMechanism(soc *SoC, core *npu.Core, prog *npu.Program, mech Mechanism) error {
-	lo, hi := prog.VASpan()
-	vbase := mem.VirtAddr(mem.PageAlignDown(mem.PhysAddr(lo)))
-	size := uint64(mem.PageAlignUp(mem.PhysAddr(hi)) - mem.PhysAddr(vbase))
-	switch {
-	case mech.Guarder:
-		g := guarder.NewDefault(soc.Stats)
-		sec := soc.Machine.SecureContext()
-		if err := g.SetTransReg(sec, 0, guarder.TransReg{VBase: vbase, PBase: ReservedBase, Size: size, Valid: true}); err != nil {
-			return err
-		}
-		if err := g.SetCheckReg(sec, 0, guarder.CheckReg{Base: ReservedBase, Size: ReservedSize, Perm: mem.PermRW, World: mem.Normal, Valid: true}); err != nil {
-			return err
-		}
-		core.DMA().SetTranslator(g)
 	case mech.IOTLBEntries > 0:
 		u := iommu.New(iommu.DefaultConfig(mech.IOTLBEntries), soc.Stats)
-		if err := u.Table().MapRange(vbase, ReservedBase, size, mem.PermRW, false); err != nil {
+		if err := u.Table().MapRange(vbase, pa, size, mem.PermRW, false); err != nil {
 			return err
 		}
 		core.DMA().SetTranslator(u)
@@ -282,6 +256,45 @@ func installMechanism(soc *SoC, core *npu.Core, prog *npu.Program, mech Mechanis
 		core.DMA().SetTranslator(xlate.NewIdentity(soc.Stats))
 	}
 	return nil
+}
+
+// Column is one column of a result table: its header, the fmt verb
+// that formats it, and the value it reads from a row.
+type Column[R any] struct {
+	head, verb string
+	value      func(R) any
+}
+
+// Col builds a Column.
+func Col[R any](head, verb string, value func(R) any) Column[R] {
+	return Column[R]{head: head, verb: verb, value: value}
+}
+
+// Result is an experiment's typed rows plus the columns that render
+// them: every figure and sweep whose output is one table returns one.
+type Result[R any] struct {
+	Rows []R
+	Cols []Column[R]
+}
+
+// TableString renders the result.
+func (r *Result[R]) TableString() string { return Render(r.Rows, r.Cols) }
+
+// Render formats rows under cols as a Table; results with more than
+// one view (Fig. 13) render each view through it.
+func Render[R any](rows []R, cols []Column[R]) string {
+	header := make([]string, len(cols))
+	for i, c := range cols {
+		header[i] = c.head
+	}
+	cells := make([][]string, len(rows))
+	for i, row := range rows {
+		cells[i] = make([]string, len(cols))
+		for j, c := range cols {
+			cells[i][j] = fmt.Sprintf(c.verb, c.value(row))
+		}
+	}
+	return Table(header, cells)
 }
 
 // Table renders rows of cells as a fixed-width text table.

@@ -17,16 +17,17 @@ type Fig1Row struct {
 	Utilization float64
 }
 
-// Fig1Result is the whole figure.
-type Fig1Result struct {
-	Rows []Fig1Row
+var fig1Cols = []Column[Fig1Row]{
+	Col("model", "%s", func(r Fig1Row) any { return r.Model }),
+	Col("cycles", "%d", func(r Fig1Row) any { return r.Cycles }),
+	Col("flops-utilization", "%.1f%%", func(r Fig1Row) any { return r.Utilization * 100 }),
 }
 
 // Fig1 measures per-model utilization of a solo inference — the
 // motivation figure: most workloads leave more than half the compute
 // idle, which is why multi-tasking (and hence multi-task isolation)
 // matters.
-func Fig1(models []workload.Workload, cfg npu.Config) (*Fig1Result, error) {
+func Fig1(models []workload.Workload, cfg npu.Config) (*Result[Fig1Row], error) {
 	rows, err := mapCells(models, func(w workload.Workload) (Fig1Row, error) {
 		cycles, _, err := RunSolo(w, Mechanism{Name: "none"}, cfg)
 		if err != nil {
@@ -45,17 +46,5 @@ func Fig1(models []workload.Workload, cfg npu.Config) (*Fig1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Fig1Result{Rows: rows}, nil
-}
-
-// TableString renders the figure.
-func (f *Fig1Result) TableString() string {
-	header := []string{"model", "cycles", "flops-utilization"}
-	var rows [][]string
-	for _, r := range f.Rows {
-		rows = append(rows, []string{
-			r.Model, fmt.Sprintf("%d", r.Cycles), fmt.Sprintf("%.1f%%", r.Utilization*100),
-		})
-	}
-	return Table(header, rows)
+	return &Result[Fig1Row]{Rows: rows, Cols: fig1Cols}, nil
 }

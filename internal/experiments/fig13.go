@@ -79,33 +79,31 @@ func Fig13(models []workload.Workload, cfg npu.Config) (*Fig13Result, error) {
 // Slowdown reports 1 - Normalized as a percentage for a row.
 func (r Fig13Row) Slowdown() float64 { return (1 - r.Normalized) * 100 }
 
+var (
+	fig13Model     = Col("model", "%s", func(r Fig13Row) any { return r.Model })
+	fig13Mechanism = Col("mechanism", "%s", func(r Fig13Row) any { return r.Mechanism })
+)
+
 // TableA renders the Fig. 13(a) view (normalized performance).
 func (f *Fig13Result) TableA() string {
-	header := []string{"model", "mechanism", "cycles", "normalized", "slowdown%"}
-	var rows [][]string
-	for _, r := range f.Rows {
-		rows = append(rows, []string{
-			r.Model, r.Mechanism,
-			fmt.Sprintf("%d", r.Cycles),
-			fmt.Sprintf("%.3f", r.Normalized),
-			fmt.Sprintf("%.1f", r.Slowdown()),
-		})
-	}
-	return Table(header, rows)
+	return Render(f.Rows, []Column[Fig13Row]{
+		fig13Model, fig13Mechanism,
+		Col("cycles", "%d", func(r Fig13Row) any { return r.Cycles }),
+		Col("normalized", "%.3f", func(r Fig13Row) any { return r.Normalized }),
+		Col("slowdown%", "%.1f", func(r Fig13Row) any { return r.Slowdown() }),
+	})
 }
 
 // TableB renders the Fig. 13(b) view (translation request counts).
 func (f *Fig13Result) TableB() string {
-	header := []string{"model", "mechanism", "xlate-requests", "vs-iommu"}
-	var rows [][]string
-	for _, r := range f.Rows {
-		ratio := ""
-		if r.RequestsVsIOMMU > 0 {
-			ratio = fmt.Sprintf("%.1f%%", r.RequestsVsIOMMU*100)
-		}
-		rows = append(rows, []string{
-			r.Model, r.Mechanism, fmt.Sprintf("%d", r.Requests), ratio,
-		})
-	}
-	return Table(header, rows)
+	return Render(f.Rows, []Column[Fig13Row]{
+		fig13Model, fig13Mechanism,
+		Col("xlate-requests", "%d", func(r Fig13Row) any { return r.Requests }),
+		Col("vs-iommu", "%s", func(r Fig13Row) any {
+			if r.RequestsVsIOMMU <= 0 {
+				return ""
+			}
+			return fmt.Sprintf("%.1f%%", r.RequestsVsIOMMU*100)
+		}),
+	})
 }

@@ -22,9 +22,12 @@ type Fig14Row struct {
 	Normalized float64
 }
 
-// Fig14Result is the whole figure.
-type Fig14Result struct {
-	Rows []Fig14Row
+var fig14Cols = []Column[Fig14Row]{
+	Col("model", "%s", func(r Fig14Row) any { return r.Model }),
+	Col("flush-granularity", "%s", func(r Fig14Row) any { return r.Granularity }),
+	Col("cycles", "%d", func(r Fig14Row) any { return r.Cycles }),
+	Col("normalized", "%.3f", func(r Fig14Row) any { return r.Normalized }),
+	Col("overhead%", "%.1f", func(r Fig14Row) any { return (r.Normalized - 1) * 100 }),
 }
 
 // fig14Grans is the comparison set: tile / layer / 5-layer flushing.
@@ -37,8 +40,7 @@ var fig14Grans = []spad.FlushGranularity{
 // TrustZone-NPU strawman) and without (sNPU's ID-isolated sharing,
 // which needs no scrubbing at the same switching rate) — and reports
 // the flush mechanism's overhead.
-func Fig14(models []workload.Workload, cfg npu.Config) (*Fig14Result, error) {
-	res := &Fig14Result{}
+func Fig14(models []workload.Workload, cfg npu.Config) (*Result[Fig14Row], error) {
 	run := func(w workload.Workload, gran spad.FlushGranularity, flush bool) (sim.Cycle, error) {
 		soc, err := AcquireSoC(cfg)
 		if err != nil {
@@ -84,21 +86,5 @@ func Fig14(models []workload.Workload, cfg npu.Config) (*Fig14Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = rows
-	return res, nil
-}
-
-// TableString renders the figure.
-func (f *Fig14Result) TableString() string {
-	header := []string{"model", "flush-granularity", "cycles", "normalized", "overhead%"}
-	var rows [][]string
-	for _, r := range f.Rows {
-		rows = append(rows, []string{
-			r.Model, r.Granularity,
-			fmt.Sprintf("%d", r.Cycles),
-			fmt.Sprintf("%.3f", r.Normalized),
-			fmt.Sprintf("%.1f", (r.Normalized-1)*100),
-		})
-	}
-	return Table(header, rows)
+	return &Result[Fig14Row]{Rows: rows, Cols: fig14Cols}, nil
 }

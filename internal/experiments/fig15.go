@@ -43,15 +43,20 @@ type Fig15Row struct {
 	FractionA float64
 }
 
-// Fig15Result is the whole figure.
-type Fig15Result struct {
-	Rows []Fig15Row
+var fig15Cols = []Column[Fig15Row]{
+	Col("group", "%s", func(r Fig15Row) any { return r.Group }),
+	Col("policy", "%s", func(r Fig15Row) any { return r.Policy }),
+	Col("spad-fracA", "%.2f", func(r Fig15Row) any { return r.FractionA }),
+	Col("trusted", "%s", func(r Fig15Row) any { return r.Trusted.Model }),
+	Col("norm-time", "%.3f", func(r Fig15Row) any { return r.Trusted.Normalized }),
+	Col("untrusted", "%s", func(r Fig15Row) any { return r.Untrusted.Model }),
+	Col("norm-time", "%.3f", func(r Fig15Row) any { return r.Untrusted.Normalized }),
 }
 
 // Fig15 runs each pair under the three static partitions and under
 // sNPU's ID-based dynamic allocation, normalizing each workload to its
 // solo run with the full scratchpad.
-func Fig15(cfg npu.Config) (*Fig15Result, error) {
+func Fig15(cfg npu.Config) (*Result[Fig15Row], error) {
 	groups := Fig15Groups()
 	// Phase 1: solo full-scratchpad baselines, one cell per distinct
 	// model.
@@ -122,20 +127,5 @@ func Fig15(cfg npu.Config) (*Fig15Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Fig15Result{Rows: rows}, nil
-}
-
-// TableString renders the figure.
-func (f *Fig15Result) TableString() string {
-	header := []string{"group", "policy", "spad-fracA", "trusted", "norm-time", "untrusted", "norm-time"}
-	var rows [][]string
-	for _, r := range f.Rows {
-		rows = append(rows, []string{
-			r.Group, r.Policy,
-			fmt.Sprintf("%.2f", r.FractionA),
-			r.Trusted.Model, fmt.Sprintf("%.3f", r.Trusted.Normalized),
-			r.Untrusted.Model, fmt.Sprintf("%.3f", r.Untrusted.Normalized),
-		})
-	}
-	return Table(header, rows)
+	return &Result[Fig15Row]{Rows: rows, Cols: fig15Cols}, nil
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/dma"
 	"repro/internal/mem"
 	"repro/internal/noc"
@@ -24,9 +22,11 @@ type Fig16Row struct {
 	BandwidthBPC float64
 }
 
-// Fig16Result is the whole figure.
-type Fig16Result struct {
-	Rows []Fig16Row
+var fig16Cols = []Column[Fig16Row]{
+	Col("method", "%s", func(r Fig16Row) any { return r.Method }),
+	Col("lines", "%d", func(r Fig16Row) any { return r.Lines }),
+	Col("latency-cycles", "%d", func(r Fig16Row) any { return r.Latency }),
+	Col("bandwidth-B/cycle", "%.2f", func(r Fig16Row) any { return r.BandwidthBPC }),
 }
 
 // fig16Sizes are the transaction sizes (scratchpad lines).
@@ -37,7 +37,7 @@ var fig16Sizes = []int{1, 4, 16, 64, 256, 1024}
 // through DRAM), the unauthorized direct NoC, and the peephole NoC.
 // The software-NoC numbers assume the ideal case — the NPU is the only
 // DRAM client — matching the paper's micro-test setup.
-func Fig16(cfg npu.Config) (*Fig16Result, error) {
+func Fig16(cfg npu.Config) (*Result[Fig16Row], error) {
 	cells, err := mapCells(fig16Sizes, func(lines int) ([]Fig16Row, error) {
 		var rows []Fig16Row
 		bytes := uint64(lines * cfg.SpadLineBytes)
@@ -83,7 +83,7 @@ func Fig16(cfg npu.Config) (*Fig16Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig16Result{}
+	res := &Result[Fig16Row]{Cols: fig16Cols}
 	for _, rows := range cells {
 		res.Rows = append(res.Rows, rows...)
 	}
@@ -96,17 +96,4 @@ func fig16Row(method string, lines int, latency sim.Cycle, bytes uint64) Fig16Ro
 		bw = float64(bytes) / float64(latency)
 	}
 	return Fig16Row{Method: method, Lines: lines, Latency: latency, BandwidthBPC: bw}
-}
-
-// TableString renders the figure.
-func (f *Fig16Result) TableString() string {
-	header := []string{"method", "lines", "latency-cycles", "bandwidth-B/cycle"}
-	var rows [][]string
-	for _, r := range f.Rows {
-		rows = append(rows, []string{
-			r.Method, fmt.Sprintf("%d", r.Lines),
-			fmt.Sprintf("%d", r.Latency), fmt.Sprintf("%.2f", r.BandwidthBPC),
-		})
-	}
-	return Table(header, rows)
 }

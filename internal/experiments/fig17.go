@@ -23,9 +23,12 @@ type Fig17Row struct {
 	Normalized float64
 }
 
-// Fig17Result is the whole figure.
-type Fig17Result struct {
-	Rows []Fig17Row
+var fig17Cols = []Column[Fig17Row]{
+	Col("model", "%s", func(r Fig17Row) any { return r.Model }),
+	Col("method", "%s", func(r Fig17Row) any { return r.Method }),
+	Col("cycles", "%d", func(r Fig17Row) any { return r.Cycles }),
+	Col("transfer-cycles", "%d", func(r Fig17Row) any { return r.TransferCycles }),
+	Col("normalized", "%.3f", func(r Fig17Row) any { return r.Normalized }),
 }
 
 // fig17ShmVA is the shared-memory bounce buffer the software NoC
@@ -47,7 +50,7 @@ var fig17Methods = []struct {
 	{"software-noc", false, npu.TransferSharedMemory},
 }
 
-func Fig17(models []workload.Workload, cfg npu.Config) (*Fig17Result, error) {
+func Fig17(models []workload.Workload, cfg npu.Config) (*Result[Fig17Row], error) {
 	rows, err := runCells(len(models)*len(fig17Methods), func(i int) (Fig17Row, error) {
 		w, method := models[i/len(fig17Methods)], fig17Methods[i%len(fig17Methods)]
 		mcfg := cfg
@@ -89,20 +92,5 @@ func Fig17(models []workload.Workload, cfg npu.Config) (*Fig17Result, error) {
 			}
 		}
 	}
-	return &Fig17Result{Rows: rows}, nil
-}
-
-// TableString renders the figure.
-func (f *Fig17Result) TableString() string {
-	header := []string{"model", "method", "cycles", "transfer-cycles", "normalized"}
-	var rows [][]string
-	for _, r := range f.Rows {
-		rows = append(rows, []string{
-			r.Model, r.Method,
-			fmt.Sprintf("%d", r.Cycles),
-			fmt.Sprintf("%d", r.TransferCycles),
-			fmt.Sprintf("%.3f", r.Normalized),
-		})
-	}
-	return Table(header, rows)
+	return &Result[Fig17Row]{Rows: rows, Cols: fig17Cols}, nil
 }

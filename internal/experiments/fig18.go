@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/hwcost"
-)
+import "repro/internal/hwcost"
 
 // Fig18Row is one configuration's additional FPGA resources over the
 // baseline NPU tile.
@@ -15,17 +11,19 @@ type Fig18Row struct {
 	ExtraRAMPct float64
 }
 
-// Fig18Result is the whole figure.
-type Fig18Result struct {
-	Rows []Fig18Row
+var fig18Cols = []Column[Fig18Row]{
+	Col("config", "%s", func(r Fig18Row) any { return r.Config }),
+	Col("extra-LUT%", "%.2f", func(r Fig18Row) any { return r.ExtraLUTPct }),
+	Col("extra-FF%", "%.2f", func(r Fig18Row) any { return r.ExtraFFPct }),
+	Col("extra-RAM%", "%.2f", func(r Fig18Row) any { return r.ExtraRAMPct }),
 }
 
 // Fig18 evaluates the analytic hardware-cost model for the paper's
 // configurations: S_Reg, S_Spad, S_NoC (cumulative) and the TrustZone
 // NPU's IOMMU.
-func Fig18(p hwcost.Params) *Fig18Result {
+func Fig18(p hwcost.Params) *Result[Fig18Row] {
 	base := hwcost.Baseline(p)
-	res := &Fig18Result{}
+	res := &Result[Fig18Row]{Cols: fig18Cols}
 	for _, c := range hwcost.Fig18Configs(p) {
 		lut, ff, ram := c.Extra.PercentOf(base)
 		res.Rows = append(res.Rows, Fig18Row{
@@ -33,19 +31,4 @@ func Fig18(p hwcost.Params) *Fig18Result {
 		})
 	}
 	return res
-}
-
-// TableString renders the figure.
-func (f *Fig18Result) TableString() string {
-	header := []string{"config", "extra-LUT%", "extra-FF%", "extra-RAM%"}
-	var rows [][]string
-	for _, r := range f.Rows {
-		rows = append(rows, []string{
-			r.Config,
-			fmt.Sprintf("%.2f", r.ExtraLUTPct),
-			fmt.Sprintf("%.2f", r.ExtraFFPct),
-			fmt.Sprintf("%.2f", r.ExtraRAMPct),
-		})
-	}
-	return Table(header, rows)
 }

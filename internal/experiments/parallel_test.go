@@ -75,7 +75,7 @@ func TestParallelDeterminism(t *testing.T) {
 	models := []workload.Workload{w}
 
 	var seq13, par13 *Fig13Result
-	var seq17, par17 *Fig17Result
+	var seq17, par17 *Result[Fig17Row]
 	withWorkers(t, 1, func() {
 		seq13, err = Fig13(models, cfg)
 		if err == nil {
@@ -97,7 +97,7 @@ func TestParallelDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(seq13, par13) {
 		t.Errorf("fig13 rows differ between -j 1 and -j 4:\nseq: %+v\npar: %+v", seq13.Rows, par13.Rows)
 	}
-	if !reflect.DeepEqual(seq17, par17) {
+	if !reflect.DeepEqual(seq17.Rows, par17.Rows) {
 		t.Errorf("fig17 rows differ between -j 1 and -j 4:\nseq: %+v\npar: %+v", seq17.Rows, par17.Rows)
 	}
 }

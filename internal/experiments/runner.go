@@ -98,8 +98,8 @@ func runCells[R any](n int, fn func(i int) (R, error)) ([]R, error) {
 // MapIndexed exposes the bounded worker pool to sibling packages whose
 // sweeps decompose into independent index-addressed cells (one private
 // SoC per cell, results in index order). The root package's serve,
-// resilience and decode sweeps fan their points through it so -j
-// applies there too, under the same any-width determinism contract.
+// resilience, decode and chaos sweeps fan their points through it so
+// -j applies there too, under the same any-width determinism contract.
 func MapIndexed[R any](n int, fn func(i int) (R, error)) ([]R, error) {
 	return runCells[R](n, fn)
 }

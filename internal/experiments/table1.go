@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/npu"
 	"repro/internal/spad"
 	"repro/internal/workload"
@@ -24,9 +22,21 @@ type Table1Row struct {
 	MeasuredOverheadPct float64
 }
 
-// Table1Result is the table.
-type Table1Result struct {
-	Rows []Table1Row
+func yesNo(b bool) string {
+	if b {
+		return "yes"
+	}
+	return "no"
+}
+
+var table1Cols = []Column[Table1Row]{
+	Col("mechanism", "%s", func(r Table1Row) any { return r.Mechanism }),
+	Col("temporal", "%s", func(r Table1Row) any { return yesNo(r.Temporal) }),
+	Col("spatial", "%s", func(r Table1Row) any { return yesNo(r.Spatial) }),
+	Col("utilization", "%s", func(r Table1Row) any { return r.Utilization }),
+	Col("performance", "%s", func(r Table1Row) any { return r.Performance }),
+	Col("sla", "%s", func(r Table1Row) any { return r.SLA }),
+	Col("measured-overhead%", "%.1f", func(r Table1Row) any { return r.MeasuredOverheadPct }),
 }
 
 // Table1 derives the comparison from measured data on one
@@ -38,7 +48,7 @@ type Table1Result struct {
 //   - Fine flush (tile): preempts quickly but pays heavy save/restore.
 //   - sNPU: both sharing modes, high utilization, good performance and
 //     SLA (tile-granular switching at zero flush cost).
-func Table1(cfg npu.Config) (*Table1Result, error) {
+func Table1(cfg npu.Config) (*Result[Table1Row], error) {
 	model, err := workload.Lookup("alexnet")
 	if err != nil {
 		return nil, err
@@ -90,7 +100,7 @@ func Table1(cfg npu.Config) (*Table1Result, error) {
 		partitionPct = (bestStatic/dynamic - 1) * 100
 	}
 
-	return &Table1Result{Rows: []Table1Row{
+	return &Result[Table1Row]{Cols: table1Cols, Rows: []Table1Row{
 		{Mechanism: "partition", Temporal: true, Spatial: true, Utilization: "low",
 			Performance: "low", SLA: "good", MeasuredOverheadPct: partitionPct},
 		{Mechanism: "flush-coarse", Temporal: true, Spatial: false, Utilization: "low",
@@ -100,23 +110,4 @@ func Table1(cfg npu.Config) (*Table1Result, error) {
 		{Mechanism: "snpu", Temporal: true, Spatial: true, Utilization: "high",
 			Performance: "good", SLA: "good", MeasuredOverheadPct: 0},
 	}}, nil
-}
-
-// TableString renders the table.
-func (t *Table1Result) TableString() string {
-	header := []string{"mechanism", "temporal", "spatial", "utilization", "performance", "sla", "measured-overhead%"}
-	var rows [][]string
-	yn := func(b bool) string {
-		if b {
-			return "yes"
-		}
-		return "no"
-	}
-	for _, r := range t.Rows {
-		rows = append(rows, []string{
-			r.Mechanism, yn(r.Temporal), yn(r.Spatial), r.Utilization,
-			r.Performance, r.SLA, fmt.Sprintf("%.1f", r.MeasuredOverheadPct),
-		})
-	}
-	return Table(header, rows)
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -86,21 +87,24 @@ func (t *TCBResult) Totals() (trusted, untrusted int) {
 	return trusted, untrusted
 }
 
-// TableString renders the analysis.
-func (t *TCBResult) TableString() string {
-	header := []string{"component", "trusted", "loc"}
-	var rows [][]string
-	for _, r := range t.Rows {
-		tr := "no"
+var tcbCols = []Column[TCBRow]{
+	Col("component", "%s", func(r TCBRow) any { return r.Component }),
+	Col("trusted", "%s", func(r TCBRow) any {
 		if r.Trusted {
-			tr = "YES"
+			return "YES"
 		}
-		rows = append(rows, []string{r.Component, tr, fmt.Sprintf("%d", r.LoC)})
-	}
+		return "no"
+	}),
+	Col("loc", "%d", func(r TCBRow) any { return r.LoC }),
+}
+
+// TableString renders the analysis, closed by its two totals rows.
+func (t *TCBResult) TableString() string {
 	trusted, untrusted := t.Totals()
-	rows = append(rows, []string{"TOTAL-TCB", "YES", fmt.Sprintf("%d", trusted)})
-	rows = append(rows, []string{"TOTAL-UNTRUSTED", "no", fmt.Sprintf("%d", untrusted)})
-	return Table(header, rows)
+	return Render(slices.Concat(t.Rows, []TCBRow{
+		{Component: "TOTAL-TCB", Trusted: true, LoC: trusted},
+		{Component: "TOTAL-UNTRUSTED", LoC: untrusted},
+	}), tcbCols)
 }
 
 // repoRoot locates the module root from this source file's path.

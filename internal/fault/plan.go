@@ -22,9 +22,6 @@ type Plan struct {
 	Events []Event `json:"events"`
 }
 
-// Empty reports whether the plan schedules nothing.
-func (p Plan) Empty() bool { return len(p.Events) == 0 }
-
 // jsonEvent is the wire form: kinds travel as strings so plans are
 // hand-editable.
 type jsonEvent struct {

@@ -72,3 +72,10 @@ func PageAlignDown(a PhysAddr) PhysAddr { return a &^ (PageSize - 1) }
 func PageAlignUp(a PhysAddr) PhysAddr {
 	return (a + PageSize - 1) &^ (PageSize - 1)
 }
+
+// PageWindow is the page-aligned window covering the VA span [lo, hi):
+// its first page and its size in bytes.
+func PageWindow(lo, hi VirtAddr) (base VirtAddr, size uint64) {
+	base = VirtAddr(PageAlignDown(PhysAddr(lo)))
+	return base, uint64(PageAlignUp(PhysAddr(hi)) - PhysAddr(base))
+}

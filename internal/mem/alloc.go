@@ -169,9 +169,6 @@ func NewSlotAlloc(base PhysAddr, slotSize uint64, slots int) *SlotAlloc {
 	return &SlotAlloc{base: base, slotSize: slotSize, slots: slots, inUse: make([]bool, slots)}
 }
 
-// SlotSize returns the fixed slot size in bytes.
-func (s *SlotAlloc) SlotSize() uint64 { return s.slotSize }
-
 // Alloc claims one free slot and returns its base address.
 func (s *SlotAlloc) Alloc() (PhysAddr, error) {
 	for i := 0; i < s.slots; i++ {

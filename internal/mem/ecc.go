@@ -144,9 +144,6 @@ func (m *Physical) EnableECC(stats *sim.Stats) {
 	m.eccStats = stats
 }
 
-// ECCEnabled reports whether the SECDED path is armed.
-func (m *Physical) ECCEnabled() bool { return m.ecc }
-
 // InjectBitFlip flips one bit of the 64-bit word containing addr. The
 // first flip of a word snapshots its check byte (the code word the
 // writer produced); later flips of the same word accumulate toward an

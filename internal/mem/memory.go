@@ -94,28 +94,11 @@ func (m *Physical) AddRegion(r Region) error {
 	return nil
 }
 
-// Regions returns a copy of the region map.
-func (m *Physical) Regions() []Region {
-	out := make([]Region, len(m.regions))
-	copy(out, m.regions)
-	return out
-}
-
 // FindRegion returns the region containing addr, if any.
 func (m *Physical) FindRegion(addr PhysAddr) (Region, bool) {
 	i := sort.Search(len(m.regions), func(i int) bool { return m.regions[i].End() > addr })
 	if i < len(m.regions) && m.regions[i].Contains(addr, 1) {
 		return m.regions[i], true
-	}
-	return Region{}, false
-}
-
-// RegionByName returns the named region, if registered.
-func (m *Physical) RegionByName(name string) (Region, bool) {
-	for _, r := range m.regions {
-		if r.Name == name {
-			return r, true
-		}
 	}
 	return Region{}, false
 }

@@ -250,7 +250,7 @@ func (m *Monitor) Submit(spec TaskSpec) (int, error) {
 	// comes from the ops just measured, not from anything the program
 	// recorded about itself.
 	lo, hi := npu.SpanOf(spec.Program.Ops)
-	size := uint64(mem.PageAlignUp(mem.PhysAddr(hi)) - mem.PageAlignDown(mem.PhysAddr(lo)))
+	_, size := mem.PageWindow(lo, hi)
 	chunk, err := m.alloc.Alloc(size, mem.PageSize)
 	if err != nil {
 		m.note(TrSubmitNoSpace)
@@ -323,10 +323,9 @@ func (m *Monitor) Load(taskID int, cores []int, spadFrom, spadTo int) error {
 			return m.reject(err)
 		}
 		if g, ok := m.guarders[ci]; ok {
-			vbase := mem.VirtAddr(mem.PageAlignDown(mem.PhysAddr(task.spanLo)))
+			vbase, size := mem.PageWindow(task.spanLo, task.spanHi)
 			if err := g.SetTransReg(m.ctx, 0, guarder.TransReg{
-				VBase: vbase, PBase: task.Chunk,
-				Size: uint64(mem.PageAlignUp(mem.PhysAddr(task.spanHi)) - mem.PhysAddr(vbase)), Valid: true,
+				VBase: vbase, PBase: task.Chunk, Size: size, Valid: true,
 			}); err != nil {
 				return m.reject(err)
 			}

@@ -592,17 +592,3 @@ func (m *Mesh) Receive(dst Coord) []Packet {
 	m.inboxes[dst] = nil
 	return pkts
 }
-
-// LinkUtilization reports the busiest link's utilization over horizon.
-func (m *Mesh) LinkUtilization(horizon sim.Cycle) float64 {
-	var max float64
-	for _, l := range m.links {
-		if l == nil {
-			continue
-		}
-		if u := l.Utilization(horizon); u > max {
-			max = u
-		}
-	}
-	return max
-}

@@ -63,9 +63,6 @@ func NewExec(core *Core, prog *Program, taskID int) *Exec {
 // Done reports whether the whole program has executed.
 func (e *Exec) Done() bool { return e.pos >= len(e.prog.Ops) }
 
-// Pos reports the next op index.
-func (e *Exec) Pos() int { return e.pos }
-
 // Program returns the bound program.
 func (e *Exec) Program() *Program { return e.prog }
 

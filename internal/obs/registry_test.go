@@ -148,9 +148,15 @@ func TestAttachStatsSumsAcrossSinks(t *testing.T) {
 // job): registration, AttachStats, Reset, and exports may interleave.
 // Instrument writes stay single-writer per the package contract, so
 // each goroutine uses its own names.
+// TestConcurrentRegistration registers, attaches and exports from
+// concurrent goroutines. Instruments are single-writer and read after
+// the run, so a barrier holds every export until all increments are
+// done; registration, AttachStats and Snapshot still interleave after
+// it.
 func TestConcurrentRegistration(t *testing.T) {
 	r := NewRegistry()
-	var wg sync.WaitGroup
+	var wg, incremented sync.WaitGroup
+	incremented.Add(8)
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(id int) {
@@ -162,6 +168,9 @@ func TestConcurrentRegistration(t *testing.T) {
 				c.Inc()
 				h.Observe(int64(j))
 			}
+			incremented.Done()
+			incremented.Wait()
+			s.Counter("late")
 			sink := sim.NewStats()
 			*sink.Counter("shared.total") = 1
 			r.AttachStats(sink)
@@ -177,6 +186,10 @@ func TestConcurrentRegistration(t *testing.T) {
 		name := "worker." + string(rune('a'+i)) + ".count"
 		if snap[name] != 100 {
 			t.Fatalf("%s = %d, want 100", name, snap[name])
+		}
+		late := "worker." + string(rune('a'+i)) + ".late"
+		if v, ok := snap[late]; !ok || v != 0 {
+			t.Fatalf("%s = %d (registered %v), want a registered 0", late, v, ok)
 		}
 	}
 }

@@ -1146,9 +1146,7 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 			}
 			c.slots[j.slot] = true
 		}
-		lo, hi := m.curProg().VASpan()
-		vbase := mem.VirtAddr(mem.PageAlignDown(mem.PhysAddr(lo)))
-		size := uint64(mem.PageAlignUp(mem.PhysAddr(hi)) - mem.PhysAddr(vbase))
+		vbase, size := mem.PageWindow(m.curProg().VASpan())
 		rep := s.deps.Monitor.Dispatch(monitor.Call{
 			Func: monitor.FnMapNonSecure,
 			Args: []uint64{uint64(c.id), uint64(j.slot), uint64(vbase), uint64(m.task.Chunk), size},

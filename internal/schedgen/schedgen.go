@@ -46,9 +46,6 @@ func (s *ByteSource) Next() byte {
 	return b
 }
 
-// Exhausted reports whether every input byte has been consumed.
-func (s *ByteSource) Exhausted() bool { return s.off >= len(s.buf) }
-
 // Uint16 reads two bytes big-endian.
 func (s *ByteSource) Uint16() uint16 { return uint16(s.Next())<<8 | uint16(s.Next()) }
 

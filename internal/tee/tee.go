@@ -32,9 +32,6 @@ type Context struct {
 // World reports the hardware world this context executes in.
 func (c Context) World() mem.World { return c.world }
 
-// IsSecure reports whether the context is the secure world.
-func (c Context) IsSecure() bool { return c.world == mem.Secure }
-
 // RequireSecure returns ErrPrivilege unless the context is secure.
 // Every "secure instruction" in the sNPU design funnels through this.
 func (c Context) RequireSecure() error {

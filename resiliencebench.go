@@ -36,57 +36,17 @@ var (
 	resilienceFaultRatesPerM = []float64{0.1, 1}
 )
 
-// ResilienceBenchRow is one (fault rate, load) cell.
-type ResilienceBenchRow struct {
-	FaultPerM float64
-	LoadPerM  float64
-	Requests  int
-	Completed int
-	// GoodputPerM is deadline-met completions per million cycles of
-	// makespan (every request carries a deadline, so completed ==
-	// deadline-met by construction).
-	GoodputPerM float64
-	P50, P99    sim.Cycle
-	Retries     int
-	Recovered   int
-	Shed        int
-	Dropped     int
-	Aborted     int
-	Rejected    int
-	FlushCycles sim.Cycle
-	Makespan    sim.Cycle
-}
-
-// ResilienceBenchResult is the full grid.
-type ResilienceBenchResult struct {
-	Seed int64
-	Rows []ResilienceBenchRow
-}
-
-// TableString renders the grid.
-func (r *ResilienceBenchResult) TableString() string {
-	header := []string{"fault/Mcyc", "load/Mcyc", "reqs", "done", "goodput/Mcyc",
-		"p50-cyc", "p99-cyc", "retries", "recovered", "shed", "drop", "abort", "rej", "flush-cyc"}
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%g", row.FaultPerM),
-			fmt.Sprintf("%g", row.LoadPerM),
-			fmt.Sprintf("%d", row.Requests),
-			fmt.Sprintf("%d", row.Completed),
-			fmt.Sprintf("%.3f", row.GoodputPerM),
-			fmt.Sprintf("%d", row.P50),
-			fmt.Sprintf("%d", row.P99),
-			fmt.Sprintf("%d", row.Retries),
-			fmt.Sprintf("%d", row.Recovered),
-			fmt.Sprintf("%d", row.Shed),
-			fmt.Sprintf("%d", row.Dropped),
-			fmt.Sprintf("%d", row.Aborted),
-			fmt.Sprintf("%d", row.Rejected),
-			fmt.Sprintf("%d", row.FlushCycles),
-		})
-	}
-	return experiments.Table(header, rows)
+// Every request carries a deadline, so completed == deadline-met and
+// the completion rate is the goodput.
+var resilienceCols = []experiments.Column[Episode]{
+	experiments.Col("fault/Mcyc", "%g", func(e Episode) any { return e.FaultPerM }),
+	colLoad, colRequests, colDone,
+	experiments.Col("goodput/Mcyc", "%.3f", func(e Episode) any { return e.CompletedPerMcyc() }),
+	colP50, colP99,
+	experiments.Col("retries", "%d", func(e Episode) any { return e.Report.Retries }),
+	experiments.Col("recovered", "%d", func(e Episode) any { return e.Report.Recovered }),
+	experiments.Col("shed", "%d", func(e Episode) any { return e.Shed }),
+	colDrop, colAbort, colRej, colFlush,
 }
 
 // resilienceHorizon is the fault-plan horizon for one cell: a
@@ -97,11 +57,11 @@ func resilienceHorizon(load float64, requests int) sim.Cycle {
 	return sim.Cycle(float64(requests)/load*1e6) + 100_000_000
 }
 
-// ResilienceTrace is ServeTrace with every request deadlined: the
+// resilienceTrace is ServeTrace with every request deadlined: the
 // sparse start deadlines ServeTrace already assigns stay, and every
 // other request gets a looser finish deadline at arrival + 16/load
-// Mcyc. Exposed so differential tests replay the bench's exact trace.
-func ResilienceTrace(seed int64, loadPerM float64, n, tenants int) []sched.Request {
+// Mcyc.
+func resilienceTrace(seed int64, loadPerM float64, n, tenants int) []sched.Request {
 	reqs := ServeTrace(seed, loadPerM, n, tenants)
 	for i := range reqs {
 		if reqs[i].Deadline == 0 {
@@ -113,56 +73,37 @@ func ResilienceTrace(seed int64, loadPerM float64, n, tenants int) []sched.Reque
 
 // ResilienceBench runs the grid; small selects the CI smoke shape
 // (12 requests, one load of 0.4/Mcyc, both fault rates). Each cell
-// installs a seeded transient-fault plan on a pooled protected SoC,
+// installs a seeded transient-fault plan on a pooled protected SoC and
 // replays the deadlined trace through one scheduler episode with
-// retries and queue bounds armed, and summarizes the report.
-func ResilienceBench(seed int64, small bool) (*ResilienceBenchResult, error) {
+// retries and queue bounds armed.
+func ResilienceBench(seed int64, small bool) (*experiments.Result[Episode], error) {
 	requests, loads := resilienceRequests, resilienceLoadsPerM
 	if small {
 		requests, loads = 12, []float64{0.4}
 	}
 	rates := resilienceFaultRatesPerM
-	rows, err := experiments.MapIndexed(len(rates)*len(loads), func(i int) (ResilienceBenchRow, error) {
+	rows, err := experiments.MapIndexed(len(rates)*len(loads), func(i int) (Episode, error) {
 		rate, load := rates[i/len(loads)], loads[i%len(loads)]
-		row, err := resilienceCell(seed+int64(i)*104729, rate, load, requests)
+		ep, err := resilienceCell(seed+int64(i)*104729, rate, load, requests)
 		if err != nil {
-			return ResilienceBenchRow{}, fmt.Errorf("resilience cell fault=%g load=%g: %w", rate, load, err)
+			return Episode{}, fmt.Errorf("resilience cell fault=%g load=%g: %w", rate, load, err)
 		}
-		return row, nil
+		return ep, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &ResilienceBenchResult{Seed: seed, Rows: rows}, nil
+	return &experiments.Result[Episode]{Rows: rows, Cols: resilienceCols}, nil
 }
 
-func resilienceCell(seed int64, rate, load float64, requests int) (ResilienceBenchRow, error) {
+func resilienceCell(seed int64, rate, load float64, requests int) (Episode, error) {
 	plan := fault.Generate(seed, resilienceHorizon(load, requests), fault.TransientRates(rate))
-	trace := ResilienceTrace(seed, load, requests, resilienceTenants)
-	rep, shed, err := runEpisode(seed, resilienceTenants, &plan, sched.Config{
+	ep, err := runEpisode(seed, resilienceTenants, &plan, sched.Config{
 		Cores:             []int{0, 1, 2, 3},
 		MaxRestarts:       2,
 		MaxQueuePerTenant: 5,
-	}, trace, func(blobKey string) []byte { return []byte("resilience model " + blobKey) })
-	if err != nil {
-		return ResilienceBenchRow{}, err
-	}
-	row := ResilienceBenchRow{
-		FaultPerM:   rate,
-		LoadPerM:    load,
-		Requests:    len(trace) - shed,
-		Completed:   rep.Completed,
-		GoodputPerM: perMcyc(rep.Completed, rep.Makespan),
-		Retries:     rep.Retries,
-		Recovered:   rep.Recovered,
-		// Shed at admission counts with the victims shed mid-trace.
-		Shed:        shed + rep.Shed,
-		Dropped:     rep.Dropped,
-		Aborted:     rep.Aborted,
-		Rejected:    rep.Rejected,
-		FlushCycles: rep.FlushCycles,
-		Makespan:    rep.Makespan,
-	}
-	row.P50, row.P99 = percentiles(completedLatencies(rep))
-	return row, nil
+	}, resilienceTrace(seed, load, requests, resilienceTenants),
+		func(blobKey string) []byte { return []byte("resilience model " + blobKey) })
+	ep.FaultPerM, ep.LoadPerM = rate, load
+	return ep, err
 }

@@ -32,56 +32,11 @@ var serveLoadsPerM = []float64{0.05, 0.2, 0.8}
 // workloads so the sweep stays fast).
 var serveModels = []string{"mobilenet", "yololite", "alexnet"}
 
-// ServeBenchRow is one load point.
-type ServeBenchRow struct {
-	LoadPerM  float64
-	Requests  int
-	Completed int
-	Dropped   int
-	Aborted   int
-	Rejected  int
-	Makespan  sim.Cycle
-	// ThroughputPerM is completed requests per million cycles of
-	// makespan.
-	ThroughputPerM float64
-	P50, P99       sim.Cycle
-	Preemptions    int
-	BatchedRuns    int
-	FlushCycles    sim.Cycle
-	// Fairness is Jain's index over per-tenant completed counts
-	// (1.0 = perfectly even service).
-	Fairness float64
-}
-
-// ServeBenchResult is the full sweep.
-type ServeBenchResult struct {
-	Seed int64
-	Rows []ServeBenchRow
-}
-
-// TableString renders the sweep.
-func (r *ServeBenchResult) TableString() string {
-	header := []string{"load/Mcyc", "reqs", "done", "drop", "abort", "rej",
-		"thru/Mcyc", "p50-cyc", "p99-cyc", "preempts", "batched", "flush-cyc", "fairness"}
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%g", row.LoadPerM),
-			fmt.Sprintf("%d", row.Requests),
-			fmt.Sprintf("%d", row.Completed),
-			fmt.Sprintf("%d", row.Dropped),
-			fmt.Sprintf("%d", row.Aborted),
-			fmt.Sprintf("%d", row.Rejected),
-			fmt.Sprintf("%.3f", row.ThroughputPerM),
-			fmt.Sprintf("%d", row.P50),
-			fmt.Sprintf("%d", row.P99),
-			fmt.Sprintf("%d", row.Preemptions),
-			fmt.Sprintf("%d", row.BatchedRuns),
-			fmt.Sprintf("%d", row.FlushCycles),
-			fmt.Sprintf("%.3f", row.Fairness),
-		})
-	}
-	return experiments.Table(header, rows)
+var serveCols = []experiments.Column[Episode]{
+	colLoad, colRequests, colDone, colDrop, colAbort, colRej,
+	experiments.Col("thru/Mcyc", "%.3f", func(e Episode) any { return e.CompletedPerMcyc() }),
+	colP50, colP99, colPreempts, colBatched, colFlush,
+	experiments.Col("fairness", "%.3f", func(e Episode) any { return e.Fairness() }),
 }
 
 // ServeTrace generates the deterministic request trace for one load
@@ -115,66 +70,26 @@ func ServeTrace(seed int64, loadPerM float64, n, tenants int) []sched.Request {
 }
 
 // ServeBench runs the load sweep. Each load point replays the seeded
-// trace through one scheduler episode on a pooled protected SoC and
-// summarizes the report.
-func ServeBench(seed int64) (*ServeBenchResult, error) {
-	rows, err := experiments.MapIndexed(len(serveLoadsPerM), func(i int) (ServeBenchRow, error) {
+// trace through one scheduler episode on a pooled protected SoC.
+func ServeBench(seed int64) (*experiments.Result[Episode], error) {
+	rows, err := experiments.MapIndexed(len(serveLoadsPerM), func(i int) (Episode, error) {
 		load := serveLoadsPerM[i]
-		row, err := serveLoadPoint(seed+int64(i)*104729, load, serveRequests)
+		ep, err := serveLoadPoint(seed+int64(i)*104729, load, serveRequests)
 		if err != nil {
-			return ServeBenchRow{}, fmt.Errorf("serve load %g: %w", load, err)
+			return Episode{}, fmt.Errorf("serve load %g: %w", load, err)
 		}
-		return row, nil
+		return ep, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &ServeBenchResult{Seed: seed, Rows: rows}, nil
+	return &experiments.Result[Episode]{Rows: rows, Cols: serveCols}, nil
 }
 
-func serveLoadPoint(seed int64, load float64, requests int) (ServeBenchRow, error) {
-	rep, _, err := runEpisode(seed, serveTenants, nil, sched.Config{Cores: []int{0, 1, 2, 3}},
+func serveLoadPoint(seed int64, load float64, requests int) (Episode, error) {
+	ep, err := runEpisode(seed, serveTenants, nil, sched.Config{Cores: []int{0, 1, 2, 3}},
 		ServeTrace(seed, load, requests, serveTenants),
 		func(blobKey string) []byte { return []byte("serve model " + blobKey) })
-	if err != nil {
-		return ServeBenchRow{}, err
-	}
-	row := ServeBenchRow{
-		LoadPerM:       load,
-		Requests:       len(rep.Results),
-		Completed:      rep.Completed,
-		Dropped:        rep.Dropped,
-		Aborted:        rep.Aborted,
-		Rejected:       rep.Rejected,
-		Makespan:       rep.Makespan,
-		ThroughputPerM: perMcyc(rep.Completed, rep.Makespan),
-		Preemptions:    rep.Preemptions,
-		BatchedRuns:    rep.BatchedRuns,
-		FlushCycles:    rep.FlushCycles,
-	}
-	row.P50, row.P99 = percentiles(completedLatencies(rep))
-	perTenant := map[string]float64{}
-	for _, r := range rep.Results {
-		if r.Completed {
-			perTenant[r.Tenant]++
-		}
-	}
-	row.Fairness = jain(perTenant)
-	return row, nil
-}
-
-// jain is Jain's fairness index over the map's values.
-func jain(xs map[string]float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, sumSq float64
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
+	ep.LoadPerM = load
+	return ep, err
 }

@@ -248,6 +248,12 @@ func (s *System) RunModel(name string) (InferenceResult, error) {
 // history (use TimeShare or the NPU's lower-level API for genuinely
 // concurrent execution).
 func (s *System) RunWorkload(w workload.Workload) (InferenceResult, error) {
+	return s.runWorkload(w, nil)
+}
+
+// runWorkload is the body of RunWorkload and RunWorkloadTraced: a
+// non-nil rec records the run's timeline.
+func (s *System) runWorkload(w workload.Workload, rec *trace.Recorder) (InferenceResult, error) {
 	s.soc.NPU.ResetTiming()
 	task, err := s.drv.Submit(w, 0, false)
 	if err != nil {
@@ -261,7 +267,7 @@ func (s *System) RunWorkload(w workload.Workload) (InferenceResult, error) {
 	if err := s.mapNonSecure(0, task); err != nil {
 		return InferenceResult{}, err
 	}
-	cycles, err := s.drv.RunSolo(core, task)
+	cycles, err := s.drv.RunSolo(core, task, rec)
 	if err != nil {
 		return InferenceResult{}, err
 	}
@@ -281,9 +287,7 @@ func (s *System) mapNonSecure(core int, task *driver.Task) error {
 	if s.mon == nil {
 		return nil
 	}
-	lo, hi := task.Program.VASpan()
-	vbase := mem.VirtAddr(mem.PageAlignDown(mem.PhysAddr(lo)))
-	size := uint64(mem.PageAlignUp(mem.PhysAddr(hi)) - mem.PhysAddr(vbase))
+	vbase, size := mem.PageWindow(task.Program.VASpan())
 	slot := s.nextSlot[core]%(guarder.DefaultTransRegs-1) + 1 // slot 0 is reserved for secure tasks
 	s.nextSlot[core]++
 	rep := s.mon.Dispatch(monitor.Call{
@@ -308,19 +312,6 @@ func (s *System) RunModelTraced(name string, w io.Writer) (InferenceResult, erro
 // RunWorkloadTraced is RunModelTraced for a caller-provided workload
 // (e.g. one lowered from a graph-IR file).
 func (s *System) RunWorkloadTraced(wl workload.Workload, w io.Writer) (InferenceResult, error) {
-	s.soc.NPU.ResetTiming()
-	task, err := s.drv.Submit(wl, 0, false)
-	if err != nil {
-		return InferenceResult{}, err
-	}
-	defer func() { _ = s.drv.Release(task) }()
-	core, err := s.soc.NPU.Core(0)
-	if err != nil {
-		return InferenceResult{}, err
-	}
-	if err := s.mapNonSecure(0, task); err != nil {
-		return InferenceResult{}, err
-	}
 	// With span-recording observability enabled, reuse its recorder so
 	// component spans (noc.send, dma.mvin, iotlb.walk, ...) land on the
 	// same Chrome timeline as the op events.
@@ -328,19 +319,11 @@ func (s *System) RunWorkloadTraced(wl workload.Workload, w io.Writer) (Inference
 	if rec == nil {
 		rec = trace.New(1 << 20)
 	}
-	cycles, err := s.drv.RunSoloTraced(core, task, rec)
+	res, err := s.runWorkload(wl, rec)
 	if err != nil {
 		return InferenceResult{}, err
 	}
-	if err := rec.ExportChrome(w); err != nil {
-		return InferenceResult{}, err
-	}
-	return InferenceResult{
-		Model:       wl.Name,
-		Cycles:      cycles,
-		Utilization: npu.Utilization(task.Program, cycles, s.cfg.NPU.SystolicDim),
-		MACs:        task.Program.TotalMACs,
-	}, nil
+	return res, rec.ExportChrome(w)
 }
 
 // SecureTaskHandle identifies a verified secure task. It keeps the
@@ -524,9 +507,7 @@ func (s *System) RunModelParallel(name string, cores []int, mode TransferMode) (
 	var mapWindow npu.MapWindow
 	if s.mon != nil {
 		mapWindow = func(coreID int, prog *npu.Program) error {
-			lo, hi := prog.VASpan()
-			vbase := mem.VirtAddr(mem.PageAlignDown(mem.PhysAddr(lo)))
-			size := uint64(mem.PageAlignUp(mem.PhysAddr(hi)) - mem.PhysAddr(vbase))
+			vbase, size := mem.PageWindow(prog.VASpan())
 			// Slice window onto a per-core cut of reserved memory.
 			pa := experiments.ReservedBase + mem.PhysAddr(uint64(coreID)*(experiments.ReservedSize/16))
 			if err := s.mon.MapNonSecure(coreID, 1, vbase, pa, size); err != nil {

@@ -24,11 +24,11 @@ func renderSystemScenario(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 
-	row, err := serveLoadPoint(3, 0.2, 12)
+	ep, err := serveLoadPoint(3, 0.2, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.WriteString((&ServeBenchResult{Rows: []ServeBenchRow{row}}).TableString())
+	buf.WriteString(experiments.Render([]Episode{ep}, serveCols))
 
 	sys, err := acquireSystem()
 	if err != nil {
