@@ -301,13 +301,13 @@ func main() {
 
 	var overheadPct float64
 	if *metricsOverhead {
-		pct, err := measureMetricsOverhead()
+		rd, err := measureMetricsOverhead()
 		if err != nil {
 			fatal(err)
 		}
-		overheadPct = pct
-		fmt.Fprintf(os.Stderr, "snpu-bench: metrics overhead %.2f%% enabled vs disabled (limit %.1f%%)\n",
-			pct, metricsOverheadLimitPct)
+		overheadPct = rd.pct
+		fmt.Fprintf(os.Stderr, "snpu-bench: metrics overhead %.2f%% enabled vs disabled (disabled first %.2f%%, enabled first %.2f%%; limit %.1f%%)\n",
+			rd.pct, rd.offFirst, rd.onFirst, metricsOverheadLimitPct)
 	}
 
 	snap := newSnapshot(*jobs, measured, seqMeasured)

@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	snpu "repro"
 	"repro/internal/experiments"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Metrics support for the bench harness: -metrics-dir exports one
@@ -62,71 +65,115 @@ func writeExperimentMetrics(dir, name string, sinks []*sim.Stats) error {
 
 // overheadProbeRounds / overheadProbeRepeats size the overhead
 // measurement: each round times overheadProbeRepeats back-to-back
-// inferences and the best round is kept, which filters scheduler
-// noise the way testing.B's best-of repetitions do.
+// inferences with the observer detached and attached, and the reading
+// is the median over rounds of the attached/detached ratio, which
+// filters scheduler noise and host speed drift (both halves of a round
+// run within milliseconds).
 const (
-	overheadProbeRounds  = 5
-	overheadProbeRepeats = 3
+	overheadProbeRounds  = 300
+	overheadProbeRepeats = 10
 	overheadProbeModel   = "yololite"
 )
 
-// probeMetricsWall times the probe workload on a freshly booted
-// protected SoC, with or without the observability layer, returning
-// the best round's wall time and the (deterministic) cycle count.
-func probeMetricsWall(enable bool) (time.Duration, sim.Cycle, error) {
-	sys, err := snpu.New(snpu.DefaultConfig())
-	if err != nil {
-		return 0, 0, err
-	}
-	if enable {
-		sys.EnableObservability(obs.Config{})
-	}
-	// Warmup run: pays one-time compilation/alloc costs and pins the
-	// cycle count the timed rounds must reproduce.
-	res, err := sys.RunModel(overheadProbeModel)
-	if err != nil {
-		return 0, 0, err
-	}
-	best := time.Duration(0)
-	for r := 0; r < overheadProbeRounds; r++ {
-		start := time.Now()
-		for i := 0; i < overheadProbeRepeats; i++ {
-			rr, err := sys.RunModel(overheadProbeModel)
-			if err != nil {
-				return 0, 0, err
-			}
-			if rr.Cycles != res.Cycles {
-				return 0, 0, fmt.Errorf("metrics probe: cycle drift across repeats (%d vs %d)", rr.Cycles, res.Cycles)
-			}
-		}
-		if d := time.Since(start); best == 0 || d < best {
-			best = d
-		}
-	}
-	return best, res.Cycles, nil
+// overheadReading is the probe's result in percent: the median over
+// rounds of attached/detached wall time minus one, over all rounds and
+// over the rounds in which each side ran first.
+type overheadReading struct {
+	pct, offFirst, onFirst float64
 }
 
 // measureMetricsOverhead reports the observability layer's wall-time
-// overhead in percent on the probe workload. It also proves the layer
-// is passive: the simulated cycle count must be identical with the
-// layer on and off, or the probe errors out.
-func measureMetricsOverhead() (float64, error) {
-	offWall, offCycles, err := probeMetricsWall(false)
+// overhead on the probe workload. One protected SoC holds one task,
+// compiled and mapped before any timing so no timed run compiles, and
+// each round runs it with the SoC's observer detached and attached,
+// alternating which goes first. Both sides share the SoC and its
+// memory, so the ratio holds only the instrumentation's cost. It also
+// proves the layer is passive: every run must reproduce the first
+// run's cycle count, or the probe errors out.
+func measureMetricsOverhead() (overheadReading, error) {
+	sys, err := snpu.New(snpu.DefaultConfig())
 	if err != nil {
-		return 0, err
+		return overheadReading{}, err
 	}
-	onWall, onCycles, err := probeMetricsWall(true)
+	o := sys.EnableObservability(obs.Config{})
+	w, err := workload.Lookup(overheadProbeModel)
 	if err != nil {
-		return 0, err
+		return overheadReading{}, err
 	}
-	if onCycles != offCycles {
-		return 0, fmt.Errorf("metrics probe: observability changed simulated timing (%d cycles enabled vs %d disabled)",
-			onCycles, offCycles)
+	task, err := sys.Driver().Submit(w, 0, false)
+	if err != nil {
+		return overheadReading{}, err
 	}
-	// The delta is kept signed: a negative reading (enabled measured
-	// faster) is scheduler noise and is recorded as such rather than
-	// rounded to a too-clean zero.
-	return (float64(onWall) - float64(offWall)) / float64(offWall) * 100, nil
+	vbase, size := mem.PageWindow(task.Program.VASpan())
+	if err := sys.Monitor().MapNonSecure(0, 1, vbase, task.Chunk, size); err != nil {
+		return overheadReading{}, err
+	}
+	core, err := sys.NPU().Core(0)
+	if err != nil {
+		return overheadReading{}, err
+	}
+	var want sim.Cycle
+	var wall [2]time.Duration // by side: 0 = detached, 1 = attached
+	run := func(side int) error {
+		if side == 1 {
+			sys.NPU().AttachObserver(o)
+		} else {
+			sys.NPU().AttachObserver(nil)
+		}
+		start := time.Now()
+		for i := 0; i < overheadProbeRepeats; i++ {
+			sys.NPU().ResetTiming()
+			cycles, err := sys.Driver().RunSolo(core, task, nil)
+			if err != nil {
+				return err
+			}
+			if want == 0 {
+				want = cycles
+			}
+			if cycles != want {
+				return fmt.Errorf("metrics probe: observability changed simulated timing (%d cycles, want %d)", cycles, want)
+			}
+		}
+		wall[side] = time.Since(start)
+		return nil
+	}
+	// One untimed round per side: both reach steady state.
+	if err := run(0); err != nil {
+		return overheadReading{}, err
+	}
+	if err := run(1); err != nil {
+		return overheadReading{}, err
+	}
+	var ratios [2][]float64 // by the side that ran first
+	for r := 0; r < overheadProbeRounds; r++ {
+		first := r % 2
+		if err := run(first); err != nil {
+			return overheadReading{}, err
+		}
+		if err := run(1 - first); err != nil {
+			return overheadReading{}, err
+		}
+		ratios[first] = append(ratios[first], float64(wall[1])/float64(wall[0]))
+	}
+	// The readings are kept signed: a negative one (attached measured
+	// faster) is noise and is recorded as such rather than rounded to a
+	// too-clean zero.
+	return overheadReading{
+		pct:      medianPct(append(append([]float64(nil), ratios[0]...), ratios[1]...)),
+		offFirst: medianPct(ratios[0]),
+		onFirst:  medianPct(ratios[1]),
+	}, nil
+}
+
+// medianPct returns the median of ratios as a percentage above 1.
+func medianPct(ratios []float64) float64 {
+	sort.Float64s(ratios)
+	n := len(ratios)
+	med := ratios[n/2]
+	if n%2 == 0 {
+		med = (ratios[n/2-1] + ratios[n/2]) / 2
+	}
+	return (med - 1) * 100
 }
 
 // collectExperimentMetrics wraps one experiment run with a stats

@@ -54,18 +54,21 @@ type Config struct {
 	BytesPerCycle uint64
 	// RequestLatency is the fixed DRAM access latency per request.
 	RequestLatency sim.Cycle
-	// WatchdogCycles is how long a stalled request waits before the
-	// watchdog fires and the engine reissues it (0 = default 2000).
-	WatchdogCycles sim.Cycle
-	// RetryLimit bounds watchdog-driven reissues per request
-	// (0 = default 3); past it the request fails with ErrStalled.
-	RetryLimit int
 }
 
 // DefaultConfig matches the paper's SoC (Table II).
 func DefaultConfig() Config {
-	return Config{BytesPerCycle: 16, RequestLatency: 100, WatchdogCycles: 2000, RetryLimit: 3}
+	return Config{BytesPerCycle: 16, RequestLatency: 100}
 }
+
+const (
+	// watchdogCycles is how long a stalled request waits before the
+	// watchdog fires and the engine retries it.
+	watchdogCycles sim.Cycle = 2000
+	// retryLimit bounds watchdog-driven retries per request; past it
+	// the request fails with ErrStalled.
+	retryLimit = 3
+)
 
 // Request describes one DMA transfer of a contiguous region.
 type Request struct {
@@ -99,11 +102,10 @@ type Engine struct {
 
 	// Observability: pre-resolved instruments, nil unless AttachObserver
 	// was called. core labels this engine's spans on the timeline.
-	obsXfer  *obs.Histogram
-	obsRetry *obs.Counter
-	obsRec   *trace.Recorder
-	obsProf  *obs.Profiler
-	core     int
+	obsXfer *obs.Histogram
+	obsRec  *trace.Recorder
+	obsProf *obs.Profiler
+	core    int
 }
 
 // AttachL2 routes this engine's traffic through a shared L2: hits are
@@ -116,18 +118,16 @@ func (e *Engine) AttachInjector(inj *fault.Injector) { e.inj = inj }
 
 // AttachObserver wires the engine into an observability layer: a span
 // per burst, a dma.xfer.cycles histogram of end-to-end request
-// latency, a dma.retry.count counter of watchdog reissues, and a
-// dma.chan.backlog profiling hook sampling how far ahead the shared
-// DRAM channel is booked. core labels this engine's spans. Nil
-// detaches.
+// latency, and a dma.chan.backlog profiling hook sampling how far
+// ahead the shared DRAM channel is booked into dma.chan.backlog.samples.
+// core labels this engine's spans. Nil detaches.
 func (e *Engine) AttachObserver(o *obs.Observer, core int) {
 	if o == nil {
-		e.obsXfer, e.obsRetry, e.obsRec, e.obsProf = nil, nil, nil, nil
+		e.obsXfer, e.obsRec, e.obsProf = nil, nil, nil
 		return
 	}
 	e.core = core
-	e.obsXfer = o.Registry().Histogram("dma.xfer.cycles", obs.DefaultCycleBuckets())
-	e.obsRetry = o.Registry().Counter("dma.retry.count")
+	e.obsXfer = o.Registry().Histogram("dma.xfer.cycles")
 	e.obsRec = o.Trace()
 	e.obsProf = o.Profiler()
 	e.obsProf.Register("dma.chan.backlog", func(now sim.Cycle) int64 {
@@ -159,12 +159,6 @@ func (e *Engine) recordXfer(dir Direction, at, done sim.Cycle) {
 // New wires a DMA engine to its translator, the shared DRAM channel,
 // and physical memory (used only by functional transfers).
 func New(cfg Config, xl xlate.Translator, channel *sim.Resource, phys *mem.Physical, stats *sim.Stats) *Engine {
-	if cfg.WatchdogCycles <= 0 {
-		cfg.WatchdogCycles = 2000
-	}
-	if cfg.RetryLimit <= 0 {
-		cfg.RetryLimit = 3
-	}
 	return &Engine{cfg: cfg, xl: xl, chan_: channel, phys: phys, stats: stats}
 }
 
@@ -201,30 +195,23 @@ func (e *Engine) count(req Request) {
 
 // applyStalls consumes due DMA-stall events. Each one freezes the
 // request until the engine's watchdog fires, then reissues it with a
-// doubled (capped) backoff; past RetryLimit the request fails closed.
+// doubled (capped) backoff; past retryLimit the request fails closed.
 func (e *Engine) applyStalls(issue sim.Cycle) (sim.Cycle, error) {
 	if !e.inj.Enabled() {
 		return issue, nil
 	}
-	backoff := e.cfg.WatchdogCycles
+	backoff := watchdogCycles
 	for attempt := 0; ; attempt++ {
 		if _, ok := e.inj.Take(fault.DMAStall, issue); !ok {
 			return issue, nil
 		}
-		if e.stats != nil {
-			e.stats.Inc(sim.CtrDMATimeouts)
-		}
-		if attempt >= e.cfg.RetryLimit {
+		e.stats.Inc(sim.CtrDMATimeouts)
+		if attempt >= retryLimit {
 			return 0, ErrStalled
 		}
-		if e.stats != nil {
-			e.stats.Inc(sim.CtrDMARetries)
-		}
-		if e.obsRetry != nil {
-			e.obsRetry.Inc()
-		}
+		e.stats.Inc(sim.CtrDMARetries)
 		issue += backoff
-		if backoff < e.cfg.WatchdogCycles*8 {
+		if backoff < watchdogCycles*8 {
 			backoff *= 2
 		}
 	}

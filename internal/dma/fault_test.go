@@ -32,8 +32,8 @@ func TestDMAStallWatchdogRetries(t *testing.T) {
 		t.Fatalf("stall not recovered: %v", err)
 	}
 	// One watchdog timeout delays the request by the watchdog period.
-	if done != cleanDone+DefaultConfig().WatchdogCycles {
-		t.Fatalf("done = %d, want %d", done, cleanDone+DefaultConfig().WatchdogCycles)
+	if done != cleanDone+watchdogCycles {
+		t.Fatalf("done = %d, want %d", done, cleanDone+watchdogCycles)
 	}
 	if f.stats.Get(sim.CtrDMATimeouts) != 1 || f.stats.Get(sim.CtrDMARetries) != 1 {
 		t.Fatalf("counters: timeouts=%d retries=%d", f.stats.Get(sim.CtrDMATimeouts), f.stats.Get(sim.CtrDMARetries))
@@ -44,7 +44,7 @@ func TestDMAStallWatchdogRetries(t *testing.T) {
 }
 
 func TestDMAStallsExhaustRetriesFailClosed(t *testing.T) {
-	// RetryLimit is 3: four due stall events exceed it.
+	// retryLimit is 3: four due stall events exceed it.
 	events := make([]fault.Event, 4)
 	for i := range events {
 		events[i] = fault.Event{At: 0, Kind: fault.DMAStall}

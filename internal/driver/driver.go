@@ -212,9 +212,7 @@ func (d *Driver) RunTimeShared(core *npu.Core, tasks []*Task, gran spad.FlushGra
 				res.FlushCycles += cost
 			}
 			res.Switches++
-			if d.stats != nil {
-				d.stats.Inc(sim.CtrCtxSwitches)
-			}
+			d.stats.Inc(sim.CtrCtxSwitches)
 			cur = next
 		}
 	}

@@ -217,10 +217,8 @@ func (i *Injector) Take(k Kind, now sim.Cycle) (Event, bool) {
 	i.queues[k] = q[1:]
 	i.remaining--
 	i.injected++
-	if i.stats != nil {
-		i.stats.Inc(sim.CtrFaultsInjected)
-		i.stats.Inc(sim.CtrFaultsInjected + "." + k.String())
-	}
+	i.stats.Inc(sim.CtrFaultsInjected)
+	i.stats.Inc(sim.CtrFaultsInjected + "." + k.String())
 	if i.obsRec != nil {
 		// Span from the scheduled cycle to the access that absorbed it —
 		// the injection-to-landing latency of the pull model.

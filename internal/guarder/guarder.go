@@ -194,9 +194,7 @@ func (g *Guarder) Translate(req xlate.Request, at sim.Cycle) (xlate.Result, erro
 		}
 	}
 	if !found {
-		if g.stats != nil {
-			g.stats.Inc(sim.CtrGuarderDenied)
-		}
+		g.stats.Inc(sim.CtrGuarderDenied)
 		return xlate.Result{}, fmt.Errorf("%w: va %#x +%d", ErrNoTranslation, uint64(req.VA), req.Bytes)
 	}
 	for _, cr := range g.checks {
@@ -204,9 +202,7 @@ func (g *Guarder) Translate(req xlate.Request, at sim.Cycle) (xlate.Result, erro
 			return xlate.Result{PA: pa}, nil
 		}
 	}
-	if g.stats != nil {
-		g.stats.Inc(sim.CtrGuarderDenied)
-	}
+	g.stats.Inc(sim.CtrGuarderDenied)
 	return xlate.Result{}, fmt.Errorf("%w: pa %#x +%d need %s world %s",
 		ErrDenied, uint64(pa), req.Bytes, req.Need, req.World)
 }

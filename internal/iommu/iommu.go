@@ -92,7 +92,7 @@ func (u *IOMMU) AttachObserver(o *obs.Observer) {
 		u.obsWalk, u.obsRec = nil, nil
 		return
 	}
-	u.obsWalk = o.Registry().Histogram("iotlb.walk.cycles", obs.DefaultCycleBuckets())
+	u.obsWalk = o.Registry().Histogram("iotlb.walk.cycles")
 	u.obsRec = o.Trace()
 }
 
@@ -118,9 +118,7 @@ func (u *IOMMU) OnContextSwitch(taskID int) {
 	u.curTask = taskID
 	if u.cfg.FlushOnContextSwitch && !first {
 		u.tlb.FlushAll()
-		if u.stats != nil {
-			u.stats.Inc(sim.CtrIOTLBFlushes)
-		}
+		u.stats.Inc(sim.CtrIOTLBFlushes)
 	}
 }
 

@@ -82,9 +82,7 @@ func (t *IOTLB) Lookup(asid int, va mem.VirtAddr) (PTE, bool) {
 			if t.parity && e.parity != entryParity(e.VPN, e.ASID, e.PTE) {
 				e.valid = false
 				t.ParityErrors++
-				if t.stats != nil {
-					t.stats.Inc(sim.CtrIOTLBParityErrors)
-				}
+				t.stats.Inc(sim.CtrIOTLBParityErrors)
 				break
 			}
 			e.lastAt = t.tick

@@ -10,7 +10,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/npu"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/spad"
 	"repro/internal/tee"
@@ -57,7 +56,7 @@ type SecureTask struct {
 // monitor's task state machine; together they make the monitor's
 // explored state space observable to the coverage-guided campaign
 // harness (internal/campaign) without changing a single simulated
-// cycle — the bitmap is passive, like the obs counters next to it.
+// cycle — the bitmap is passive, like the counters next to it.
 const (
 	TrSubmitVerified  = 16 // task verified and enqueued
 	TrSubmitBadMeas   = 17 // submit refused: measurement mismatch
@@ -99,10 +98,6 @@ type Monitor struct {
 	// transitions accumulates the state-transition coverage bitmap
 	// (see the Tr* bit constants); read through TransitionBitmap.
 	transitions uint64
-
-	// Observability: pre-resolved counters, nil unless AttachObserver
-	// was called.
-	obsCalls, obsAborts, obsRejects, obsPreempts *obs.Counter
 }
 
 // note sets one transition-coverage bit. Bits only accumulate; the
@@ -121,31 +116,8 @@ func (m *Monitor) note(bit uint) {
 // like exploring a new branch.
 func (m *Monitor) TransitionBitmap() uint64 { return m.transitions }
 
-// AttachObserver wires the monitor into an observability layer:
-// monitor.call.count per trampoline entry, monitor.abort.count per
-// fail-closed teardown, monitor.reject.count per refused request. Nil
-// detaches.
-func (m *Monitor) AttachObserver(o *obs.Observer) {
-	if o == nil {
-		m.obsCalls, m.obsAborts, m.obsRejects, m.obsPreempts = nil, nil, nil, nil
-		return
-	}
-	scope := o.Registry().Scope("monitor")
-	m.obsCalls = scope.Counter("call.count")
-	m.obsAborts = scope.Counter("abort.count")
-	m.obsRejects = scope.Counter("reject.count")
-	m.obsPreempts = scope.Counter("preempt.count")
-}
-
 // call counts one trampoline entry into the monitor.
-func (m *Monitor) call() {
-	if m.stats != nil {
-		m.stats.Inc(sim.CtrMonitorCalls)
-	}
-	if m.obsCalls != nil {
-		m.obsCalls.Inc()
-	}
-}
+func (m *Monitor) call() { m.stats.Inc(sim.CtrMonitorCalls) }
 
 // New builds the monitor. It refuses to run on a machine that has not
 // completed secure boot (the boot chain loads and verifies the monitor
@@ -173,8 +145,7 @@ func New(machine *tee.Machine, acc *npu.NPU, guarders map[int]*guarder.Guarder, 
 // task IDs restart at 1, and the transition-coverage bitmap clears.
 // The caller must re-run SetupPlatform afterwards (System.Reset does)
 // so the guarders' static checking windows are reprogrammed exactly as
-// at boot. Observability attachments are construction-scoped and left
-// to the owner.
+// at boot. Counters live in the SoC's Stats, which its owner resets.
 func (m *Monitor) Reset() {
 	clear(m.keys)
 	m.queue = nil
@@ -183,7 +154,6 @@ func (m *Monitor) Reset() {
 	m.nextID = 1
 	m.transitions = 0
 	m.alloc.Reset()
-	m.obsCalls, m.obsAborts, m.obsRejects, m.obsPreempts = nil, nil, nil, nil
 }
 
 // ProvisionKey installs a model-sealing key. In a deployment this
@@ -420,9 +390,7 @@ func (m *Monitor) Preempt(taskID int) error {
 		return m.reject(fmt.Errorf("monitor: task %d is not loaded", taskID))
 	}
 	m.note(TrPreemptLoaded)
-	if m.obsPreempts != nil {
-		m.obsPreempts.Inc()
-	}
+	m.stats.Inc(sim.CtrMonitorPreempts)
 	for _, ci := range task.Cores {
 		core, err := m.acc.Core(ci)
 		if err != nil {
@@ -467,12 +435,7 @@ func (m *Monitor) Abort(taskID int) error {
 	if !ok {
 		return m.reject(ErrUnknownTask)
 	}
-	if m.stats != nil {
-		m.stats.Inc(sim.CtrMonitorAborts)
-	}
-	if m.obsAborts != nil {
-		m.obsAborts.Inc()
-	}
+	m.stats.Inc(sim.CtrMonitorAborts)
 	if task.Loaded {
 		m.note(TrAbortLoaded)
 	} else {
@@ -611,12 +574,7 @@ func (m *Monitor) ModelBytes(ctx tee.Context, taskID int) ([]byte, error) {
 }
 
 func (m *Monitor) reject(err error) error {
-	if m.stats != nil {
-		m.stats.Inc(sim.CtrMonitorRejected)
-	}
-	if m.obsRejects != nil {
-		m.obsRejects.Inc()
-	}
+	m.stats.Inc(sim.CtrMonitorRejected)
 	return err
 }
 

@@ -59,10 +59,7 @@ func (m *Mesh) Multicast(pkt Packet, dsts []Coord, at sim.Cycle) (sim.Cycle, err
 			tree[m.linkIndex(path[i], path[i+1])] = true
 		}
 	}
-	flitCycles := sim.Cycle(pkt.Flits) * sim.Cycle(FlitBytes/m.cfg.LinkBytesPerCycle)
-	if flitCycles < sim.Cycle(pkt.Flits) {
-		flitCycles = sim.Cycle(pkt.Flits)
-	}
+	flitCycles := sim.Cycle(pkt.Flits) // one flit per link per cycle
 	// Claim the tree in two order-independent passes: find the cycle at
 	// which every branch link is free, then occupy them all from it.
 	// Claiming while folding the running max (the old single pass) let

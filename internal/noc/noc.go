@@ -83,11 +83,9 @@ type Packet struct {
 // Config describes the mesh.
 type Config struct {
 	Width, Height int
-	// RouterDelay is the per-hop head-flit latency in cycles.
+	// RouterDelay is the per-hop head-flit latency in cycles. Links
+	// carry one FlitBytes flit per cycle.
 	RouterDelay sim.Cycle
-	// LinkBytesPerCycle is the per-link bandwidth; one flit per cycle
-	// at 16B flits by default.
-	LinkBytesPerCycle int
 	// Peephole enables authentication; false models the unauthorized
 	// baseline NoC.
 	Peephole bool
@@ -108,12 +106,11 @@ type Config struct {
 func DefaultConfig(w, h int, peephole bool) Config {
 	return Config{
 		Width: w, Height: h,
-		RouterDelay:       1,
-		LinkBytesPerCycle: FlitBytes,
-		Peephole:          peephole,
-		CRC:               true,
-		RetryLimit:        3,
-		NackTimeout:       64,
+		RouterDelay: 1,
+		Peephole:    peephole,
+		CRC:         true,
+		RetryLimit:  3,
+		NackTimeout: 64,
 	}
 }
 
@@ -189,9 +186,6 @@ func NewMesh(cfg Config, stats *sim.Stats) (*Mesh, error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return nil, fmt.Errorf("noc: invalid mesh %dx%d", cfg.Width, cfg.Height)
 	}
-	if cfg.LinkBytesPerCycle <= 0 {
-		cfg.LinkBytesPerCycle = FlitBytes
-	}
 	m := &Mesh{
 		cfg:      cfg,
 		stats:    stats,
@@ -259,13 +253,14 @@ func (m *Mesh) Reset() {
 // AttachObserver wires the mesh into an observability layer: a send
 // span per delivered packet, a noc.link.stall_cycles histogram of
 // per-attempt contention stalls, and a noc.link.occupancy profiling
-// hook sampling the busiest link's claim backlog. Nil detaches.
+// hook sampling the busiest link's claim backlog into
+// noc.link.occupancy.samples. Nil detaches.
 func (m *Mesh) AttachObserver(o *obs.Observer) {
 	if o == nil {
 		m.obsStall, m.obsRec, m.obsProf = nil, nil, nil
 		return
 	}
-	m.obsStall = o.Registry().Histogram("noc.link.stall_cycles", obs.DefaultCycleBuckets())
+	m.obsStall = o.Registry().Histogram("noc.link.stall_cycles")
 	m.obsRec = o.Trace()
 	m.obsProf = o.Profiler()
 	m.obsProf.Register("noc.link.occupancy", m.linkBacklog)
@@ -299,9 +294,7 @@ func (m *Mesh) FailLink(from, to Coord) {
 	}
 	m.dead[idx] = true
 	m.deadCount++
-	if m.stats != nil {
-		m.stats.Inc(sim.CtrNoCLinksDown)
-	}
+	m.stats.Inc(sim.CtrNoCLinksDown)
 }
 
 // DeadLinks reports how many directed links have failed.
@@ -411,9 +404,7 @@ func (m *Mesh) pickRoute(src, dst Coord) ([]Coord, error) {
 	}
 	m.altBuf = alt
 	if m.pathAlive(alt) {
-		if m.stats != nil {
-			m.stats.Inc(sim.CtrNoCReroutes)
-		}
+		m.stats.Inc(sim.CtrNoCReroutes)
 		return alt, nil
 	}
 	return nil, fmt.Errorf("%w: %v->%v", ErrLinkDown, src, dst)
@@ -482,10 +473,7 @@ func (m *Mesh) Send(pkt Packet, at sim.Cycle) (sim.Cycle, error) {
 	}
 
 	hops := len(path) - 1
-	flitCycles := sim.Cycle(pkt.Flits) * sim.Cycle(FlitBytes/m.cfg.LinkBytesPerCycle)
-	if flitCycles < sim.Cycle(pkt.Flits) {
-		flitCycles = sim.Cycle(pkt.Flits)
-	}
+	flitCycles := sim.Cycle(pkt.Flits) // one flit per link per cycle
 	// Transmit, replaying on a NACK (CRC failure) or lost-packet
 	// timeout up to RetryLimit times. Each attempt claims every link on
 	// the path for the body duration; the transfer is paced by the most
@@ -510,14 +498,10 @@ func (m *Mesh) Send(pkt Packet, at sim.Cycle) (sim.Cycle, error) {
 		}
 
 		if _, ok := m.inj.Take(fault.NoCDrop, done); ok {
-			if m.stats != nil {
-				m.stats.Inc(sim.CtrNoCDrops)
-			}
+			m.stats.Inc(sim.CtrNoCDrops)
 			if m.cfg.CRC && attempt < m.cfg.RetryLimit {
 				// Sender's ACK watchdog fires and retransmits.
-				if m.stats != nil {
-					m.stats.Inc(sim.CtrNoCRetries)
-				}
+				m.stats.Inc(sim.CtrNoCRetries)
 				start = done + m.cfg.NackTimeout
 				continue
 			}
@@ -536,14 +520,10 @@ func (m *Mesh) Send(pkt Packet, at sim.Cycle) (sim.Cycle, error) {
 				m.recordSend(pkt, at, done)
 				return done, nil
 			}
-			if m.stats != nil {
-				m.stats.Inc(sim.CtrNoCCRCFail)
-			}
+			m.stats.Inc(sim.CtrNoCCRCFail)
 			if attempt < m.cfg.RetryLimit {
 				// Receive engine NACKs; sender retransmits.
-				if m.stats != nil {
-					m.stats.Inc(sim.CtrNoCRetries)
-				}
+				m.stats.Inc(sim.CtrNoCRetries)
 				start = done + m.cfg.NackTimeout
 				continue
 			}

@@ -40,13 +40,10 @@ type Config struct {
 	// NPU's DMA as bypassing the cache hierarchy, as Gemmini's does;
 	// the L2 ablation bench turns it on.
 	UseL2 bool
-	// HangWatchdog is how long a wedged core runs undetected before
-	// the per-core watchdog fires (0 = DefaultHangWatchdog).
-	HangWatchdog sim.Cycle
 }
 
-// DefaultHangWatchdog is the per-core hang-detection latency used when
-// Config.HangWatchdog is zero.
+// DefaultHangWatchdog is the per-core hang-detection latency: how long
+// a wedged core runs undetected before the per-core watchdog fires.
 const DefaultHangWatchdog sim.Cycle = 50000
 
 // DefaultConfig mirrors Table II: 16-wide systolic arrays, 256 KB

@@ -98,7 +98,7 @@ func (c *Core) AttachObserver(o *obs.Observer) {
 	c.obs = o
 	c.obsTile = nil
 	if o != nil {
-		c.obsTile = o.Registry().Histogram("npu.tile.cycles", obs.DefaultCycleBuckets())
+		c.obsTile = o.Registry().Histogram("npu.tile.cycles")
 	}
 	c.dmaEng.AttachObserver(o, c.id)
 	if a, ok := c.dmaEng.Translator().(interface{ AttachObserver(*obs.Observer) }); ok {

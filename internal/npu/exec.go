@@ -174,14 +174,8 @@ func (e *Exec) RunUntil(from sim.Cycle, boundary Boundary) (sim.Cycle, error) {
 				// whichever core is executing when it comes due.
 				e.core.inj.Observe(end)
 				if _, ok := e.core.inj.Take(fault.CoreHang, end); ok {
-					if e.core.stats != nil {
-						e.core.stats.Inc(sim.CtrCoreHangs)
-					}
-					wd := e.core.cfg.HangWatchdog
-					if wd <= 0 {
-						wd = DefaultHangWatchdog
-					}
-					return 0, &HangError{Core: e.core.id, Detected: end + wd}
+					e.core.stats.Inc(sim.CtrCoreHangs)
+					return 0, &HangError{Core: e.core.id, Detected: end + DefaultHangWatchdog}
 				}
 			}
 			if boundary(op) {

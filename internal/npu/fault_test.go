@@ -38,31 +38,6 @@ func TestCoreHangSurfacesHangError(t *testing.T) {
 	}
 }
 
-func TestHangWatchdogConfigurable(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HangWatchdog = 123
-	n := testNPU(t, cfg, nil)
-	prog, _, err := Compile(smallWorkload(), cfg, 0, DefaultLayout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := fault.NewInjector(fault.Plan{Events: []fault.Event{
-		{At: 0, Kind: fault.CoreHang},
-	}}, sim.NewStats())
-	n.AttachInjector(inj)
-	core, _ := n.Core(0)
-	_, err = NewExec(core, prog, 1).Run(0)
-	var hang *HangError
-	if !errors.As(err, &hang) {
-		t.Fatalf("err = %v, want HangError", err)
-	}
-	// Detected = first compute end + the configured watchdog; with a
-	// tiny watchdog it lands well before the default one would.
-	if hang.Detected >= DefaultHangWatchdog {
-		t.Fatalf("detected at %d with a 123-cycle watchdog", hang.Detected)
-	}
-}
-
 // An armed-but-empty injector must not change execution at all — the
 // zero-overhead-when-off invariant at the core level.
 func TestEmptyInjectorDoesNotPerturbExec(t *testing.T) {

@@ -29,9 +29,14 @@ type progKey struct {
 	layout Layout
 }
 
+// progEntry is one cached compile. done closes once prog, stats and
+// err are set; until then the entry is in flight, and callers that
+// find it wait on done instead of compiling the key again.
 type progEntry struct {
+	done  chan struct{}
 	prog  *Program
 	stats CompileStats
+	err   error
 }
 
 // progCacheMax bounds the cache. The suite uses ~10 distinct
@@ -43,10 +48,10 @@ const progCacheMax = 128
 
 var progCache = struct {
 	sync.Mutex
-	m      map[progKey]progEntry
+	m      map[progKey]*progEntry
 	hits   uint64
 	misses uint64
-}{m: make(map[progKey]progEntry)}
+}{m: make(map[progKey]*progEntry)}
 
 // fingerprintWorkload hashes the structure Compile consumes: layer
 // partitioning and every GEMM's name, dimensions, and efficiency.
@@ -80,6 +85,12 @@ func fingerprintWorkload(w workload.Workload) uint64 {
 // may be shared with concurrent experiment cells. Code that intends to
 // mutate the op stream (slicing per-core partitions, decoded task
 // images) must keep calling Compile.
+//
+// Concurrent misses on one key coalesce: the first caller publishes an
+// in-flight entry and compiles outside the lock (cells missing on
+// different keys never serialize behind one big compile); later callers
+// count a hit and wait for it. A failed compile is not cached — its
+// waiters get the same error, and the next caller compiles afresh.
 func CompileCached(w workload.Workload, cfg Config, spadBudget int, layout Layout) (*Program, CompileStats, error) {
 	key := progKey{name: w.Name, fp: fingerprintWorkload(w), cfg: cfg, budget: spadBudget, layout: layout}
 
@@ -87,31 +98,27 @@ func CompileCached(w workload.Workload, cfg Config, spadBudget int, layout Layou
 	if e, ok := progCache.m[key]; ok {
 		progCache.hits++
 		progCache.Unlock()
-		return e.prog, e.stats, nil
+		<-e.done
+		return e.prog, e.stats, e.err
 	}
 	progCache.misses++
-	progCache.Unlock()
-
-	// Compile outside the lock: concurrent cells missing on different
-	// keys should not serialize behind one big compile.
-	p, st, err := Compile(w, cfg, spadBudget, layout)
-	if err != nil {
-		return nil, CompileStats{}, err
-	}
-
-	progCache.Lock()
-	if e, ok := progCache.m[key]; ok {
-		// A racing cell compiled the same key; keep the first entry so
-		// every caller shares one instance.
-		progCache.Unlock()
-		return e.prog, e.stats, nil
-	}
 	if len(progCache.m) >= progCacheMax {
-		progCache.m = make(map[progKey]progEntry)
+		progCache.m = make(map[progKey]*progEntry)
 	}
-	progCache.m[key] = progEntry{prog: p, stats: st}
+	e := &progEntry{done: make(chan struct{})}
+	progCache.m[key] = e
 	progCache.Unlock()
-	return p, st, nil
+
+	e.prog, e.stats, e.err = Compile(w, cfg, spadBudget, layout)
+	if e.err != nil {
+		progCache.Lock()
+		if progCache.m[key] == e {
+			delete(progCache.m, key)
+		}
+		progCache.Unlock()
+	}
+	close(e.done)
+	return e.prog, e.stats, e.err
 }
 
 // ProgCacheCounters reports lifetime cache hits and misses.
@@ -125,7 +132,7 @@ func ProgCacheCounters() (hits, misses uint64) {
 func ResetProgCache() {
 	progCache.Lock()
 	defer progCache.Unlock()
-	progCache.m = make(map[progKey]progEntry)
+	progCache.m = make(map[progKey]*progEntry)
 	progCache.hits = 0
 	progCache.misses = 0
 }

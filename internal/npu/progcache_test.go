@@ -96,8 +96,8 @@ func TestCompileCachedEviction(t *testing.T) {
 
 // TestCompileCachedConcurrent hammers one key from many goroutines;
 // under -race this doubles as the data-race check for the
-// compile-outside-the-lock window. All callers must end up with the
-// same program instance (first entry wins).
+// compile-outside-the-lock window. The concurrent misses must coalesce
+// into one compile, and every caller must end up with that instance.
 func TestCompileCachedConcurrent(t *testing.T) {
 	ResetProgCache()
 	defer ResetProgCache()
@@ -131,6 +131,9 @@ func TestCompileCachedConcurrent(t *testing.T) {
 		if p != cached {
 			t.Fatalf("goroutine %d holds a non-canonical program", i)
 		}
+	}
+	if hits, misses := ProgCacheCounters(); hits != n || misses != 1 {
+		t.Fatalf("cache counted %d hits, %d misses; want %d hits, 1 miss (one compile)", hits, misses, n)
 	}
 }
 

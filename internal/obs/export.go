@@ -25,7 +25,7 @@ func promName(name string) string {
 }
 
 // WritePrometheus renders every metric in the Prometheus text
-// exposition format (counters, gauges, and histograms with cumulative
+// exposition format (counters, and histograms with cumulative
 // le-labeled buckets).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
@@ -37,22 +37,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		pn := promName(name)
 		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", pn, pn, counters[name])
 	}
-	for _, name := range sortedKeys(r.gauges) {
-		pn := promName(name)
-		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", pn, pn, r.gauges[name].v)
-	}
 	for _, name := range sortedKeys(r.hists) {
 		h := r.hists[name]
 		pn := promName(name)
 		fmt.Fprintf(&b, "# TYPE %s histogram\n", pn)
 		cum := int64(0)
-		for i, bound := range h.bounds {
+		for i, bound := range bounds {
 			cum += h.counts[i]
 			fmt.Fprintf(&b, "%s_bucket{le=\"%d\"} %d\n", pn, bound, cum)
 		}
-		cum += h.counts[len(h.bounds)]
+		cum += h.counts[numBounds]
 		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", pn, cum)
-		fmt.Fprintf(&b, "%s_sum %d\n%s_count %d\n", pn, h.sum, pn, h.n)
+		fmt.Fprintf(&b, "%s_sum %d\n%s_count %d\n", pn, h.sum, pn, cum)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
@@ -70,7 +66,6 @@ type jsonHistogram struct {
 // the output is deterministic.
 type jsonDump struct {
 	Counters   map[string]int64         `json:"counters"`
-	Gauges     map[string]int64         `json:"gauges"`
 	Histograms map[string]jsonHistogram `json:"histograms"`
 }
 
@@ -79,18 +74,14 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	r.mu.Lock()
 	dump := jsonDump{
 		Counters:   r.counterTotals(),
-		Gauges:     make(map[string]int64, len(r.gauges)),
 		Histograms: make(map[string]jsonHistogram, len(r.hists)),
-	}
-	for name, g := range r.gauges {
-		dump.Gauges[name] = g.v
 	}
 	for name, h := range r.hists {
 		dump.Histograms[name] = jsonHistogram{
-			Bounds: append([]int64(nil), h.bounds...),
-			Counts: append([]int64(nil), h.counts...),
+			Bounds: bounds[:],
+			Counts: h.BucketCounts(),
 			Sum:    h.sum,
-			Count:  h.n,
+			Count:  h.Count(),
 		}
 	}
 	r.mu.Unlock()

@@ -8,11 +8,19 @@ import (
 	"repro/internal/sim"
 )
 
+// statsWith returns a counter sink holding the given values.
+func statsWith(counters map[string]int64) *sim.Stats {
+	s := sim.NewStats()
+	for name, v := range counters {
+		*s.Counter(name) = v
+	}
+	return s
+}
+
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("noc.packets").Add(12)
-	r.Gauge("noc.link.occupancy").Set(3)
-	h := r.Histogram("dma.xfer.cycles", []int64{1, 4})
+	r.AttachStats(statsWith(map[string]int64{"noc.packets": 12}))
+	h := r.Histogram("dma.xfer.cycles")
 	h.Observe(1)
 	h.Observe(3)
 	h.Observe(99)
@@ -24,10 +32,12 @@ func TestWritePrometheusFormat(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE noc_packets counter\nnoc_packets 12\n",
-		"# TYPE noc_link_occupancy gauge\nnoc_link_occupancy 3\n",
 		"# TYPE dma_xfer_cycles histogram\n",
 		"dma_xfer_cycles_bucket{le=\"1\"} 1\n",
-		"dma_xfer_cycles_bucket{le=\"4\"} 2\n",    // cumulative
+		"dma_xfer_cycles_bucket{le=\"4\"} 2\n",  // cumulative
+		"dma_xfer_cycles_bucket{le=\"64\"} 2\n", // 99 is above 64
+		"dma_xfer_cycles_bucket{le=\"256\"} 3\n",
+		"dma_xfer_cycles_bucket{le=\"1048576\"} 3\n",
 		"dma_xfer_cycles_bucket{le=\"+Inf\"} 3\n", // total
 		"dma_xfer_cycles_sum 103\n",
 		"dma_xfer_cycles_count 3\n",
@@ -43,7 +53,7 @@ func TestWritePrometheusDeterministicAndSorted(t *testing.T) {
 		r := NewRegistry()
 		// Register in scrambled order; export must sort by name.
 		for _, n := range []string{"z.last", "a.first", "m.mid"} {
-			r.Counter(n).Inc()
+			r.AttachStats(statsWith(map[string]int64{n: 1}))
 		}
 		var b strings.Builder
 		if err := r.WritePrometheus(&b); err != nil {
@@ -63,12 +73,9 @@ func TestWritePrometheusDeterministicAndSorted(t *testing.T) {
 
 func TestWriteJSONShape(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c").Add(2)
-	r.Gauge("g").Set(-5)
-	r.Histogram("h", []int64{10}).Observe(7)
-	sink := sim.NewStats()
-	*sink.Counter("c") = 3 // same name as the registry counter: sums
-	r.AttachStats(sink)
+	r.AttachStats(statsWith(map[string]int64{"c": 2}))
+	r.AttachStats(statsWith(map[string]int64{"c": 3})) // same name: sums
+	r.Histogram("h").Observe(7)
 
 	var b strings.Builder
 	if err := r.WriteJSON(&b); err != nil {
@@ -76,7 +83,6 @@ func TestWriteJSONShape(t *testing.T) {
 	}
 	var dump struct {
 		Counters   map[string]int64 `json:"counters"`
-		Gauges     map[string]int64 `json:"gauges"`
 		Histograms map[string]struct {
 			Bounds []int64 `json:"bounds"`
 			Counts []int64 `json:"counts"`
@@ -88,14 +94,11 @@ func TestWriteJSONShape(t *testing.T) {
 		t.Fatalf("invalid JSON: %v\n%s", err, b.String())
 	}
 	if dump.Counters["c"] != 5 {
-		t.Fatalf("counter c = %d, want 5 (registry 2 + sink 3)", dump.Counters["c"])
-	}
-	if dump.Gauges["g"] != -5 {
-		t.Fatalf("gauge g = %d, want -5", dump.Gauges["g"])
+		t.Fatalf("counter c = %d, want 5 (sink 2 + sink 3)", dump.Counters["c"])
 	}
 	h := dump.Histograms["h"]
-	if len(h.Bounds) != 1 || h.Bounds[0] != 10 || len(h.Counts) != 2 ||
-		h.Counts[0] != 1 || h.Counts[1] != 0 || h.Sum != 7 || h.Count != 1 {
+	if len(h.Bounds) != numBounds || h.Bounds[1] != 4 || h.Bounds[2] != 16 ||
+		len(h.Counts) != numBounds+1 || h.Counts[2] != 1 || h.Sum != 7 || h.Count != 1 {
 		t.Fatalf("histogram shape wrong: %+v", h)
 	}
 }

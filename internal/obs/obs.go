@@ -5,16 +5,19 @@
 //
 // It bundles three instruments behind one Observer handle:
 //
-//   - a hierarchical metrics Registry (counters, gauges, cycle-bucketed
-//     histograms) with dotted per-component namespaces such as
-//     noc.link.stall_cycles or monitor.abort.count, exported as
-//     Prometheus text and JSON;
+//   - a metrics Registry with dotted per-component names, exported as
+//     Prometheus text and JSON. Every count lives in the SoC's
+//     sim.Stats (noc.flits, monitor.aborts, sched.dispatch.count, ...),
+//     which the registry attaches and sums at export time; the registry
+//     itself holds only cycle histograms (noc.link.stall_cycles,
+//     dma.xfer.cycles, ...), all on one fixed bucket layout so an
+//     observation costs a constant-time index;
 //   - span-based tracing over internal/trace, unifying the Chrome-trace
 //     timeline with spans for NoC sends, DMA bursts, IOTLB walks, fault
 //     injection, and Monitor checkpoint/restart epochs;
 //   - pluggable profiling hooks (Profiler): components register
 //     samplers for queue depths and link occupancy, sampled on a fixed
-//     simulated-cycle cadence.
+//     simulated-cycle cadence into <name>.samples histograms.
 //
 // Determinism rules: nothing in this package reads the wall clock,
 // global randomness, or map iteration order on a hot path; every
@@ -22,7 +25,7 @@
 // Observer never changes a single simulated cycle — and off by
 // default: an unattached component pays one nil check per event.
 //
-// Concurrency: instruments are single-writer, like sim.Stats — each
+// Concurrency: histograms are single-writer, like sim.Stats — each
 // simulated SoC is single-threaded, and parallel experiment cells own
 // private SoCs. The Registry itself (registration, AttachStats,
 // export) is mutex-guarded so one registry can aggregate many cells
@@ -34,24 +37,18 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultTraceCap bounds the span recorder so long runs cannot grow
-// without bound (matches RunModelTraced's cap).
-const DefaultTraceCap = 1 << 20
+// traceCap bounds the span recorder so long runs cannot grow without
+// bound (matches RunModelTraced's cap).
+const traceCap = 1 << 20
 
-// DefaultSampleEvery is the profiling-hook cadence in simulated
-// cycles. 4096 cycles keeps sample streams small (a few thousand
-// samples for the largest workload) while still resolving per-layer
-// behavior.
-const DefaultSampleEvery = sim.Cycle(4096)
+// sampleEvery is the profiling-hook cadence in simulated cycles. 4096
+// cycles keeps sample streams small (a few thousand samples for the
+// largest workload) while still resolving per-layer behavior.
+const sampleEvery = sim.Cycle(4096)
 
-// Config sizes an Observer. The zero value selects the defaults:
-// metrics and profiling hooks on, span recording off.
+// Config sizes an Observer. The zero value selects metrics and
+// profiling hooks on, span recording off.
 type Config struct {
-	// TraceCap caps recorded spans (0 = DefaultTraceCap; negative =
-	// unbounded). Only meaningful with Spans.
-	TraceCap int
-	// SampleEvery is the profiler cadence in cycles (0 = default).
-	SampleEvery sim.Cycle
 	// Spans opts into span recording (one trace event per NoC send,
 	// DMA burst, IOTLB walk, ...). Spans cost wall time proportional
 	// to the event count — the same class as -trace — so they sit
@@ -71,20 +68,9 @@ type Observer struct {
 // NewObserver builds an enabled observer.
 func NewObserver(cfg Config) *Observer {
 	reg := NewRegistry()
-	every := cfg.SampleEvery
-	if every <= 0 {
-		every = DefaultSampleEvery
-	}
-	o := &Observer{reg: reg, prof: NewProfiler(reg, every)}
+	o := &Observer{reg: reg, prof: NewProfiler(reg)}
 	if cfg.Spans {
-		cap := cfg.TraceCap
-		if cap == 0 {
-			cap = DefaultTraceCap
-		}
-		if cap < 0 {
-			cap = 0 // trace.New treats 0 as unbounded
-		}
-		o.rec = trace.New(cap)
+		o.rec = trace.New(traceCap)
 	}
 	return o
 }

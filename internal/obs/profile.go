@@ -7,36 +7,30 @@ import (
 // Profiler is the pluggable profiling-hook manager: components
 // register samplers (queue depths, link occupancy, channel backlog)
 // and timed call sites tick MaybeSample with the current simulated
-// cycle. Samples land on a fixed cycle cadence — at most one sample
-// set per period, taken by whichever component crosses the period
-// boundary first — so the sample stream depends only on the simulated
-// event stream, never on the wall clock.
+// cycle. Samples land on a fixed cadence of sampleEvery cycles — at
+// most one sample set per period, taken by whichever component crosses
+// the period boundary first — so the sample stream depends only on the
+// simulated event stream, never on the wall clock.
 //
-// Each sampler feeds a gauge named after it (the latest sample) and a
-// histogram named <name>.samples (the distribution over the run).
+// Each sampler feeds a histogram named <name>.samples: the
+// distribution over the run, whose count is the number of sample sets
+// taken.
 type Profiler struct {
 	reg   *Registry
-	every sim.Cycle
 	next  sim.Cycle
 	hooks []hook
-	ticks *Counter
 }
 
-// hook is one registered sampler with its resolved instruments.
+// hook is one registered sampler with its resolved histogram.
 type hook struct {
 	name string
 	fn   func(now sim.Cycle) int64
-	last *Gauge
 	hist *Histogram
 }
 
-// NewProfiler builds a profiler sampling every `every` cycles into
-// reg. every must be positive.
-func NewProfiler(reg *Registry, every sim.Cycle) *Profiler {
-	if every <= 0 {
-		every = DefaultSampleEvery
-	}
-	return &Profiler{reg: reg, every: every, ticks: reg.Counter("profiler.sample.count")}
+// NewProfiler builds a profiler sampling into reg.
+func NewProfiler(reg *Registry) *Profiler {
+	return &Profiler{reg: reg}
 }
 
 // Register adds a sampler. fn is called with the current simulated
@@ -52,12 +46,7 @@ func (p *Profiler) Register(name string, fn func(now sim.Cycle) int64) {
 			return
 		}
 	}
-	p.hooks = append(p.hooks, hook{
-		name: name,
-		fn:   fn,
-		last: p.reg.Gauge(name),
-		hist: p.reg.Histogram(name+".samples", DefaultCycleBuckets()),
-	})
+	p.hooks = append(p.hooks, hook{name: name, fn: fn, hist: p.reg.Histogram(name + ".samples")})
 }
 
 // MaybeSample takes one sample set if the current cycle has crossed
@@ -68,20 +57,9 @@ func (p *Profiler) MaybeSample(now sim.Cycle) {
 		return
 	}
 	for _, h := range p.hooks {
-		v := h.fn(now)
-		h.last.Set(v)
-		h.hist.Observe(v)
+		h.hist.Observe(h.fn(now))
 	}
-	p.ticks.Inc()
 	// Advance to the next period boundary after now; one sample per
 	// period no matter how many cycles elapsed in between.
-	p.next = (now/p.every + 1) * p.every
-}
-
-// Every reports the sampling period.
-func (p *Profiler) Every() sim.Cycle {
-	if p == nil {
-		return 0
-	}
-	return p.every
+	p.next = (now/sampleEvery + 1) * sampleEvery
 }

@@ -8,7 +8,7 @@ import (
 
 func TestProfilerCadence(t *testing.T) {
 	r := NewRegistry()
-	p := NewProfiler(r, 100)
+	p := NewProfiler(r)
 	var depth int64
 	calls := 0
 	p.Register("q.depth", func(now sim.Cycle) int64 { calls++; return depth })
@@ -16,23 +16,18 @@ func TestProfilerCadence(t *testing.T) {
 	depth = 5
 	p.MaybeSample(0) // first period boundary: samples
 	p.MaybeSample(1) // same period: skipped
-	p.MaybeSample(99)
+	p.MaybeSample(sampleEvery - 1)
 	if calls != 1 {
 		t.Fatalf("sampler ran %d times inside one period, want 1", calls)
 	}
 	depth = 9
-	p.MaybeSample(100) // next period
+	p.MaybeSample(sampleEvery) // next period
 	if calls != 2 {
 		t.Fatalf("sampler ran %d times after two periods, want 2", calls)
 	}
-	if got := r.Gauge("q.depth").Value(); got != 9 {
-		t.Fatalf("latest gauge = %d, want 9", got)
-	}
-	if got := r.Histogram("q.depth.samples", DefaultCycleBuckets()).Count(); got != 2 {
-		t.Fatalf("sample histogram count = %d, want 2", got)
-	}
-	if got := r.Snapshot()["profiler.sample.count"]; got != 2 {
-		t.Fatalf("profiler.sample.count = %d, want 2", got)
+	h := r.Histogram("q.depth.samples")
+	if h.Count() != 2 || h.Sum() != 14 {
+		t.Fatalf("sample histogram count %d sum %d, want 2 samples summing to 14", h.Count(), h.Sum())
 	}
 }
 
@@ -41,26 +36,27 @@ func TestProfilerCadence(t *testing.T) {
 // the same event stream always yields the same samples.
 func TestProfilerSkipsWholePeriods(t *testing.T) {
 	r := NewRegistry()
-	p := NewProfiler(r, 10)
+	p := NewProfiler(r)
 	calls := 0
 	p.Register("x", func(now sim.Cycle) int64 { calls++; return 0 })
+	const e = sampleEvery
 	p.MaybeSample(0)
-	p.MaybeSample(95) // skipped 9 whole periods: still one sample
-	p.MaybeSample(99) // same period as 95
-	p.MaybeSample(100)
+	p.MaybeSample(9*e + 5)  // skipped 9 whole periods: still one sample
+	p.MaybeSample(10*e - 1) // same period as 9e+5
+	p.MaybeSample(10 * e)
 	if calls != 3 {
-		t.Fatalf("sampler ran %d times, want 3 (at 0, 95, 100)", calls)
+		t.Fatalf("sampler ran %d times, want 3 (at 0, 9e+5, 10e)", calls)
 	}
 }
 
 func TestProfilerDuplicateRegisterKeepsFirst(t *testing.T) {
 	r := NewRegistry()
-	p := NewProfiler(r, 10)
+	p := NewProfiler(r)
 	p.Register("d", func(now sim.Cycle) int64 { return 1 })
 	p.Register("d", func(now sim.Cycle) int64 { return 2 }) // ignored
 	p.MaybeSample(0)
-	if got := r.Gauge("d").Value(); got != 1 {
-		t.Fatalf("gauge = %d, want 1 (first sampler wins)", got)
+	if h := r.Histogram("d.samples"); h.Count() != 1 || h.Sum() != 1 {
+		t.Fatalf("samples count %d sum %d, want one sample of 1 (first sampler wins)", h.Count(), h.Sum())
 	}
 }
 
@@ -68,9 +64,6 @@ func TestProfilerNilSafe(t *testing.T) {
 	var p *Profiler
 	p.Register("x", func(now sim.Cycle) int64 { return 0 })
 	p.MaybeSample(42)
-	if p.Every() != 0 {
-		t.Fatal("nil profiler Every() != 0")
-	}
 }
 
 func TestObserverNilSafe(t *testing.T) {
@@ -88,10 +81,7 @@ func TestNewObserverDefaults(t *testing.T) {
 	if o.Trace() != nil {
 		t.Fatal("default observer must not record spans (opt-in via Spans)")
 	}
-	if o.Profiler().Every() != DefaultSampleEvery {
-		t.Fatalf("default cadence = %d, want %d", o.Profiler().Every(), DefaultSampleEvery)
-	}
-	ow := NewObserver(Config{Spans: true, TraceCap: 4})
+	ow := NewObserver(Config{Spans: true})
 	if ow.Trace() == nil {
 		t.Fatal("Spans: true must enable the recorder")
 	}

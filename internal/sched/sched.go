@@ -161,9 +161,6 @@ type Config struct {
 	// MaxBatch bounds same-tenant same-model secure batching
 	// (default DefaultMaxBatch; 1 disables batching).
 	MaxBatch int
-	// SubmitBaseCycles overrides the per-FnSubmit fixed cost
-	// (default DefaultSubmitBaseCycles).
-	SubmitBaseCycles sim.Cycle
 	// MaxRestarts enables fault retries for secure requests: a task
 	// aborted by an execution fault re-enters the queue (after an
 	// exponential backoff) up to MaxRestarts times per request,
@@ -336,10 +333,7 @@ type Scheduler struct {
 	decisions   []Decision
 	flushCycles sim.Cycle
 
-	obsDispatch, obsPreempt, obsComplete *obs.Counter
-	obsReject, obsAbort, obsBatch        *obs.Counter
-	obsRetry, obsDeadlineMiss            *obs.Counter
-	obsLatency                           *obs.Histogram
+	obsLatency *obs.Histogram
 }
 
 // New validates deps and builds an empty scheduler.
@@ -366,9 +360,6 @@ func New(deps Deps, cfg Config) (*Scheduler, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	if cfg.SubmitBaseCycles <= 0 {
-		cfg.SubmitBaseCycles = DefaultSubmitBaseCycles
-	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = DefaultRetryBackoff
 	}
@@ -379,30 +370,14 @@ func New(deps Deps, cfg Config) (*Scheduler, error) {
 	}, nil
 }
 
-// AttachObserver wires scheduler counters and the request-latency
-// histogram into an observability registry. Nil detaches.
+// AttachObserver wires the sched.latency.cycles request-latency
+// histogram into an observability registry. Nil detaches. The
+// scheduler's decision counters (sched.dispatch.count, ...) count into
+// Deps.Stats whether or not an observer is attached.
 func (s *Scheduler) AttachObserver(o *obs.Observer) {
-	if o == nil {
-		s.obsDispatch, s.obsPreempt, s.obsComplete = nil, nil, nil
-		s.obsReject, s.obsAbort, s.obsBatch, s.obsLatency = nil, nil, nil, nil
-		s.obsRetry, s.obsDeadlineMiss = nil, nil
-		return
-	}
-	scope := o.Registry().Scope("sched")
-	s.obsDispatch = scope.Counter("dispatch.count")
-	s.obsPreempt = scope.Counter("preempt.count")
-	s.obsComplete = scope.Counter("complete.count")
-	s.obsReject = scope.Counter("reject.count")
-	s.obsAbort = scope.Counter("abort.count")
-	s.obsBatch = scope.Counter("batch.count")
-	s.obsRetry = scope.Counter("retry")
-	s.obsDeadlineMiss = scope.Counter("deadline_miss")
-	s.obsLatency = scope.Histogram("latency.cycles", obs.DefaultCycleBuckets())
-}
-
-func inc(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
+	s.obsLatency = nil
+	if o != nil {
+		s.obsLatency = o.Registry().Histogram("sched.latency.cycles")
 	}
 }
 
@@ -803,7 +778,7 @@ func (s *Scheduler) admit(rs *reqState, at sim.Cycle) {
 			if rs.req.Priority > j.prio {
 				j.prio = rs.req.Priority
 			}
-			inc(s.obsBatch)
+			s.deps.Stats.Inc(sim.CtrSchedBatches)
 			if j.decode {
 				// Continuous batching: the member joins a possibly
 				// running batch; the round-robin cursor reaches it at
@@ -914,7 +889,7 @@ func (s *Scheduler) submitCost(rs *reqState) sim.Cycle {
 	if bw == 0 {
 		bw = 1
 	}
-	cost := s.cfg.SubmitBaseCycles
+	cost := DefaultSubmitBaseCycles
 	if n := len(rs.req.Sealed); n > 0 {
 		cost += sim.Cycle(uint64(n)/bw) + s.deps.Cfg.DRAMLatency
 	}
@@ -1164,7 +1139,7 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 	if resumed {
 		ev = "resume"
 	}
-	inc(s.obsDispatch)
+	s.deps.Stats.Inc(sim.CtrSchedDispatches)
 	s.decide(start, c.id, ev, m, fmt.Sprintf("prio=%d", j.prio))
 }
 
@@ -1235,7 +1210,7 @@ func (s *Scheduler) advance(c *coreState) {
 	if m.pass == len(m.progs) {
 		m.finish = end
 		m.terminal, m.completed = true, true
-		inc(s.obsComplete)
+		s.deps.Stats.Inc(sim.CtrSchedCompletions)
 		if s.obsLatency != nil {
 			s.obsLatency.Observe(int64(end - m.req.Arrival))
 		}
@@ -1299,10 +1274,8 @@ func (s *Scheduler) preempt(c *coreState, at sim.Cycle) {
 	j := c.cur
 	m := j.cur()
 	m.preempts++
-	inc(s.obsPreempt)
-	if s.deps.Stats != nil {
-		s.deps.Stats.Inc(sim.CtrCtxSwitches)
-	}
+	s.deps.Stats.Inc(sim.CtrSchedPreempts)
+	s.deps.Stats.Inc(sim.CtrCtxSwitches)
 	if j.secure {
 		rep := s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnPreempt, Args: []uint64{uint64(j.monID)}})
 		if rep.Err != nil {
@@ -1378,7 +1351,7 @@ func (s *Scheduler) abortMember(m *reqState, at sim.Cycle, core int, retryable b
 	m.retryable = retryable
 	m.finish = at
 	m.errMsg = ErrTaskAborted.Error()
-	inc(s.obsAbort)
+	s.deps.Stats.Inc(sim.CtrSchedAborts)
 	s.decide(at, core, "abort", m, "")
 }
 
@@ -1424,7 +1397,7 @@ func (s *Scheduler) faultJob(c *coreState, j *job, at sim.Cycle) {
 		}
 		m.retryAt = retryAt
 		s.retryQ = append(s.retryQ, m)
-		inc(s.obsRetry)
+		s.deps.Stats.Inc(sim.CtrSchedRetries)
 		s.decide(at, c.id, "retry", m,
 			fmt.Sprintf("attempt=%d backoff-until=%d checkpoint=%d", m.attempts, retryAt, m.checkpoint))
 	}
@@ -1463,14 +1436,14 @@ func (s *Scheduler) drop(m *reqState, at sim.Cycle, core int, ev string) {
 	m.finish = at
 	m.ex = nil
 	m.errMsg = "sched: deadline missed"
-	inc(s.obsDeadlineMiss)
+	s.deps.Stats.Inc(sim.CtrSchedDeadlineMisses)
 	s.decide(at, core, ev, m, fmt.Sprintf("deadline=%d", m.req.Deadline))
 }
 
 func (s *Scheduler) reject(rs *reqState, at sim.Cycle, msg string) {
 	rs.terminal, rs.rejected = true, true
 	rs.errMsg = msg
-	inc(s.obsReject)
+	s.deps.Stats.Inc(sim.CtrSchedRejects)
 	s.decide(at, -1, "reject", rs, msg)
 }
 

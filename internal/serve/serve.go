@@ -92,12 +92,11 @@ type Server struct {
 	shed      int
 	recovered int
 	last      *sched.Report
-
-	obsShed *obs.Counter
 }
 
 // New wraps a booted System. The system's observability layer (if
-// enabled) feeds GET /metrics and the serve.shed counter.
+// enabled) feeds GET /metrics; the serve.shed counter counts into the
+// system's Stats.
 func New(sys *snpu.System, cfg Config) (*Server, error) {
 	s := &Server{
 		sys: sys, cfg: cfg, nextID: 1,
@@ -119,9 +118,6 @@ func New(sys *snpu.System, cfg Config) (*Server, error) {
 	}
 	if cfg.BreakerThreshold > 0 {
 		s.breaker = sched.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-	}
-	if o := sys.Observer(); o != nil {
-		s.obsShed = o.Registry().Scope("serve").Counter("shed")
 	}
 	if err := s.resetScheduler(); err != nil {
 		return nil, err
@@ -411,9 +407,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// The tenant's queue bound is hit and the incoming request does
 		// not outrank anything queued: shed the newcomer.
 		s.shed++
-		if s.obsShed != nil {
-			s.obsShed.Inc()
-		}
+		s.sys.Stats().Inc(sim.CtrServeShed)
 		writeBackpressure(w, http.StatusTooManyRequests, "%v", err)
 		return
 	case errors.Is(err, sched.ErrTenantQuarantined):
@@ -640,9 +634,7 @@ func (s *Server) runEpisode() (*sched.Report, error) {
 	s.aborted += rep.Aborted
 	s.shed += rep.Shed
 	s.recovered += rep.Recovered
-	if s.obsShed != nil {
-		s.obsShed.Add(int64(rep.Shed))
-	}
+	s.sys.Stats().Add(sim.CtrServeShed, int64(rep.Shed))
 	for _, res := range rep.Results {
 		s.results[res.ID] = res
 		delete(s.pending, res.ID)

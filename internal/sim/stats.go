@@ -40,12 +40,16 @@ func (s *Stats) Counter(name string) *int64 {
 	return c
 }
 
-// Add increments counter name by delta.
+// Add increments counter name by delta. A nil Stats ignores the call,
+// as AddCell does, so a component built without a counter sink counts
+// unconditionally.
 func (s *Stats) Add(name string, delta int64) {
-	*s.Counter(name) += delta
+	if s != nil {
+		*s.Counter(name) += delta
+	}
 }
 
-// Inc increments counter name by one.
+// Inc increments counter name by one (nil-safe, like Add).
 func (s *Stats) Inc(name string) { s.Add(name, 1) }
 
 // AddCell increments counter name by delta through *cell, a handle the
@@ -142,6 +146,7 @@ const (
 	CtrComputeMACs      = "npu.macs"
 	CtrMonitorCalls     = "monitor.calls"
 	CtrMonitorRejected  = "monitor.rejected"
+	CtrMonitorPreempts  = "monitor.preempt.count"
 	CtrCtxSwitches      = "driver.ctx_switches"
 	CtrTranslations     = "xlate.requests"
 	CtrTranslationStall = "xlate.stall_cycles"
@@ -164,13 +169,24 @@ const (
 	CtrTaskRestarts      = "recovery.task_restarts"
 	CtrRecoveredFaults   = "recovery.recovered"
 	CtrUnrecoveredFaults = "recovery.unrecovered"
+
+	// Scheduler and serve-daemon decisions.
+	CtrSchedDispatches     = "sched.dispatch.count"
+	CtrSchedPreempts       = "sched.preempt.count"
+	CtrSchedCompletions    = "sched.complete.count"
+	CtrSchedRejects        = "sched.reject.count"
+	CtrSchedAborts         = "sched.abort.count"
+	CtrSchedBatches        = "sched.batch.count"
+	CtrSchedRetries        = "sched.retry"
+	CtrSchedDeadlineMisses = "sched.deadline_miss"
+	CtrServeShed           = "serve.shed"
 )
 
 // CanonicalCounters lists every named counter above, one per
 // instrumentation site, in declaration order. The observability layer
 // materializes them all at enable time so a metrics dump always
 // covers the full component namespace (noc.*, dma.*, npu.*, iotlb.*,
-// monitor.*, ...), with zeros for sites the run never touched.
+// monitor.*, sched.*, ...), with zeros for sites the run never touched.
 func CanonicalCounters() []string {
 	return []string{
 		CtrDRAMRequests, CtrDRAMBytes,
@@ -181,7 +197,7 @@ func CanonicalCounters() []string {
 		CtrSpadReads, CtrSpadWrites, CtrSpadDenied, CtrSpadFlushBytes,
 		CtrNoCPackets, CtrNoCFlits, CtrNoCAuthPass, CtrNoCAuthFail,
 		CtrComputeCycles, CtrComputeMACs,
-		CtrMonitorCalls, CtrMonitorRejected,
+		CtrMonitorCalls, CtrMonitorRejected, CtrMonitorPreempts,
 		CtrCtxSwitches,
 		CtrTranslations, CtrTranslationStall,
 		CtrFaultsInjected,
@@ -192,5 +208,8 @@ func CanonicalCounters() []string {
 		CtrCoreHangs,
 		CtrMonitorAborts,
 		CtrTaskRestarts, CtrRecoveredFaults, CtrUnrecoveredFaults,
+		CtrSchedDispatches, CtrSchedPreempts, CtrSchedCompletions, CtrSchedRejects,
+		CtrSchedAborts, CtrSchedBatches, CtrSchedRetries, CtrSchedDeadlineMisses,
+		CtrServeShed,
 	}
 }

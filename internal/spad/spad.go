@@ -287,9 +287,7 @@ func (s *Scratchpad) VerifyParity(line int) error {
 	if lineParity(s.lineSlice(line)) == s.parity[line] {
 		return nil
 	}
-	if s.stats != nil {
-		s.stats.Inc(sim.CtrSpadParityErrors)
-	}
+	s.stats.Inc(sim.CtrSpadParityErrors)
 	return fmt.Errorf("%w: %s line %d", ErrParity, s.cfg.Kind, line)
 }
 
@@ -302,9 +300,7 @@ func lineParity(b []byte) uint8 {
 }
 
 func (s *Scratchpad) deny(op string, core DomainID, line int) error {
-	if s.stats != nil {
-		s.stats.Inc(sim.CtrSpadDenied)
-	}
+	s.stats.Inc(sim.CtrSpadDenied)
 	return fmt.Errorf("%w: %s of %s line %d (tag %d) by core domain %d",
 		ErrIsolation, op, s.cfg.Kind, line, s.ids[line], core)
 }

@@ -73,7 +73,8 @@ func TestMetricsExportCoversComponents(t *testing.T) {
 		"monitor_",
 		"guarder_",
 		"spad_",
-		"profiler_sample_count",
+		"dma_chan_backlog_samples", // profiling-hook histograms
+		"noc_link_occupancy_samples",
 	} {
 		if !strings.Contains(out, "TYPE "+prefix) {
 			t.Fatalf("export missing component prefix %q:\n%s", prefix, out)
@@ -81,10 +82,13 @@ func TestMetricsExportCoversComponents(t *testing.T) {
 	}
 	// A busy run must show non-zero work counters.
 	snap := sys.Observer().Registry().Snapshot()
-	for _, name := range []string{"dma.requests", "dma.bytes", "npu.macs", "guarder.checks", "profiler.sample.count"} {
+	for _, name := range []string{"dma.requests", "dma.bytes", "npu.macs", "guarder.checks"} {
 		if snap[name] == 0 {
 			t.Fatalf("counter %s = 0 after a full inference", name)
 		}
+	}
+	if n := sys.Observer().Registry().Histogram("dma.chan.backlog.samples").Count(); n == 0 {
+		t.Fatal("profiler took no dma.chan.backlog sample during a full inference")
 	}
 }
 

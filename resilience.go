@@ -173,16 +173,12 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 		if consecutive >= maxRestarts {
 			rep.Aborted = true
 			rep.Cycles = now // cycles burned before giving up
-			if s.soc.Stats != nil {
-				s.soc.Stats.Inc(sim.CtrUnrecoveredFaults)
-			}
+			s.soc.Stats.Inc(sim.CtrUnrecoveredFaults)
 			return rep, ErrTaskAborted
 		}
 		consecutive++
 		rep.Restarts++
-		if s.soc.Stats != nil {
-			s.soc.Stats.Inc(sim.CtrTaskRestarts)
-		}
+		s.soc.Stats.Inc(sim.CtrTaskRestarts)
 		rec.BeginEpoch(fmt.Sprintf("restart-%d", rep.Restarts), now)
 
 		// A core that hangs twice in a row is unhealthy: remap. The

@@ -169,13 +169,14 @@ func (s *System) Reset() error {
 }
 
 // EnableObservability arms the unified observability layer across the
-// whole SoC: the metrics registry aggregates the system counters plus
-// per-component instruments (NoC stall histograms, DMA latency, IOTLB
-// walks, Monitor call/abort/reject counts), executors record spans on
-// the observer's timeline, and profiling hooks sample link occupancy
-// and channel backlog on a fixed cycle cadence. Every canonical
-// hardware counter is materialized up front so a metrics dump always
-// covers the full component namespace, zeros included.
+// whole SoC: the metrics registry exports the system counters (every
+// component, the monitor and the scheduler count into Stats) plus the
+// per-component cycle histograms (NoC stalls, DMA latency, IOTLB walks,
+// compute tiles), executors record spans on the observer's timeline,
+// and profiling hooks sample link occupancy and channel backlog on a
+// fixed cycle cadence. Every canonical counter is materialized up front
+// so a metrics dump always covers the full component namespace, zeros
+// included.
 //
 // Observability is passive — enabling it does not change a single
 // simulated cycle — and stays attached for the system's lifetime.
@@ -186,9 +187,6 @@ func (s *System) EnableObservability(cfg obs.Config) *obs.Observer {
 	}
 	o.Registry().AttachStats(s.soc.Stats)
 	s.soc.NPU.AttachObserver(o)
-	if s.mon != nil {
-		s.mon.AttachObserver(o)
-	}
 	s.inj.AttachTrace(o.Trace())
 	s.obs = o
 	return o
