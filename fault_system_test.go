@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/monitor"
 	"repro/internal/sim"
+	"repro/internal/spad"
 )
 
 // Golden cycle counts for the seed workloads. These pin down the
@@ -84,6 +86,46 @@ func TestZeroFaultDeterminismSecure(t *testing.T) {
 	}
 	if plain != armed {
 		t.Fatalf("empty plan changed the secure run: %d vs %d", plain, armed)
+	}
+}
+
+// RunSecure fails closed: a core hang mid-run aborts the task through
+// the monitor, so the core does not stay secure with the task loaded
+// for the next non-secure run, and the caller sees only the opaque
+// ErrTaskAborted.
+func TestRunSecureAbortsOnHang(t *testing.T) {
+	sys, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := ChaosKey(1)
+	if err := sys.ProvisionKey("owner", key); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := SealModel(key, []byte("weights"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := sys.SubmitSecure("yololite", "owner", sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.InstallFaultPlan(fault.Plan{Events: []fault.Event{{At: 1000, Kind: fault.CoreHang}}})
+	if _, err := sys.RunSecure(h); !errors.Is(err, ErrTaskAborted) {
+		t.Fatalf("err = %v, want ErrTaskAborted", err)
+	}
+	core, err := sys.NPU().Core(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if core.Domain() != spad.NonSecure {
+		t.Fatalf("core 0 left in domain %d", core.Domain())
+	}
+	if _, err := sys.Monitor().Task(h.ID); !errors.Is(err, monitor.ErrUnknownTask) {
+		t.Fatalf("task still held by the monitor: %v", err)
+	}
+	if n := sys.Monitor().QueueLen(); n != 0 {
+		t.Fatalf("monitor queue holds %d tasks", n)
 	}
 }
 

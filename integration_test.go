@@ -122,6 +122,64 @@ func TestSecureResidueScrubbedAcrossTasks(t *testing.T) {
 	}
 }
 
+// Tenant A's accumulator lines must not reach tenant B's secure task on
+// the same core. The accumulator's shared rule lets any secure core
+// read a secure line, so A's orderly unload has to reset them.
+func TestAccumulatorResidueScrubbedBetweenTenants(t *testing.T) {
+	sys, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	core, err := sys.NPU().Core(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := core.Accumulator()
+	spadLines := sys.NPU().Config().SpadLines()
+	load := func(keyID string, seed byte) *SecureTaskHandle {
+		t.Helper()
+		key := bytes.Repeat([]byte{seed}, SealKeySize)
+		if err := sys.ProvisionKey(keyID, key); err != nil {
+			t.Fatal(err)
+		}
+		sealed, err := SealModel(key, []byte("m"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := sys.SubmitSecure("yololite", keyID, sealed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := sys.Monitor().Dispatch(monitor.Call{
+			Func: monitor.FnLoad,
+			Args: []uint64{uint64(h.ID), 0, uint64(spadLines), 0},
+		}); rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
+		return h
+	}
+	unload := func(h *SecureTaskHandle) {
+		t.Helper()
+		if rep := sys.Monitor().Dispatch(monitor.Call{Func: monitor.FnUnload, Args: []uint64{uint64(h.ID)}}); rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
+	}
+
+	a := load("a", 1)
+	secret := []byte("tenant-A-psums!!")
+	if err := acc.Write(core.Domain(), 3, secret); err != nil {
+		t.Fatal(err)
+	}
+	unload(a)
+
+	b := load("b", 2)
+	buf := make([]byte, acc.LineBytes())
+	if err := acc.Read(core.Domain(), 3, buf); err == nil && bytes.Contains(buf, secret) {
+		t.Fatal("tenant B's secure task read tenant A's accumulator line")
+	}
+	unload(b)
+}
+
 // Reserved-memory accounting survives a churn of submissions and
 // releases (allocator + driver integration).
 func TestDriverChurnNoLeak(t *testing.T) {

@@ -132,35 +132,12 @@ func runSplit(n *npu.NPU, modelA, modelB workload.Workload, name string, fracA f
 	if err != nil {
 		return SpatialResult{}, err
 	}
-	// Interleave the two executions tile-by-tile so DRAM-channel
-	// contention is mutual rather than sequential.
-	exA := npu.NewExec(coreA, progA, 101)
-	exB := npu.NewExec(coreB, progB, 102)
-	var nowA, nowB sim.Cycle
-	var endA, endB sim.Cycle
-	for !exA.Done() || !exB.Done() {
-		// Advance whichever task is behind, one tile at a time.
-		if !exA.Done() && (exB.Done() || nowA <= nowB) {
-			end, err := exA.RunUntil(nowA, npu.BoundaryTile)
-			if err != nil {
-				return SpatialResult{}, err
-			}
-			nowA = end
-			if exA.Done() {
-				endA = end
-			}
-			continue
-		}
-		if !exB.Done() {
-			end, err := exB.RunUntil(nowB, npu.BoundaryTile)
-			if err != nil {
-				return SpatialResult{}, err
-			}
-			nowB = end
-			if exB.Done() {
-				endB = end
-			}
-		}
+	// Interleave the two executions so DRAM-channel contention is
+	// mutual rather than sequential.
+	execs := []*npu.Exec{npu.NewExec(coreA, progA, 101), npu.NewExec(coreB, progB, 102)}
+	now := make([]sim.Cycle, len(execs))
+	if err := npu.Interleave(execs, now, nil); err != nil {
+		return SpatialResult{}, err
 	}
-	return SpatialResult{Policy: name, FractionA: fracA, CyclesA: endA, CyclesB: endB}, nil
+	return SpatialResult{Policy: name, FractionA: fracA, CyclesA: now[0], CyclesB: now[1]}, nil
 }

@@ -173,29 +173,12 @@ func RunContended(w workload.Workload, mech Mechanism, cfg npu.Config) (sim.Cycl
 		return 0, nil, err
 	}
 
-	ex0 := npu.NewExec(core0, prog0, 1)
-	ex1 := npu.NewExec(core1, prog1, 2)
-	var now0, now1, end0 sim.Cycle
-	for !ex0.Done() || !ex1.Done() {
-		if !ex0.Done() && (ex1.Done() || now0 <= now1) {
-			end, err := ex0.RunUntil(now0, npu.BoundaryTile)
-			if err != nil {
-				return 0, nil, err
-			}
-			now0 = end
-			if ex0.Done() {
-				end0 = end
-			}
-			continue
-		}
-		end, err := ex1.RunUntil(now1, npu.BoundaryTile)
-		if err != nil {
-			return 0, nil, err
-		}
-		now1 = end
+	execs := []*npu.Exec{npu.NewExec(core0, prog0, 1), npu.NewExec(core1, prog1, 2)}
+	now := make([]sim.Cycle, len(execs))
+	if err := npu.Interleave(execs, now, nil); err != nil {
+		return 0, nil, err
 	}
-	snap := soc.Stats.Snapshot()
-	return end0, snap, nil
+	return now[0], soc.Stats.Snapshot(), nil
 }
 
 // installShared wires the mechanism for the contended pair. For an

@@ -9,7 +9,6 @@ package isolator
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/noc"
 )
@@ -92,18 +91,4 @@ func VerifyRoute(expected Topology, scheduled []noc.Coord) error {
 		}
 	}
 	return nil
-}
-
-// CanonicalOrder sorts coordinates row-major so task stage i maps onto
-// a deterministic core regardless of the order the driver listed them.
-func CanonicalOrder(scheduled []noc.Coord) []noc.Coord {
-	out := make([]noc.Coord, len(scheduled))
-	copy(out, scheduled)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Y != out[j].Y {
-			return out[i].Y < out[j].Y
-		}
-		return out[i].X < out[j].X
-	})
-	return out
 }

@@ -10,7 +10,6 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
-	"crypto/sha256"
 	"fmt"
 	"io"
 )
@@ -68,6 +67,3 @@ func newGCM(key []byte) (cipher.AEAD, error) {
 	}
 	return cipher.NewGCM(block)
 }
-
-// Measure is the code-integrity hash used by the code verifier.
-func Measure(blob []byte) [sha256.Size]byte { return sha256.Sum256(blob) }

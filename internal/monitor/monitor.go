@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/guarder"
 	"repro/internal/isolator"
@@ -23,7 +24,6 @@ var (
 	ErrUnknownTask     = errors.New("monitor: unknown secure task")
 	ErrQueueEmpty      = errors.New("monitor: secure task queue empty")
 	ErrBadFunc         = errors.New("monitor: unknown trampoline function")
-	ErrChunkNotSecure  = errors.New("monitor: task chunk outside secure memory")
 	ErrOverlappingSpad = errors.New("monitor: scratchpad ranges overlap")
 )
 
@@ -179,9 +179,6 @@ type TaskSpec struct {
 	KeyID       string
 	SealedModel []byte
 	Topology    isolator.Topology
-	// SpadLinesNeeded reserves scratchpad lines per core for the task
-	// (the trusted allocator checks for overlap between secure tasks).
-	SpadLinesNeeded int
 }
 
 // Submit is the code-verifier + trusted-allocator path: decrypt the
@@ -311,73 +308,34 @@ func (m *Monitor) Load(taskID int, cores []int, spadFrom, spadTo int) error {
 	task.SpadLines = [2]int{spadFrom, spadTo}
 	task.Loaded = true
 	m.note(TrLoadOK)
-	// Remove from the pending queue.
-	for i, q := range m.queue {
-		if q.ID == taskID {
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			break
-		}
-	}
+	m.dequeue(taskID)
 	return nil
 }
 
-// Unload releases a task: reset the cores to non-secure, scrub the
-// secure scratchpad lines, free the chunk.
+// Unload releases a task: its KV windows are scrubbed and freed, a
+// loaded task is evicted from its cores, and its chunk is freed.
 func (m *Monitor) Unload(taskID int) error {
 	m.call()
 	task, ok := m.tasks[taskID]
 	if !ok {
 		return m.reject(ErrUnknownTask)
 	}
-	// The §IV-B flush contract for resident caches: the owner's unload
-	// scrubs and frees its KV windows, wherever they were claimed.
-	if err := m.releaseKV(taskID); err != nil {
-		return m.reject(err)
-	}
 	if task.Loaded {
 		m.note(TrUnloadLoaded)
-		for _, ci := range task.Cores {
-			core, err := m.acc.Core(ci)
-			if err != nil {
-				return m.reject(err)
-			}
-			sp := core.Scratchpad()
-			if err := m.scrubSpadAround(sp, ci, task.SpadLines[0], minInt(task.SpadLines[1], sp.Lines())); err != nil {
-				return m.reject(err)
-			}
-			if err := core.SetDomain(m.ctx, spad.NonSecure); err != nil {
-				return m.reject(err)
-			}
-			if g, ok := m.guarders[ci]; ok {
-				if err := g.ClearTask(m.ctx); err != nil {
-					return m.reject(err)
-				}
-			}
-		}
 	} else {
 		m.note(TrUnloadQueued)
 	}
-	if err := m.alloc.Free(task.Chunk); err != nil {
+	if err := m.release(task); err != nil {
 		return m.reject(err)
-	}
-	delete(m.tasks, taskID)
-	for i, q := range m.queue {
-		if q.ID == taskID {
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			break
-		}
 	}
 	return nil
 }
 
 // Preempt evicts a loaded task from its cores without destroying it:
-// the §IV-B flush-on-switch. The task's scratchpad and accumulator
-// lines are scrubbed (no cross-domain bytes survive the switch), the
-// cores' ID bits are reassigned to the non-secure domain, and every
-// translation register is invalidated — exactly the context-switch
-// teardown of Unload — but the task's secure chunk and decrypted model
-// stay resident, so a later Load resumes it without re-verification.
-// The preempted task returns to the tail of the pending queue.
+// the §IV-B flush-on-switch. The eviction is Unload's, but the task's
+// secure chunk and decrypted model stay resident, so a later Load
+// resumes it without re-verification. The preempted task returns to
+// the tail of the pending queue.
 func (m *Monitor) Preempt(taskID int) error {
 	m.call()
 	task, ok := m.tasks[taskID]
@@ -391,44 +349,20 @@ func (m *Monitor) Preempt(taskID int) error {
 	}
 	m.note(TrPreemptLoaded)
 	m.stats.Inc(sim.CtrMonitorPreempts)
-	for _, ci := range task.Cores {
-		core, err := m.acc.Core(ci)
-		if err != nil {
-			return m.reject(err)
-		}
-		sp := core.Scratchpad()
-		// Context-switch scrub walks around live KV windows: resident
-		// caches (this task's and others') survive the preemption.
-		if err := m.scrubSpadAround(sp, ci, task.SpadLines[0], minInt(task.SpadLines[1], sp.Lines())); err != nil {
-			return m.reject(err)
-		}
-		acc := core.Accumulator()
-		if err := acc.ResetSecure(m.ctx, 0, acc.Lines()); err != nil {
-			return m.reject(err)
-		}
-		if err := core.SetDomain(m.ctx, spad.NonSecure); err != nil {
-			return m.reject(err)
-		}
-		if g, ok := m.guarders[ci]; ok {
-			if err := g.ClearTask(m.ctx); err != nil {
-				return m.reject(err)
-			}
-		}
+	if err := m.evict(task); err != nil {
+		return m.reject(err)
 	}
-	task.Loaded = false
-	task.Cores = nil
 	m.queue = append(m.queue, task)
 	return nil
 }
 
 // Abort is the fail-closed teardown path the recovery machinery takes
 // when a secure task hangs or hits an unrecoverable fault. Everything
-// Unload does, plus: the task's scratchpad and accumulator lines are
-// scrubbed, the decrypted model is zeroed, and the task's secure chunk
-// is wiped before returning to the allocator — no secure state
-// survives the abort, so even a fault at the worst possible moment
-// leaves nothing for the normal world to find. The untrusted driver
-// observes only an opaque "task gone" condition.
+// Unload does, plus: the decrypted model is zeroed and the task's
+// secure chunk is wiped before returning to the allocator — no secure
+// state survives the abort, so even a fault at the worst possible
+// moment leaves nothing for the normal world to find. The untrusted
+// driver observes only an opaque "task gone" condition.
 func (m *Monitor) Abort(taskID int) error {
 	m.call()
 	task, ok := m.tasks[taskID]
@@ -441,53 +375,74 @@ func (m *Monitor) Abort(taskID int) error {
 	} else {
 		m.note(TrAbortQueued)
 	}
-	// Fail-closed for resident caches too: scrub + free the task's KV
-	// windows before anything else becomes reachable.
-	if err := m.releaseKV(taskID); err != nil {
-		return m.reject(err)
-	}
-	if task.Loaded {
-		for _, ci := range task.Cores {
-			core, err := m.acc.Core(ci)
-			if err != nil {
-				return m.reject(err)
-			}
-			sp := core.Scratchpad()
-			if err := m.scrubSpadAround(sp, ci, task.SpadLines[0], minInt(task.SpadLines[1], sp.Lines())); err != nil {
-				return m.reject(err)
-			}
-			acc := core.Accumulator()
-			if err := acc.ResetSecure(m.ctx, 0, acc.Lines()); err != nil {
-				return m.reject(err)
-			}
-			if err := core.SetDomain(m.ctx, spad.NonSecure); err != nil {
-				return m.reject(err)
-			}
-			if g, ok := m.guarders[ci]; ok {
-				if err := g.ClearTask(m.ctx); err != nil {
-					return m.reject(err)
-				}
-			}
-		}
-	}
-	// Measurement-state teardown: zero the plaintext model and the
-	// task's working chunk before the chunk becomes allocatable again.
-	for i := range task.model {
-		task.model[i] = 0
-	}
+	clear(task.model)
 	task.model = nil
 	m.machine.Phys().Zero(task.Chunk, task.ChunkSize)
-	if err := m.alloc.Free(task.Chunk); err != nil {
+	if err := m.release(task); err != nil {
 		return m.reject(err)
 	}
-	delete(m.tasks, taskID)
-	for i, q := range m.queue {
-		if q.ID == taskID {
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			break
+	return nil
+}
+
+// release is the teardown Unload and Abort share. The §IV-B flush
+// contract for resident caches comes first: the owner's KV windows are
+// scrubbed and freed, wherever they were claimed. Then a loaded task
+// is evicted, its chunk returns to the allocator, and the monitor
+// forgets it.
+func (m *Monitor) release(task *SecureTask) error {
+	if err := m.releaseKV(task.ID); err != nil {
+		return err
+	}
+	if task.Loaded {
+		if err := m.evict(task); err != nil {
+			return err
 		}
 	}
+	if err := m.alloc.Free(task.Chunk); err != nil {
+		return err
+	}
+	delete(m.tasks, task.ID)
+	m.dequeue(task.ID)
 	return nil
+}
+
+// evict is the per-core context-switch teardown of a loaded task. On
+// every core it ran on, the task's scratchpad range is scrubbed around
+// live KV windows (resident caches, the task's own and others',
+// survive), the accumulator is reset, the core returns to the
+// non-secure domain, and every Guarder translation register is
+// invalidated. No secure bytes of the task stay readable on its cores.
+func (m *Monitor) evict(task *SecureTask) error {
+	for _, ci := range task.Cores {
+		core, err := m.acc.Core(ci)
+		if err != nil {
+			return err
+		}
+		sp := core.Scratchpad()
+		if err := m.scrubSpadAround(sp, ci, task.SpadLines[0], min(task.SpadLines[1], sp.Lines())); err != nil {
+			return err
+		}
+		acc := core.Accumulator()
+		if err := acc.ResetSecure(m.ctx, 0, acc.Lines()); err != nil {
+			return err
+		}
+		if err := core.SetDomain(m.ctx, spad.NonSecure); err != nil {
+			return err
+		}
+		if g, ok := m.guarders[ci]; ok {
+			if err := g.ClearTask(m.ctx); err != nil {
+				return err
+			}
+		}
+	}
+	task.Loaded = false
+	task.Cores = nil
+	return nil
+}
+
+// dequeue removes a task from the pending queue, if it waits there.
+func (m *Monitor) dequeue(taskID int) {
+	m.queue = slices.DeleteFunc(m.queue, func(q *SecureTask) bool { return q.ID == taskID })
 }
 
 // SetupPlatform installs the boot-time platform policy into every
@@ -587,11 +542,4 @@ func sharesCore(a, b []int) bool {
 		}
 	}
 	return false
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
 	"testing"
 
@@ -341,13 +340,6 @@ func TestUnloadUnknownAndDoubleFree(t *testing.T) {
 	}
 	if err := w.mon.Unload(id); !errors.Is(err, ErrUnknownTask) {
 		t.Fatal("double unload accepted")
-	}
-}
-
-func TestMeasureMatchesSHA256(t *testing.T) {
-	blob := []byte("code")
-	if Measure(blob) != sha256.Sum256(blob) {
-		t.Fatal("Measure is not sha256")
 	}
 }
 

@@ -90,3 +90,61 @@ func TestPreemptRejectsUnknownOrUnloaded(t *testing.T) {
 		t.Fatal("FnPreempt with no args accepted")
 	}
 }
+
+// Unload, Preempt and Abort share one eviction: whichever ends a
+// loaded task's residency, its cores end in the same state — back in
+// the normal world, no translation register valid, and no secure line
+// left in the task's scratchpad range or in the accumulator.
+func TestEvictionEndStateSameForUnloadPreemptAbort(t *testing.T) {
+	const from, to = 0, 64
+	for _, fn := range []FuncID{FnUnload, FnPreempt, FnAbort} {
+		t.Run(fn.String(), func(t *testing.T) {
+			w := bootWorld(t)
+			prog := testProgram(t)
+			id, err := w.mon.Submit(TaskSpec{Program: prog, Expected: prog.Measurement()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.mon.Load(id, []int{0}, from, to); err != nil {
+				t.Fatal(err)
+			}
+			core, err := w.acc.Core(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp, acc := core.Scratchpad(), core.Accumulator()
+			secret := []byte("tenant-partial-sums")
+			for _, line := range []int{from, 5, to - 1} {
+				if err := sp.Write(core.Domain(), line, secret); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, line := range []int{0, 7, acc.Lines() - 1} {
+				if err := acc.Write(core.Domain(), line, secret); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			if rep := w.mon.Dispatch(Call{Func: fn, Args: []uint64{uint64(id)}}); rep.Err != nil {
+				t.Fatal(rep.Err)
+			}
+
+			if core.Domain() != spad.NonSecure {
+				t.Errorf("core domain = %d", core.Domain())
+			}
+			for i, r := range w.guarders[0].TransRegs() {
+				if r.Valid {
+					t.Errorf("translation register %d still valid", i)
+				}
+			}
+			for line := from; line < to; line++ {
+				if sp.LineID(line) == spad.SecureDomain {
+					t.Errorf("scratchpad line %d still secure", line)
+				}
+			}
+			if n := acc.CountDomain(spad.SecureDomain); n != 0 {
+				t.Errorf("%d accumulator lines still secure", n)
+			}
+		})
+	}
+}

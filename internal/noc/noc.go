@@ -232,17 +232,24 @@ func NewMesh(cfg Config, stats *sim.Stats) (*Mesh, error) {
 // link chosen by the event's selector.
 func (m *Mesh) AttachInjector(inj *fault.Injector) { m.inj = inj }
 
+// ResetTiming returns every link's timing resource to cycle zero.
+// Dead links, channel locks and inboxes are state, not timing, and
+// stay as they are.
+func (m *Mesh) ResetTiming() {
+	for _, l := range m.links {
+		if l != nil {
+			l.Reset()
+		}
+	}
+}
+
 // Reset power-cycles the mesh for arena-style reuse: link timing
 // resources return to cycle zero, permanently failed links come back
 // up, receive-channel locks and undelivered inbox packets are dropped,
 // and any fault injector is detached. Topology (links, ordering) and
 // resolved counter handles are construction-time state and survive.
 func (m *Mesh) Reset() {
-	for _, l := range m.links {
-		if l != nil {
-			l.Reset()
-		}
-	}
+	m.ResetTiming()
 	clear(m.dead)
 	m.deadCount = 0
 	clear(m.locks)

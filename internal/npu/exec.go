@@ -6,7 +6,6 @@ import (
 	"repro/internal/dma"
 	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/spad"
 	"repro/internal/trace"
 )
 
@@ -204,15 +203,6 @@ func (e *Exec) RunUntil(from sim.Cycle, boundary Boundary) (sim.Cycle, error) {
 				Start: at, End: done,
 			})
 			e.core.pipe.storeFree = done
-		case OpSend:
-			if e.core.router == nil {
-				return 0, fmt.Errorf("npu: core %d has no NoC attachment for %s", e.core.id, op.Kind)
-			}
-			// Handled by the multi-core executor; standalone Exec treats
-			// a send as retiring after compute.
-			return 0, fmt.Errorf("npu: %s requires the multicore executor", op.Kind)
-		case OpRecv:
-			return 0, fmt.Errorf("npu: %s requires the multicore executor", op.Kind)
 		default:
 			return 0, fmt.Errorf("npu: unknown op kind %d", op.Kind)
 		}
@@ -240,6 +230,32 @@ func (e *Exec) Run(from sim.Cycle) (sim.Cycle, error) {
 	return e.RunUntil(from, BoundaryNone)
 }
 
+// Interleave runs co-running executors one tile at a time, always the
+// one whose clock now[i] lags furthest (the lowest index on a tie), so
+// their claims on the shared DRAM channel interleave the way
+// concurrently running hardware would instead of serializing whole
+// programs. It runs while some executor that is not done satisfies in
+// (nil admits every executor) and leaves each one's retire cycle in
+// now.
+func Interleave(execs []*Exec, now []sim.Cycle, in func(*Exec) bool) error {
+	for {
+		sel := -1
+		for i, e := range execs {
+			if !e.Done() && (in == nil || in(e)) && (sel < 0 || now[i] < now[sel]) {
+				sel = i
+			}
+		}
+		if sel < 0 {
+			return nil
+		}
+		end, err := execs[sel].RunUntil(now[sel], BoundaryTile)
+		if err != nil {
+			return err
+		}
+		now[sel] = end
+	}
+}
+
 // SkipToLayer advances past every op of layers below `layer` without
 // executing them: checkpoint-restart re-enters the program at the last
 // completed layer boundary, with earlier layers' outputs already in
@@ -265,11 +281,3 @@ func Utilization(prog *Program, elapsed sim.Cycle, dim int) float64 {
 // buffers are clean (re-fetchable from DRAM), so the dirty state is
 // the accumulator's partial-sum tile.
 func FlushLiveBytes(prog *Program) uint64 { return prog.AccTileBytes }
-
-// domainOf is a small helper used by multicore wiring.
-func domainOf(secure bool) spad.DomainID {
-	if secure {
-		return spad.SecureDomain
-	}
-	return spad.NonSecure
-}

@@ -16,7 +16,8 @@ import (
 
 // referenceMeasurement is the measurement loop as first written: one
 // hash write per 64-bit word. Measurement writes in chunks and must
-// hash exactly these bytes.
+// hash exactly these bytes. The two zero words stand where the retired
+// NoC ops' flit count and peer were hashed.
 func referenceMeasurement(p *npu.Program) [sha256.Size]byte {
 	h := sha256.New()
 	var buf [8]byte
@@ -31,8 +32,8 @@ func referenceMeasurement(p *npu.Program) [sha256.Size]byte {
 		write(uint64(op.VA))
 		write(op.Bytes)
 		write(uint64(op.Cycles))
-		write(uint64(op.Flits))
-		write(uint64(op.Peer))
+		write(0)
+		write(0)
 		write(uint64(op.Layer))
 	}
 	var out [sha256.Size]byte

@@ -142,8 +142,9 @@ func (n *NPU) Mesh() *noc.Mesh { return n.mesh }
 func (n *NPU) Channel() *sim.Resource { return n.channel }
 
 // ResetTiming returns all timing resources to idle — the shared DRAM
-// channel and every core's pipeline — so independent experiment runs
-// on one NPU instance do not contend with history.
+// channel, every core's pipeline, the L2 and the mesh links — so
+// independent experiment runs on one NPU instance do not contend with
+// history.
 func (n *NPU) ResetTiming() {
 	n.channel.Reset()
 	for _, c := range n.cores {
@@ -152,6 +153,7 @@ func (n *NPU) ResetTiming() {
 	if n.l2 != nil {
 		n.l2.Reset()
 	}
+	n.mesh.ResetTiming()
 }
 
 // L2 returns the shared cache (nil unless Config.UseL2).

@@ -2,6 +2,7 @@ package npu
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/iommu"
 	"repro/internal/mem"
@@ -292,7 +293,7 @@ func TestTransferModeString(t *testing.T) {
 func TestOpKindString(t *testing.T) {
 	for k, want := range map[OpKind]string{
 		OpLoad: "mvin", OpStore: "mvout", OpCompute: "matmul",
-		OpSend: "noc.send", OpRecv: "noc.recv", OpKind(99): "unknown",
+		OpKind(3): "unknown", OpKind(99): "unknown",
 	} {
 		if k.String() != want {
 			t.Fatalf("%d -> %q", k, k.String())
@@ -300,9 +301,11 @@ func TestOpKindString(t *testing.T) {
 	}
 }
 
-func TestDomainOf(t *testing.T) {
-	if domainOf(true) != spad.SecureDomain || domainOf(false) != spad.NonSecure {
-		t.Fatal("domainOf")
+// An Op is six words: the large models compile to hundreds of
+// thousands of them, and every compiled program holds its ops live.
+func TestOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n != 48 {
+		t.Fatalf("Op is %d bytes, want 48", n)
 	}
 }
 
@@ -341,9 +344,11 @@ func TestProgramValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero-cycle compute validated")
 	}
-	// Zero-flit send rejected.
-	bad = &Program{Name: "x", Layers: 1, Ops: []Op{{Kind: OpSend, Flits: 0}}}
-	if err := bad.Validate(); err == nil {
-		t.Error("zero-flit send validated")
+	// The retired NoC send/receive kinds are unknown kinds now.
+	for _, k := range []OpKind{3, 4} {
+		bad = &Program{Name: "x", Layers: 1, Ops: []Op{{Kind: k, Cycles: 1}}}
+		if err := bad.Validate(); err == nil {
+			t.Errorf("kind %d validated", k)
+		}
 	}
 }

@@ -159,38 +159,13 @@ func (n *NPU) RunModelParallel(w workload.Workload, coreIDs []int, mode Transfer
 	start := sim.Cycle(0)
 	now := make([]sim.Cycle, parts)
 	for li := 0; li < len(w.Layers); li++ {
-		// Each core computes its slice of the layer. Cores advance
-		// tile-by-tile in virtual-time order so their DRAM-channel
-		// claims interleave the way concurrently running hardware
-		// would, instead of serializing whole layers.
+		// Each core computes its slice of the layer, interleaved with
+		// the others tile by tile.
 		for i := range now {
 			now[i] = start
 		}
-		inLayer := make([]bool, parts)
-		remaining := 0
-		for i := range execs {
-			if !execs[i].Done() && execs[i].CurrentLayer() == li {
-				inLayer[i] = true
-				remaining++
-			}
-		}
-		for remaining > 0 {
-			// Pick the laggard still working on this layer.
-			sel := -1
-			for i := range execs {
-				if inLayer[i] && (sel < 0 || now[i] < now[sel]) {
-					sel = i
-				}
-			}
-			end, err := execs[sel].RunUntil(now[sel], BoundaryTile)
-			if err != nil {
-				return ModelParallelResult{}, err
-			}
-			now[sel] = end
-			if execs[sel].Done() || execs[sel].CurrentLayer() > li {
-				inLayer[sel] = false
-				remaining--
-			}
+		if err := Interleave(execs, now, func(e *Exec) bool { return e.CurrentLayer() == li }); err != nil {
+			return ModelParallelResult{}, err
 		}
 		var layerEnd sim.Cycle = start
 		for i := range now {

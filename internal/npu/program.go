@@ -14,7 +14,8 @@ import (
 
 // OpKind enumerates the NPU's op-level ISA. The compiler lowers each
 // GEMM tile iteration into mvin (load), matmul (compute), and mvout
-// (store) ops; multi-core mappings add NoC send/receive ops.
+// (store) ops. Multi-core runs move activations between cores outside
+// the op stream (parallel.go), so the stream has no NoC ops.
 type OpKind uint8
 
 const (
@@ -24,10 +25,6 @@ const (
 	OpStore
 	// OpCompute runs the systolic array for Cycles.
 	OpCompute
-	// OpSend transfers Flits scratchpad lines to core Peer over the NoC.
-	OpSend
-	// OpRecv blocks until the matching OpSend from core Peer lands.
-	OpRecv
 )
 
 func (k OpKind) String() string {
@@ -38,35 +35,29 @@ func (k OpKind) String() string {
 		return "mvout"
 	case OpCompute:
 		return "matmul"
-	case OpSend:
-		return "noc.send"
-	case OpRecv:
-		return "noc.recv"
 	default:
 		return "unknown"
 	}
 }
 
-// Op is one NPU instruction.
+// Op is one NPU instruction. The one-byte fields sit together ahead of
+// the words, so an Op is six words (48 bytes).
 type Op struct {
 	Kind OpKind
-	// VA and Bytes describe the DRAM side of a load/store.
-	VA    mem.VirtAddr
-	Bytes uint64
-	// Cycles is the array occupancy of a compute op.
-	Cycles sim.Cycle
-	// Flits and Peer describe a NoC transfer.
-	Flits int
-	Peer  int
-	// Layer is the index of the layer this op belongs to (drives
-	// flush-granularity and pipeline-mapping decisions).
-	Layer int
 	// Tile marks compute ops as op-kernel boundaries for scheduling.
 	Tile bool
 	// Weight marks loads of the weight (B) matrix; false on loads and
 	// stores of activations. Multi-core mappings strip activation
 	// traffic that arrives over the NoC instead of DRAM.
 	Weight bool
+	// VA and Bytes describe the DRAM side of a load/store.
+	VA    mem.VirtAddr
+	Bytes uint64
+	// Cycles is the array occupancy of a compute op.
+	Cycles sim.Cycle
+	// Layer is the index of the layer this op belongs to (drives
+	// flush-granularity and pipeline-mapping decisions).
+	Layer int
 	// MACs is the multiply-accumulate count of a compute op (energy
 	// accounting).
 	MACs int64
@@ -135,8 +126,11 @@ const measureChunkOps = 64
 // code-integrity measurement the NPU Monitor's code verifier checks
 // before loading a secure task, and the value an attestation quote
 // binds. The hashed bytes are the name, the source digest, then seven
-// little-endian 64-bit words per op (kind, VA, bytes, cycles, flits,
-// peer, layer); they are written in chunks of measureChunkOps ops.
+// little-endian 64-bit words per op (kind, VA, bytes, cycles, two
+// reserved zero words, layer); they are written in chunks of
+// measureChunkOps ops. The reserved words once held the NoC fields of
+// retired send/receive ops; writing them as zero keeps every
+// measurement, and so every attestation quote, unchanged.
 func (p *Program) Measurement() [sha256.Size]byte {
 	measureCalls.Add(1)
 	h := sha256.New()
@@ -149,8 +143,8 @@ func (p *Program) Measurement() [sha256.Size]byte {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.VA))
 		buf = binary.LittleEndian.AppendUint64(buf, op.Bytes)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Cycles))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Flits))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Peer))
+		buf = binary.LittleEndian.AppendUint64(buf, 0)
+		buf = binary.LittleEndian.AppendUint64(buf, 0)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Layer))
 		if len(buf) == cap(buf) {
 			h.Write(buf)
@@ -180,10 +174,10 @@ func (p *Program) OwnerMeasurement() [sha256.Size]byte {
 
 // Validate statically checks a program's structure: layer indices in
 // range and non-decreasing (the flush/pipeline machinery depends on
-// monotonic layers), op kinds known, loads/stores non-empty, compute
-// ops carrying positive occupancy, and NoC ops carrying positive flit
-// counts. The NPU Monitor runs this on decoded task images before
-// accepting them — a malformed stream is rejected rather than executed.
+// monotonic layers), op kinds known, loads/stores non-empty, and
+// compute ops carrying positive occupancy. The NPU Monitor runs this
+// on decoded task images before accepting them — a malformed stream is
+// rejected rather than executed.
 func (p *Program) Validate() error {
 	if p.Layers <= 0 {
 		return fmt.Errorf("npu: program %q has %d layers", p.Name, p.Layers)
@@ -209,10 +203,6 @@ func (p *Program) Validate() error {
 			if op.Cycles <= 0 {
 				return fmt.Errorf("npu: op %d: compute with %d cycles", i, op.Cycles)
 			}
-		case OpSend, OpRecv:
-			if op.Flits <= 0 {
-				return fmt.Errorf("npu: op %d: %s with %d flits", i, op.Kind, op.Flits)
-			}
 		default:
 			return fmt.Errorf("npu: op %d: unknown kind %d", i, op.Kind)
 		}
@@ -224,12 +214,10 @@ func (p *Program) Validate() error {
 // driver allocates chunks (weights, activations) in NPU-reserved
 // memory and the compiler places tiles inside them.
 type Layout struct {
-	// WeightBase is the VA of the packed weight chunk.
+	// WeightBase is the VA of the packed weight chunk. The activation
+	// (input/output) chunk follows it page-aligned, keeping the task's
+	// VA window compact.
 	WeightBase mem.VirtAddr
-	// ActBase is the VA of the activation (input/output) chunk. Zero
-	// means "place it page-aligned right after the weights", keeping
-	// the task's VA window compact.
-	ActBase mem.VirtAddr
 }
 
 // DefaultLayout is the conventional task address plan: a compact
@@ -279,9 +267,7 @@ func Compile(w workload.Workload, cfg Config, spadBudget int, layout Layout) (*P
 			weightTotal += uint64(kc * nc * tl.Kt * tl.Nt)
 		}
 	}
-	if layout.ActBase == 0 {
-		layout.ActBase = layout.WeightBase + mem.VirtAddr(mem.PageAlignUp(mem.PhysAddr(weightTotal)))
-	}
+	actBase := layout.WeightBase + mem.VirtAddr(mem.PageAlignUp(mem.PhysAddr(weightTotal)))
 
 	// Size the op stream exactly before emitting: append-growth on
 	// multi-million-op streams dominated the whole suite's allocation
@@ -310,7 +296,7 @@ func Compile(w workload.Workload, cfg Config, spadBudget int, layout Layout) (*P
 			aPacked := uint64(mc * kc * tl.Mt * tl.Kt)
 			bPacked := uint64(kc * nc * tl.Kt * tl.Nt)
 			cPacked := uint64(mc * nc * tl.Mt * tl.Nt)
-			aBase := layout.ActBase + mem.VirtAddr(actOff)
+			aBase := actBase + mem.VirtAddr(actOff)
 			bBase := layout.WeightBase + mem.VirtAddr(weightOff)
 			cBase := aBase + mem.VirtAddr(aPacked)
 

@@ -10,7 +10,8 @@ import (
 
 // FuzzDecode drives the untrusted-image decoder with arbitrary bytes.
 // The security property is "no panic, no over-allocation"; acceptance
-// additionally implies a structurally bounded program. Run longer with
+// additionally implies a structurally bounded program whose ops all
+// have a kind the executor knows. Run longer with
 // `go test -fuzz=FuzzDecode ./internal/taskimage`.
 func FuzzDecode(f *testing.F) {
 	// Seed with a valid image and a few degenerate corpora.
@@ -48,6 +49,11 @@ func FuzzDecode(f *testing.F) {
 		}
 		if len(img.Program.Ops) > MaxOps || len(img.SealedModel) > MaxModelBytes {
 			t.Fatal("accepted image exceeding caps")
+		}
+		for i, op := range img.Program.Ops {
+			if op.Kind > npu.OpCompute {
+				t.Fatalf("accepted op %d with kind %d", i, op.Kind)
+			}
 		}
 	})
 }

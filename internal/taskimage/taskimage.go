@@ -62,7 +62,11 @@ type Image struct {
 	Topology    isolator.Topology
 }
 
-// opRecord is the fixed wire layout of one op (9 little-endian u64s).
+// opRecord is the fixed wire layout of one op: nine little-endian
+// u64s (kind, VA, bytes, cycles, two reserved words, layer, flags,
+// MACs). The reserved words once carried the NoC fields of retired
+// send/receive ops; producers write them as zero and the decoder
+// rejects anything else.
 const opRecordBytes = 9 * 8
 
 // Encode serializes an image. It is the *owner-side* producer; the
@@ -112,8 +116,8 @@ func Encode(img *Image) ([]byte, error) {
 		u64(uint64(op.VA))
 		u64(op.Bytes)
 		u64(uint64(op.Cycles))
-		u64(uint64(op.Flits))
-		u64(uint64(op.Peer))
+		u64(0)
+		u64(0)
 		u64(uint64(op.Layer))
 		flags := uint64(0)
 		if op.Tile {
@@ -291,16 +295,17 @@ func Decode(buf []byte) (*Image, error) {
 			}
 			vals[j] = v
 		}
-		if vals[0] > uint64(npu.OpRecv) {
+		if vals[0] > uint64(npu.OpCompute) {
 			return nil, fmt.Errorf("taskimage: op %d has invalid kind %d", i, vals[0])
+		}
+		if vals[4] != 0 || vals[5] != 0 {
+			return nil, fmt.Errorf("taskimage: op %d has nonzero reserved words", i)
 		}
 		p.Ops[i] = npu.Op{
 			Kind:   npu.OpKind(vals[0]),
 			VA:     mem.VirtAddr(vals[1]),
 			Bytes:  vals[2],
 			Cycles: sim.Cycle(vals[3]),
-			Flits:  int(vals[4]),
-			Peer:   int(vals[5]),
 			Layer:  int(vals[6]),
 			Tile:   vals[7]&1 != 0,
 			Weight: vals[7]&2 != 0,

@@ -2,6 +2,7 @@ package taskimage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -158,6 +159,37 @@ func TestDecodeRejectsHugeClaims(t *testing.T) {
 		t.Fatalf("huge op count: %v", err)
 	}
 	_ = buf
+}
+
+// The op kinds of the retired NoC send/receive ops (3, 4) and nonzero
+// values in the two reserved op words, where those ops' fields were
+// carried, fail decoding.
+func TestDecodeRejectsRetiredKindsAndReservedWords(t *testing.T) {
+	img := sampleImage(t)
+	buf, err := Encode(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The op section sits just before the sealed model's section.
+	op0 := len(buf) - 4 - len(img.SealedModel) - len(img.Program.Ops)*opRecordBytes
+	for _, c := range []struct {
+		name      string
+		word, val int
+	}{
+		{"kind-3", 0, 3},
+		{"kind-4", 0, 4},
+		{"reserved-word-4", 4, 1},
+		{"reserved-word-5", 5, 1},
+	} {
+		bad := append([]byte{}, buf...)
+		binary.LittleEndian.PutUint64(bad[op0+8*c.word:], uint64(c.val))
+		if _, err := Decode(bad); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	if _, err := Decode(buf); err != nil {
+		t.Fatalf("unmodified image rejected: %v", err)
+	}
 }
 
 // Property (decoder hardening): random mutations of a valid image

@@ -440,7 +440,9 @@ func (s *System) SubmitSecureWorkload(w workload.Workload, keyID string, sealedM
 // RunSecure loads the task onto core 0 (flipping it into the secure
 // domain, programming its Guarder) and executes it, then unloads —
 // scrubbing secure scratchpad lines and returning the core to the
-// normal world.
+// normal world. It fails closed: when execution fails (a hung core, an
+// unrecovered fault), the monitor aborts the task and the caller sees
+// only ErrTaskAborted. RunSecureResilient restarts instead.
 func (s *System) RunSecure(h *SecureTaskHandle) (InferenceResult, error) {
 	if s.mon == nil {
 		return InferenceResult{}, fmt.Errorf("snpu: baseline system has no monitor")
@@ -463,7 +465,10 @@ func (s *System) RunSecure(h *SecureTaskHandle) (InferenceResult, error) {
 	ex := npu.NewExec(c, h.prog.prog, h.ID+10000)
 	cycles, err := ex.Run(0)
 	if err != nil {
-		return InferenceResult{}, err
+		if rep := s.mon.Dispatch(monitor.Call{Func: monitor.FnAbort, Args: []uint64{uint64(h.ID)}}); rep.Err != nil {
+			return InferenceResult{}, rep.Err
+		}
+		return InferenceResult{}, ErrTaskAborted
 	}
 	if rep := s.mon.Dispatch(monitor.Call{Func: monitor.FnUnload, Args: []uint64{uint64(h.ID)}}); rep.Err != nil {
 		return InferenceResult{}, rep.Err

@@ -173,3 +173,25 @@ func TestTimeShareFlushVsNoFlush(t *testing.T) {
 		t.Fatalf("flushing not slower: %d vs %d", flushed.Makespan(), clean.Makespan())
 	}
 }
+
+// Each model-parallel run on one System starts from idle NoC links, so
+// a repeat reports the same cycles as the first run on the fresh
+// System.
+func TestRunModelParallelRepeatable(t *testing.T) {
+	sys, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first ModelParallelResult
+	for i := 0; i < 3; i++ {
+		res, err := sys.RunModelParallel("yololite", []int{0, 1, 5, 6}, TransferNoC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = res
+		} else if res != first {
+			t.Fatalf("run %d: %+v, first run %+v", i+1, res, first)
+		}
+	}
+}
