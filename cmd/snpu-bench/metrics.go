@@ -10,6 +10,7 @@ import (
 	snpu "repro"
 	"repro/internal/experiments"
 	"repro/internal/mem"
+	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -105,8 +106,11 @@ func measureMetricsOverhead() (overheadReading, error) {
 		return overheadReading{}, err
 	}
 	vbase, size := mem.PageWindow(task.Program.VASpan())
-	if err := sys.Monitor().MapNonSecure(0, 1, vbase, task.Chunk, size); err != nil {
-		return overheadReading{}, err
+	if rep := sys.Monitor().Dispatch(monitor.Call{
+		Func: monitor.FnMapNonSecure,
+		Args: []uint64{0, 1, uint64(vbase), uint64(task.Chunk), size},
+	}); rep.Err != nil {
+		return overheadReading{}, rep.Err
 	}
 	core, err := sys.NPU().Core(0)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/spad"
 )
@@ -121,8 +120,8 @@ func TestRunSecureAbortsOnHang(t *testing.T) {
 	if core.Domain() != spad.NonSecure {
 		t.Fatalf("core 0 left in domain %d", core.Domain())
 	}
-	if _, err := sys.Monitor().Task(h.ID); !errors.Is(err, monitor.ErrUnknownTask) {
-		t.Fatalf("task still held by the monitor: %v", err)
+	if sys.Monitor().HasTask(h.ID) {
+		t.Fatal("task still held by the monitor")
 	}
 	if n := sys.Monitor().QueueLen(); n != 0 {
 		t.Fatalf("monitor queue holds %d tasks", n)

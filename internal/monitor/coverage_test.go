@@ -53,7 +53,7 @@ func TestTransitionBitmapDispatchOutcomes(t *testing.T) {
 func TestTransitionBitmapTaskLifecycle(t *testing.T) {
 	w := bootWorld(t)
 	prog := testProgram(t)
-	id, err := w.mon.Submit(TaskSpec{Program: prog, Expected: prog.Measurement()})
+	id, err := w.mon.submit(Call{Program: prog, Expected: prog.Measurement()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,20 +62,20 @@ func TestTransitionBitmapTaskLifecycle(t *testing.T) {
 	}
 
 	// Preempt before load is refused.
-	if err := w.mon.Preempt(id); err == nil {
+	if err := w.mon.preempt(id); err == nil {
 		t.Fatal("preempt of unloaded task succeeded")
 	}
 	if !hasBit(w.mon, TrPreemptRefused) || hasBit(w.mon, TrPreemptLoaded) {
 		t.Fatalf("preempt-refused bits wrong: %#x", w.mon.TransitionBitmap())
 	}
 
-	if err := w.mon.Load(id, []int{0}, 0, 8); err != nil {
+	if err := w.mon.load(id, []int{0}, 0, 8); err != nil {
 		t.Fatal(err)
 	}
 	if !hasBit(w.mon, TrLoadOK) {
 		t.Fatalf("load did not set TrLoadOK: %#x", w.mon.TransitionBitmap())
 	}
-	if err := w.mon.Preempt(id); err != nil {
+	if err := w.mon.preempt(id); err != nil {
 		t.Fatal(err)
 	}
 	if !hasBit(w.mon, TrPreemptLoaded) {
@@ -83,7 +83,7 @@ func TestTransitionBitmapTaskLifecycle(t *testing.T) {
 	}
 
 	// Abort of the (now queued again) task is the queued-abort bit.
-	if err := w.mon.Abort(id); err != nil {
+	if err := w.mon.abort(id); err != nil {
 		t.Fatal(err)
 	}
 	if !hasBit(w.mon, TrAbortQueued) || hasBit(w.mon, TrAbortLoaded) {
@@ -91,14 +91,14 @@ func TestTransitionBitmapTaskLifecycle(t *testing.T) {
 	}
 
 	// A fresh task aborted while loaded lands the loaded-abort bit.
-	id2, err := w.mon.Submit(TaskSpec{Program: prog, Expected: prog.Measurement()})
+	id2, err := w.mon.submit(Call{Program: prog, Expected: prog.Measurement()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.mon.Load(id2, []int{0}, 0, 8); err != nil {
+	if err := w.mon.load(id2, []int{0}, 0, 8); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.mon.Abort(id2); err != nil {
+	if err := w.mon.abort(id2); err != nil {
 		t.Fatal(err)
 	}
 	if !hasBit(w.mon, TrAbortLoaded) {
@@ -113,7 +113,7 @@ func TestTransitionBitmapMapAndMeasurement(t *testing.T) {
 	// Measurement mismatch.
 	bad := prog.Measurement()
 	bad[0] ^= 0xff
-	if _, err := w.mon.Submit(TaskSpec{Program: prog, Expected: bad}); err == nil {
+	if _, err := w.mon.submit(Call{Program: prog, Expected: bad}); err == nil {
 		t.Fatal("mismatched measurement accepted")
 	}
 	if !hasBit(w.mon, TrSubmitBadMeas) {
@@ -128,7 +128,7 @@ func TestTransitionBitmapMapAndMeasurement(t *testing.T) {
 	}
 
 	// Non-secure window into the secure region is refused and noted.
-	if err := w.mon.MapNonSecure(0, 1, 0x4000, secureBase+0x1000, 0x1000); err == nil {
+	if err := w.mon.mapNonSecure(0, 1, 0x4000, secureBase+0x1000, 0x1000); err == nil {
 		t.Fatal("window into secure memory accepted")
 	}
 	if !hasBit(w.mon, TrMapSecureTarget) || hasBit(w.mon, TrMapOK) {
@@ -136,7 +136,7 @@ func TestTransitionBitmapMapAndMeasurement(t *testing.T) {
 	}
 
 	// A legitimate window sets the ok bit.
-	if err := w.mon.MapNonSecure(0, 1, 0x4000, 0x1000_0000, 0x1000); err != nil {
+	if err := w.mon.mapNonSecure(0, 1, 0x4000, 0x1000_0000, 0x1000); err != nil {
 		t.Fatal(err)
 	}
 	if !hasBit(w.mon, TrMapOK) {

@@ -74,13 +74,13 @@ func (m *Monitor) kvOnCore(core int) []*KVRegion {
 	return out
 }
 
-// KVAlloc claims a resident KV window for a loaded task: `lines`
+// kvAlloc claims a resident KV window for a loaded task: `lines`
 // wordlines in core `coreID`'s KV partition, tagged with a fresh
 // per-task domain, plus `bytes` of secure memory backing the full
 // cache. It is the monitor-mediated allocation path — the untrusted
 // scheduler asks via the trampoline (FnKVAlloc) and learns only the
 // assigned domain; refusals carry no detail beyond the failing check.
-func (m *Monitor) KVAlloc(taskID, coreID, lines int, bytes uint64) (spad.DomainID, error) {
+func (m *Monitor) kvAlloc(taskID, coreID, lines int, bytes uint64) (spad.DomainID, error) {
 	m.call()
 	task, ok := m.tasks[taskID]
 	if !ok {
@@ -188,7 +188,7 @@ func (m *Monitor) KVAlloc(taskID, coreID, lines int, bytes uint64) (spad.DomainI
 // lines are zeroed and returned to the normal world, the DRAM backing
 // is wiped before the chunk becomes allocatable again, and the task's
 // KV domain is retired. This is the §IV-B flush contract applied to
-// the cache — it runs only on the owner's Unload/Abort, never on a
+// the cache — it runs only on the owner's unload/abort, never on a
 // context switch.
 func (m *Monitor) releaseKV(taskID int) error {
 	kept := m.kv[:0]

@@ -48,7 +48,7 @@ func bootKVWorld(t *testing.T, idBits int) *world {
 func loadKVTask(t *testing.T, w *world, cores []int) int {
 	t.Helper()
 	prog := testProgram(t)
-	id, err := w.mon.Submit(TaskSpec{Program: prog, Expected: prog.Measurement()})
+	id, err := w.mon.submit(Call{Program: prog, Expected: prog.Measurement()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func loadKVTask(t *testing.T, w *world, cores []int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.mon.Load(id, cores, 0, core.Scratchpad().Lines()); err != nil {
+	if err := w.mon.load(id, cores, 0, core.Scratchpad().Lines()); err != nil {
 		t.Fatal(err)
 	}
 	return id
@@ -68,7 +68,7 @@ func TestKVAllocClaimsPartitionWindow(t *testing.T) {
 	core, _ := w.acc.Core(0)
 	sp := core.Scratchpad()
 
-	dom, err := w.mon.KVAlloc(id, 0, 32, 4096)
+	dom, err := w.mon.kvAlloc(id, 0, 32, 4096)
 	if err != nil {
 		t.Fatalf("kv alloc: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestKVWindowSurvivesPreemptionIsolated(t *testing.T) {
 	core, _ := w.acc.Core(0)
 	sp := core.Scratchpad()
 
-	dom, err := w.mon.KVAlloc(id, 0, 8, 512)
+	dom, err := w.mon.kvAlloc(id, 0, 8, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestKVWindowSurvivesPreemptionIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := w.mon.Preempt(id); err != nil {
+	if err := w.mon.preempt(id); err != nil {
 		t.Fatal(err)
 	}
 	if n := sp.CountDomain(spad.SecureDomain); n != 0 {
@@ -146,7 +146,7 @@ func TestKVWindowSurvivesPreemptionIsolated(t *testing.T) {
 	}
 
 	// Owner teardown while preempted (queued): window scrubbed + freed.
-	if err := w.mon.Unload(id); err != nil {
+	if err := w.mon.unload(id); err != nil {
 		t.Fatal(err)
 	}
 	if n := sp.CountDomain(dom); n != 0 {
@@ -165,11 +165,11 @@ func TestKVAbortScrubsWindows(t *testing.T) {
 	id := loadKVTask(t, w, []int{0})
 	core, _ := w.acc.Core(0)
 	sp := core.Scratchpad()
-	dom, err := w.mon.KVAlloc(id, 0, 8, 512)
+	dom, err := w.mon.kvAlloc(id, 0, 8, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.mon.Abort(id); err != nil {
+	if err := w.mon.abort(id); err != nil {
 		t.Fatal(err)
 	}
 	if n := sp.CountDomain(dom); n != 0 {
@@ -182,47 +182,47 @@ func TestKVAbortScrubsWindows(t *testing.T) {
 
 func TestKVAllocRefusals(t *testing.T) {
 	w := bootKVWorld(t, 2) // maxDomain = 3: exactly two kv domains
-	if _, err := w.mon.KVAlloc(99, 0, 8, 512); !errors.Is(err, ErrUnknownTask) {
+	if _, err := w.mon.kvAlloc(99, 0, 8, 512); !errors.Is(err, ErrUnknownTask) {
 		t.Fatalf("unknown task: %v", err)
 	}
 	prog := testProgram(t)
-	queued, err := w.mon.Submit(TaskSpec{Program: prog, Expected: prog.Measurement()})
+	queued, err := w.mon.submit(Call{Program: prog, Expected: prog.Measurement()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.mon.KVAlloc(queued, 0, 8, 512); err == nil {
+	if _, err := w.mon.kvAlloc(queued, 0, 8, 512); err == nil {
 		t.Fatal("kv alloc for a never-loaded task accepted")
 	}
 	id := loadKVTask(t, w, []int{0})
-	if _, err := w.mon.KVAlloc(id, 3, 8, 512); err == nil {
+	if _, err := w.mon.kvAlloc(id, 3, 8, 512); err == nil {
 		t.Fatal("kv alloc on a core the task is not loaded on accepted")
 	}
-	if _, err := w.mon.KVAlloc(id, 0, 0, 512); err == nil {
+	if _, err := w.mon.kvAlloc(id, 0, 0, 512); err == nil {
 		t.Fatal("zero-line kv alloc accepted")
 	}
 	core, _ := w.acc.Core(0)
-	if _, err := w.mon.KVAlloc(id, 0, core.Scratchpad().Lines(), 512); !errors.Is(err, ErrKVExhausted) {
+	if _, err := w.mon.kvAlloc(id, 0, core.Scratchpad().Lines(), 512); !errors.Is(err, ErrKVExhausted) {
 		t.Fatalf("partition-sized overflow: %v", err)
 	}
-	if _, err := w.mon.KVAlloc(id, 0, 8, 512); err != nil {
+	if _, err := w.mon.kvAlloc(id, 0, 8, 512); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.mon.KVAlloc(id, 0, 8, 512); !errors.Is(err, ErrKVDup) {
+	if _, err := w.mon.kvAlloc(id, 0, 8, 512); !errors.Is(err, ErrKVDup) {
 		t.Fatalf("duplicate region: %v", err)
 	}
 	// Two more tasks on the same core: the second exhausts the 2-bit
 	// domain space.
 	id2 := loadKVTask(t, w, []int{1})
-	if err := w.mon.Preempt(id2); err != nil {
+	if err := w.mon.preempt(id2); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.mon.Load(id2, []int{0}, 0, core.Scratchpad().Lines()/2); err == nil {
+	if err := w.mon.load(id2, []int{0}, 0, core.Scratchpad().Lines()/2); err == nil {
 		// Overlap with id's full-range load is expected to refuse; load
 		// elsewhere in that case is irrelevant to the domain-space check
 		// below, so tolerate either.
 		t.Log("secondary load accepted")
 	}
-	if _, err := w.mon.KVAlloc(id2, 0, 8, 512); err == nil {
+	if _, err := w.mon.kvAlloc(id2, 0, 8, 512); err == nil {
 		t.Fatal("kv alloc for an overlapping/unloaded task accepted")
 	}
 	if w.mon.TransitionBitmap()&(1<<TrKVRefused) == 0 {
@@ -233,7 +233,7 @@ func TestKVAllocRefusals(t *testing.T) {
 func TestKVConfigTooNarrow(t *testing.T) {
 	w := bootKVWorld(t, 1)
 	id := loadKVTask(t, w, []int{0})
-	if _, err := w.mon.KVAlloc(id, 0, 8, 512); !errors.Is(err, ErrKVConfig) {
+	if _, err := w.mon.kvAlloc(id, 0, 8, 512); !errors.Is(err, ErrKVConfig) {
 		t.Fatalf("1-bit ID state: %v, want ErrKVConfig", err)
 	}
 }
@@ -246,29 +246,29 @@ func TestKVDomainSpaceExhaustion(t *testing.T) {
 	ids := make([]int, 3)
 	for i := range ids {
 		prog := testProgram(t)
-		id, err := w.mon.Submit(TaskSpec{Program: prog, Expected: prog.Measurement()})
+		id, err := w.mon.submit(Call{Program: prog, Expected: prog.Measurement()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.mon.Load(id, []int{0}, i*quarter, (i+1)*quarter); err != nil {
+		if err := w.mon.load(id, []int{0}, i*quarter, (i+1)*quarter); err != nil {
 			t.Fatal(err)
 		}
 		ids[i] = id
 	}
-	if _, err := w.mon.KVAlloc(ids[0], 0, 4, 64); err != nil {
+	if _, err := w.mon.kvAlloc(ids[0], 0, 4, 64); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.mon.KVAlloc(ids[1], 0, 4, 64); err != nil {
+	if _, err := w.mon.kvAlloc(ids[1], 0, 4, 64); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.mon.KVAlloc(ids[2], 0, 4, 64); !errors.Is(err, ErrKVExhausted) {
+	if _, err := w.mon.kvAlloc(ids[2], 0, 4, 64); !errors.Is(err, ErrKVExhausted) {
 		t.Fatalf("third kv domain on a 2-bit core: %v, want ErrKVExhausted", err)
 	}
 	// Retiring one domain makes it reusable.
-	if err := w.mon.Unload(ids[0]); err != nil {
+	if err := w.mon.unload(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.mon.KVAlloc(ids[2], 0, 4, 64); err != nil {
+	if _, err := w.mon.kvAlloc(ids[2], 0, 4, 64); err != nil {
 		t.Fatalf("kv alloc after domain retirement: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"slices"
@@ -27,9 +26,9 @@ var (
 	ErrOverlappingSpad = errors.New("monitor: scratchpad ranges overlap")
 )
 
-// SecureTask is one verified task waiting in (or loaded from) the
+// secureTask is one verified task waiting in (or loaded from) the
 // secure task queue.
-type SecureTask struct {
+type secureTask struct {
 	ID      int
 	Program *npu.Program
 	// Model is the decrypted model blob, held only in secure memory.
@@ -45,7 +44,7 @@ type SecureTask struct {
 	SpadLines [2]int
 	Loaded    bool
 	// spanLo and spanHi bound the VAs the measured ops touch, derived
-	// at submit from those ops; Load programs the Guarder from them.
+	// at submit from those ops; load programs the Guarder from them.
 	spanLo, spanHi mem.VirtAddr
 }
 
@@ -87,8 +86,8 @@ type Monitor struct {
 	// provisioned sealing keys by key ID (attested-channel stand-in)
 	keys map[string][]byte
 	// secure task queue
-	queue  []*SecureTask
-	tasks  map[int]*SecureTask
+	queue  []*secureTask
+	tasks  map[int]*secureTask
 	nextID int
 	stats  *sim.Stats
 
@@ -133,7 +132,7 @@ func New(machine *tee.Machine, acc *npu.NPU, guarders map[int]*guarder.Guarder, 
 		guarders: guarders,
 		alloc:    mem.NewContigAlloc(secureBase, secureSize),
 		keys:     make(map[string][]byte),
-		tasks:    make(map[int]*SecureTask),
+		tasks:    make(map[int]*secureTask),
 		nextID:   1,
 		stats:    stats,
 	}, nil
@@ -170,43 +169,33 @@ func (m *Monitor) ProvisionKey(keyID string, key []byte) error {
 	return nil
 }
 
-// TaskSpec is what the untrusted driver submits through the
-// trampoline: the compiled program, the owner's expected measurement,
-// the sealed model, and the expected NoC topology.
-type TaskSpec struct {
-	Program     *npu.Program
-	Expected    [sha256.Size]byte
-	KeyID       string
-	SealedModel []byte
-	Topology    isolator.Topology
-}
-
-// Submit is the code-verifier + trusted-allocator path: decrypt the
-// model, measure the program against the owner's expectation, allocate
-// the task's secure-memory chunk, and enqueue it.
-func (m *Monitor) Submit(spec TaskSpec) (int, error) {
+// submit is the code-verifier + trusted-allocator path behind FnSubmit
+// and FnSubmitImage: decrypt the sealed model in c.Shared, measure the
+// program against the owner's expectation, allocate the task's
+// secure-memory chunk, and enqueue it.
+func (m *Monitor) submit(c Call) (int, error) {
 	m.call()
-	if spec.Program == nil {
+	if c.Program == nil {
 		return 0, m.reject(fmt.Errorf("monitor: nil program"))
 	}
 	// Code verifier: statically validate the op stream's structure,
 	// then measure it against the owner's expectation.
-	if err := spec.Program.Validate(); err != nil {
+	if err := c.Program.Validate(); err != nil {
 		return 0, m.reject(fmt.Errorf("monitor: program rejected: %w", err))
 	}
-	if got := spec.Program.Measurement(); got != spec.Expected {
+	if got := c.Program.Measurement(); got != c.Expected {
 		m.note(TrSubmitBadMeas)
 		return 0, m.reject(ErrBadMeasurement)
 	}
 	var model []byte
-	if len(spec.SealedModel) > 0 {
-		key, ok := m.keys[spec.KeyID]
+	if len(c.Shared) > 0 {
+		key, ok := m.keys[c.KeyID]
 		if !ok {
 			m.note(TrUnsealFailed)
-			return 0, m.reject(fmt.Errorf("monitor: no key %q provisioned", spec.KeyID))
+			return 0, m.reject(fmt.Errorf("monitor: no key %q provisioned", c.KeyID))
 		}
 		var err error
-		model, err = OpenModel(key, spec.SealedModel)
+		model, err = OpenModel(key, c.Shared)
 		if err != nil {
 			m.note(TrUnsealFailed)
 			return 0, m.reject(err)
@@ -216,20 +205,20 @@ func (m *Monitor) Submit(spec TaskSpec) (int, error) {
 	// memory, never in the driver-controlled reserved heap. The window
 	// comes from the ops just measured, not from anything the program
 	// recorded about itself.
-	lo, hi := npu.SpanOf(spec.Program.Ops)
+	lo, hi := npu.SpanOf(c.Program.Ops)
 	_, size := mem.PageWindow(lo, hi)
 	chunk, err := m.alloc.Alloc(size, mem.PageSize)
 	if err != nil {
 		m.note(TrSubmitNoSpace)
 		return 0, m.reject(err)
 	}
-	task := &SecureTask{
+	task := &secureTask{
 		ID:        m.nextID,
-		Program:   spec.Program,
+		Program:   c.Program,
 		model:     model,
 		Chunk:     chunk,
 		ChunkSize: size,
-		Topology:  spec.Topology,
+		Topology:  c.Topology,
 		spanLo:    lo,
 		spanHi:    hi,
 	}
@@ -240,15 +229,20 @@ func (m *Monitor) Submit(spec TaskSpec) (int, error) {
 	return task.ID, nil
 }
 
-// Load is the secure-loader + context-setter path: verify the route
+// load is the secure-loader + context-setter path: verify the route
 // integrity of the scheduled cores, check scratchpad reservations for
 // overlap, flip the cores' ID states, and program each core's Guarder
-// with the task's translation window and checking authority.
-func (m *Monitor) Load(taskID int, cores []int, spadFrom, spadTo int) error {
+// with the task's translation window and checking authority. A task
+// loads once: a second load would drop the cores of the first, which
+// the eviction then never returns to the normal world.
+func (m *Monitor) load(taskID int, cores []int, spadFrom, spadTo int) error {
 	m.call()
 	task, ok := m.tasks[taskID]
 	if !ok {
 		return m.reject(ErrUnknownTask)
+	}
+	if task.Loaded {
+		return m.reject(fmt.Errorf("monitor: task %d is already loaded", taskID))
 	}
 	// Secure loader: route integrity.
 	coords := make([]noc.Coord, 0, len(cores))
@@ -273,7 +267,7 @@ func (m *Monitor) Load(taskID int, cores []int, spadFrom, spadTo int) error {
 		return m.reject(fmt.Errorf("monitor: bad scratchpad range [%d,%d)", spadFrom, spadTo))
 	}
 	for _, other := range m.tasks {
-		if !other.Loaded || other.ID == taskID {
+		if !other.Loaded {
 			continue
 		}
 		if sharesCore(other.Cores, cores) && spadFrom < other.SpadLines[1] && other.SpadLines[0] < spadTo {
@@ -312,9 +306,9 @@ func (m *Monitor) Load(taskID int, cores []int, spadFrom, spadTo int) error {
 	return nil
 }
 
-// Unload releases a task: its KV windows are scrubbed and freed, a
+// unload releases a task: its KV windows are scrubbed and freed, a
 // loaded task is evicted from its cores, and its chunk is freed.
-func (m *Monitor) Unload(taskID int) error {
+func (m *Monitor) unload(taskID int) error {
 	m.call()
 	task, ok := m.tasks[taskID]
 	if !ok {
@@ -331,12 +325,12 @@ func (m *Monitor) Unload(taskID int) error {
 	return nil
 }
 
-// Preempt evicts a loaded task from its cores without destroying it:
-// the §IV-B flush-on-switch. The eviction is Unload's, but the task's
-// secure chunk and decrypted model stay resident, so a later Load
+// preempt evicts a loaded task from its cores without destroying it:
+// the §IV-B flush-on-switch. The eviction is unload's, but the task's
+// secure chunk and decrypted model stay resident, so a later load
 // resumes it without re-verification. The preempted task returns to
 // the tail of the pending queue.
-func (m *Monitor) Preempt(taskID int) error {
+func (m *Monitor) preempt(taskID int) error {
 	m.call()
 	task, ok := m.tasks[taskID]
 	if !ok {
@@ -356,14 +350,14 @@ func (m *Monitor) Preempt(taskID int) error {
 	return nil
 }
 
-// Abort is the fail-closed teardown path the recovery machinery takes
+// abort is the fail-closed teardown path the recovery machinery takes
 // when a secure task hangs or hits an unrecoverable fault. Everything
-// Unload does, plus: the decrypted model is zeroed and the task's
+// unload does, plus: the decrypted model is zeroed and the task's
 // secure chunk is wiped before returning to the allocator — no secure
 // state survives the abort, so even a fault at the worst possible
 // moment leaves nothing for the normal world to find. The untrusted
 // driver observes only an opaque "task gone" condition.
-func (m *Monitor) Abort(taskID int) error {
+func (m *Monitor) abort(taskID int) error {
 	m.call()
 	task, ok := m.tasks[taskID]
 	if !ok {
@@ -384,12 +378,12 @@ func (m *Monitor) Abort(taskID int) error {
 	return nil
 }
 
-// release is the teardown Unload and Abort share. The §IV-B flush
+// release is the teardown unload and abort share. The §IV-B flush
 // contract for resident caches comes first: the owner's KV windows are
 // scrubbed and freed, wherever they were claimed. Then a loaded task
 // is evicted, its chunk returns to the allocator, and the monitor
 // forgets it.
-func (m *Monitor) release(task *SecureTask) error {
+func (m *Monitor) release(task *secureTask) error {
 	if err := m.releaseKV(task.ID); err != nil {
 		return err
 	}
@@ -412,7 +406,7 @@ func (m *Monitor) release(task *SecureTask) error {
 // survive), the accumulator is reset, the core returns to the
 // non-secure domain, and every Guarder translation register is
 // invalidated. No secure bytes of the task stay readable on its cores.
-func (m *Monitor) evict(task *SecureTask) error {
+func (m *Monitor) evict(task *secureTask) error {
 	for _, ci := range task.Cores {
 		core, err := m.acc.Core(ci)
 		if err != nil {
@@ -442,7 +436,7 @@ func (m *Monitor) evict(task *SecureTask) error {
 
 // dequeue removes a task from the pending queue, if it waits there.
 func (m *Monitor) dequeue(taskID int) {
-	m.queue = slices.DeleteFunc(m.queue, func(q *SecureTask) bool { return q.ID == taskID })
+	m.queue = slices.DeleteFunc(m.queue, func(q *secureTask) bool { return q.ID == taskID })
 }
 
 // SetupPlatform installs the boot-time platform policy into every
@@ -470,7 +464,7 @@ func (m *Monitor) SetupPlatform(reservedBase mem.PhysAddr, reservedSize uint64, 
 	return nil
 }
 
-// MapNonSecure programs a translation window for a NON-secure task on
+// mapNonSecure programs a translation window for a NON-secure task on
 // behalf of the untrusted driver (translation registers are secure
 // state, so the driver cannot write them itself). The monitor applies
 // no software checks beyond refusing windows that reach into
@@ -478,7 +472,7 @@ func (m *Monitor) SetupPlatform(reservedBase mem.PhysAddr, reservedSize uint64, 
 // registers carry the isolation (§IV-C: "for non-secure tasks, we do
 // not apply any software checks and rely only on the hardware
 // mechanisms").
-func (m *Monitor) MapNonSecure(core int, slot int, vbase mem.VirtAddr, pbase mem.PhysAddr, size uint64) error {
+func (m *Monitor) mapNonSecure(core int, slot int, vbase mem.VirtAddr, pbase mem.PhysAddr, size uint64) error {
 	m.call()
 	g, ok := m.guarders[core]
 	if !ok {
@@ -495,13 +489,11 @@ func (m *Monitor) MapNonSecure(core int, slot int, vbase mem.VirtAddr, pbase mem
 	return nil
 }
 
-// Task returns a loaded/queued task by ID.
-func (m *Monitor) Task(taskID int) (*SecureTask, error) {
-	t, ok := m.tasks[taskID]
-	if !ok {
-		return nil, ErrUnknownTask
-	}
-	return t, nil
+// HasTask reports whether the monitor holds a task with this ID,
+// queued or loaded.
+func (m *Monitor) HasTask(taskID int) bool {
+	_, ok := m.tasks[taskID]
+	return ok
 }
 
 // QueueLen reports pending (submitted, unloaded) secure tasks.

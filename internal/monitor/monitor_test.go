@@ -126,12 +126,12 @@ func submitSpec(t *testing.T, w *world, prog *npu.Program, topo isolator.Topolog
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := w.mon.Submit(TaskSpec{
-		Program:     prog,
-		Expected:    prog.Measurement(),
-		KeyID:       "owner",
-		SealedModel: sealed,
-		Topology:    topo,
+	id, err := w.mon.submit(Call{
+		Program:  prog,
+		Expected: prog.Measurement(),
+		KeyID:    "owner",
+		Shared:   sealed,
+		Topology: topo,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestSubmitVerifiesMeasurement(t *testing.T) {
 	evil := testProgram(t)
 	expected := evil.Measurement()
 	evil.Ops[0].VA ^= 0x1000
-	if _, err := w.mon.Submit(TaskSpec{Program: evil, Expected: expected}); !errors.Is(err, ErrBadMeasurement) {
+	if _, err := w.mon.submit(Call{Program: evil, Expected: expected}); !errors.Is(err, ErrBadMeasurement) {
 		t.Fatalf("tampered program accepted: %v", err)
 	}
 	if w.stats.Get(sim.CtrMonitorRejected) == 0 {
@@ -164,11 +164,11 @@ func TestSubmitVerifiesMeasurement(t *testing.T) {
 func TestSubmitRequiresProvisionedKey(t *testing.T) {
 	w := bootWorld(t)
 	prog := testProgram(t)
-	_, err := w.mon.Submit(TaskSpec{
-		Program:     prog,
-		Expected:    prog.Measurement(),
-		KeyID:       "missing",
-		SealedModel: []byte("x"),
+	_, err := w.mon.submit(Call{
+		Program:  prog,
+		Expected: prog.Measurement(),
+		KeyID:    "missing",
+		Shared:   []byte("x"),
 	})
 	if err == nil {
 		t.Fatal("submit with unknown key accepted")
@@ -182,7 +182,7 @@ func TestLoadSetsContexts(t *testing.T) {
 	w := bootWorld(t)
 	prog := testProgram(t)
 	id := submitSpec(t, w, prog, isolator.Topology{W: 1, H: 1})
-	if err := w.mon.Load(id, []int{0}, 0, 1024); err != nil {
+	if err := w.mon.load(id, []int{0}, 0, 1024); err != nil {
 		t.Fatal(err)
 	}
 	core, _ := w.acc.Core(0)
@@ -190,9 +190,9 @@ func TestLoadSetsContexts(t *testing.T) {
 		t.Fatal("core not switched to secure domain")
 	}
 	// Guarder now translates the task's VA window to its secure chunk.
-	task, err := w.mon.Task(id)
-	if err != nil {
-		t.Fatal(err)
+	task, ok := w.mon.tasks[id]
+	if !ok {
+		t.Fatal("task unknown to the monitor")
 	}
 	regs := w.guarders[0].TransRegs()
 	if !regs[0].Valid || regs[0].PBase != task.Chunk {
@@ -202,13 +202,13 @@ func TestLoadSetsContexts(t *testing.T) {
 		t.Fatal("loaded task still queued")
 	}
 	// Unload scrubs and resets.
-	if err := w.mon.Unload(id); err != nil {
+	if err := w.mon.unload(id); err != nil {
 		t.Fatal(err)
 	}
 	if core.Domain() != spad.NonSecure {
 		t.Fatal("core not reset to non-secure")
 	}
-	if _, err := w.mon.Task(id); !errors.Is(err, ErrUnknownTask) {
+	if w.mon.HasTask(id) {
 		t.Fatal("unloaded task still known")
 	}
 }
@@ -218,7 +218,7 @@ func TestLoadRejectsWrongTopology(t *testing.T) {
 	prog := testProgram(t)
 	id := submitSpec(t, w, prog, isolator.Topology{W: 2, H: 2})
 	// Cores 0..3 on a 5-wide mesh form a 1x4 row: wrong shape.
-	err := w.mon.Load(id, []int{0, 1, 2, 3}, 0, 1024)
+	err := w.mon.load(id, []int{0, 1, 2, 3}, 0, 1024)
 	if err == nil {
 		t.Fatal("1x4 allocation loaded for a 2x2 task")
 	}
@@ -227,7 +227,7 @@ func TestLoadRejectsWrongTopology(t *testing.T) {
 		t.Fatalf("error %T, want RouteError", err)
 	}
 	// Cores 0,1,5,6 form a 2x2 block (mesh width 5).
-	if err := w.mon.Load(id, []int{0, 1, 5, 6}, 0, 1024); err != nil {
+	if err := w.mon.load(id, []int{0, 1, 5, 6}, 0, 1024); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -238,20 +238,20 @@ func TestLoadRejectsSpadOverlap(t *testing.T) {
 	p2 := testProgram(t)
 	id1 := submitSpec(t, w, p1, isolator.Topology{W: 1, H: 1})
 	id2 := submitSpec(t, w, p2, isolator.Topology{W: 1, H: 1})
-	if err := w.mon.Load(id1, []int{0}, 0, 8192); err != nil {
+	if err := w.mon.load(id1, []int{0}, 0, 8192); err != nil {
 		t.Fatal(err)
 	}
 	// Same core, overlapping lines -> rejected.
-	if err := w.mon.Load(id2, []int{0}, 4096, 12288); !errors.Is(err, ErrOverlappingSpad) {
+	if err := w.mon.load(id2, []int{0}, 4096, 12288); !errors.Is(err, ErrOverlappingSpad) {
 		t.Fatalf("overlapping scratchpad load: %v", err)
 	}
 	// Same core, disjoint lines -> fine.
-	if err := w.mon.Load(id2, []int{0}, 8192, 12288); err != nil {
+	if err := w.mon.load(id2, []int{0}, 8192, 12288); err != nil {
 		t.Fatal(err)
 	}
 	// Bad ranges rejected.
 	id3 := submitSpec(t, w, testProgram(t), isolator.Topology{W: 1, H: 1})
-	if err := w.mon.Load(id3, []int{1}, 10, 10); err == nil {
+	if err := w.mon.load(id3, []int{1}, 10, 10); err == nil {
 		t.Fatal("empty scratchpad range accepted")
 	}
 }
@@ -331,14 +331,14 @@ func TestFuncIDString(t *testing.T) {
 
 func TestUnloadUnknownAndDoubleFree(t *testing.T) {
 	w := bootWorld(t)
-	if err := w.mon.Unload(999); !errors.Is(err, ErrUnknownTask) {
+	if err := w.mon.unload(999); !errors.Is(err, ErrUnknownTask) {
 		t.Fatal("unknown unload accepted")
 	}
 	id := submitSpec(t, w, testProgram(t), isolator.Topology{W: 1, H: 1})
-	if err := w.mon.Unload(id); err != nil {
+	if err := w.mon.unload(id); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.mon.Unload(id); !errors.Is(err, ErrUnknownTask) {
+	if err := w.mon.unload(id); !errors.Is(err, ErrUnknownTask) {
 		t.Fatal("double unload accepted")
 	}
 }
@@ -418,15 +418,15 @@ func TestSetupPlatformAndMapNonSecure(t *testing.T) {
 		}
 	}
 	// Driver-requested non-secure window into reserved memory: allowed.
-	if err := w.mon.MapNonSecure(0, 2, 0x2000, 0x8800_1000, 0x1000); err != nil {
+	if err := w.mon.mapNonSecure(0, 2, 0x2000, 0x8800_1000, 0x1000); err != nil {
 		t.Fatal(err)
 	}
 	// Into secure memory: refused.
-	if err := w.mon.MapNonSecure(0, 3, 0x3000, secureBase, 0x1000); err == nil {
+	if err := w.mon.mapNonSecure(0, 3, 0x3000, secureBase, 0x1000); err == nil {
 		t.Fatal("non-secure window into secure memory accepted")
 	}
 	// Unknown core: refused.
-	if err := w.mon.MapNonSecure(99, 2, 0x2000, 0x8800_1000, 0x1000); err == nil {
+	if err := w.mon.mapNonSecure(99, 2, 0x2000, 0x8800_1000, 0x1000); err == nil {
 		t.Fatal("unknown core accepted")
 	}
 }
@@ -445,7 +445,7 @@ func TestNextQueued(t *testing.T) {
 	if next != id1 {
 		t.Fatalf("next = %d, want oldest %d", next, id1)
 	}
-	if err := w.mon.Load(id1, []int{0}, 0, 64); err != nil {
+	if err := w.mon.load(id1, []int{0}, 0, 64); err != nil {
 		t.Fatal(err)
 	}
 	next, err = w.mon.NextQueued()

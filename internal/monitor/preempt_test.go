@@ -14,11 +14,11 @@ import (
 func TestPreemptScrubsAndKeepsTaskResident(t *testing.T) {
 	w := bootWorld(t)
 	prog := testProgram(t)
-	id, err := w.mon.Submit(TaskSpec{Program: prog, Expected: prog.Measurement()})
+	id, err := w.mon.submit(Call{Program: prog, Expected: prog.Measurement()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.mon.Load(id, []int{0}, 0, 64); err != nil {
+	if err := w.mon.load(id, []int{0}, 0, 64); err != nil {
 		t.Fatal(err)
 	}
 	core, err := w.acc.Core(0)
@@ -31,7 +31,7 @@ func TestPreemptScrubsAndKeepsTaskResident(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := w.mon.Preempt(id); err != nil {
+	if err := w.mon.preempt(id); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,9 +54,9 @@ func TestPreemptScrubsAndKeepsTaskResident(t *testing.T) {
 	}
 
 	// The task is requeued and reloadable without resubmission.
-	task, err := w.mon.Task(id)
-	if err != nil {
-		t.Fatal(err)
+	task, ok := w.mon.tasks[id]
+	if !ok {
+		t.Fatal("task unknown to the monitor")
 	}
 	if task.Loaded {
 		t.Fatal("task still marked loaded")
@@ -64,25 +64,25 @@ func TestPreemptScrubsAndKeepsTaskResident(t *testing.T) {
 	if w.mon.QueueLen() != 1 {
 		t.Fatalf("queue len = %d, want 1 (requeued)", w.mon.QueueLen())
 	}
-	if err := w.mon.Load(id, []int{1}, 0, 64); err != nil {
+	if err := w.mon.load(id, []int{1}, 0, 64); err != nil {
 		t.Fatalf("reload after preempt: %v", err)
 	}
-	if err := w.mon.Unload(id); err != nil {
+	if err := w.mon.unload(id); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPreemptRejectsUnknownOrUnloaded(t *testing.T) {
 	w := bootWorld(t)
-	if err := w.mon.Preempt(42); !errors.Is(err, ErrUnknownTask) {
+	if err := w.mon.preempt(42); !errors.Is(err, ErrUnknownTask) {
 		t.Fatalf("unknown task: %v", err)
 	}
 	prog := testProgram(t)
-	id, err := w.mon.Submit(TaskSpec{Program: prog, Expected: prog.Measurement()})
+	id, err := w.mon.submit(Call{Program: prog, Expected: prog.Measurement()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.mon.Preempt(id); err == nil {
+	if err := w.mon.preempt(id); err == nil {
 		t.Fatal("preempt of a never-loaded task accepted")
 	}
 	rep := w.mon.Dispatch(Call{Func: FnPreempt})
@@ -101,11 +101,11 @@ func TestEvictionEndStateSameForUnloadPreemptAbort(t *testing.T) {
 		t.Run(fn.String(), func(t *testing.T) {
 			w := bootWorld(t)
 			prog := testProgram(t)
-			id, err := w.mon.Submit(TaskSpec{Program: prog, Expected: prog.Measurement()})
+			id, err := w.mon.submit(Call{Program: prog, Expected: prog.Measurement()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.mon.Load(id, []int{0}, from, to); err != nil {
+			if err := w.mon.load(id, []int{0}, from, to); err != nil {
 				t.Fatal(err)
 			}
 			core, err := w.acc.Core(0)
@@ -146,5 +146,42 @@ func TestEvictionEndStateSameForUnloadPreemptAbort(t *testing.T) {
 				t.Errorf("%d accumulator lines still secure", n)
 			}
 		})
+	}
+}
+
+// A task loads once. A second FnLoad of a loaded task is refused and
+// leaves the task on its first cores, so the unload returns every core
+// to the normal world with no translation register valid.
+func TestLoadRefusesLoadedTask(t *testing.T) {
+	w := bootWorld(t)
+	prog := testProgram(t)
+	id, err := w.mon.submit(Call{Program: prog, Expected: prog.Measurement()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(core uint64) error {
+		return w.mon.Dispatch(Call{Func: FnLoad, Args: []uint64{uint64(id), 0, 64, core}}).Err
+	}
+	if err := load(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := load(1); err == nil {
+		t.Fatal("second load of a loaded task accepted")
+	}
+	if got := w.mon.tasks[id].Cores; len(got) != 1 || got[0] != 0 {
+		t.Fatalf("task cores after the refused load = %v, want [0]", got)
+	}
+	if rep := w.mon.Dispatch(Call{Func: FnUnload, Args: []uint64{uint64(id)}}); rep.Err != nil {
+		t.Fatal(rep.Err)
+	}
+	for i, core := range w.acc.Cores() {
+		if core.Domain() != spad.NonSecure {
+			t.Errorf("core %d in domain %d after the unload", i, core.Domain())
+		}
+		for slot, r := range w.guarders[i].TransRegs() {
+			if r.Valid {
+				t.Errorf("core %d translation register %d still valid", i, slot)
+			}
+		}
 	}
 }

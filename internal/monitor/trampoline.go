@@ -74,9 +74,10 @@ func (f FuncID) String() string {
 }
 
 // Call is one trampoline invocation. Args carries small scalars;
-// Shared carries the bulk payload (sealed model bytes); Spec carries
-// the program being submitted (in hardware this sits in the shared
-// buffer too — we keep it typed for clarity).
+// Shared carries the bulk payload (the sealed model for FnSubmit, the
+// task image for FnSubmitImage). The submit-only fields carry what
+// FnSubmit verifies (in hardware they sit in the shared buffer too —
+// we keep them typed for clarity).
 type Call struct {
 	Func   FuncID
 	Args   []uint64
@@ -95,7 +96,9 @@ type Reply struct {
 }
 
 // Dispatch executes one trampoline call against the monitor. It is
-// the single untrusted entry point. Every call lands one outcome bit
+// the one way code outside the monitor changes the monitor's state:
+// submit, load, unload, abort, preempt, window mapping and KV claims
+// are reachable only through it. Every call lands one outcome bit
 // in the transition-coverage bitmap: bit 2*(f-1) for FuncID f
 // returning ok, bit 2*(f-1)+1 for f returning an error.
 func (m *Monitor) Dispatch(c Call) Reply {
@@ -113,13 +116,7 @@ func (m *Monitor) Dispatch(c Call) Reply {
 func (m *Monitor) dispatch(c Call) Reply {
 	switch c.Func {
 	case FnSubmit:
-		id, err := m.Submit(TaskSpec{
-			Program:     c.Program,
-			Expected:    c.Expected,
-			KeyID:       c.KeyID,
-			SealedModel: c.Shared,
-			Topology:    c.Topology,
-		})
+		id, err := m.submit(c)
 		return Reply{Value: uint64(id), Err: err}
 	case FnLoad:
 		if len(c.Args) < 3 {
@@ -132,27 +129,27 @@ func (m *Monitor) dispatch(c Call) Reply {
 		for _, a := range c.Args[3:] {
 			cores = append(cores, int(a))
 		}
-		return Reply{Err: m.Load(taskID, cores, spadFrom, spadTo)}
+		return Reply{Err: m.load(taskID, cores, spadFrom, spadTo)}
 	case FnUnload:
 		if len(c.Args) < 1 {
 			return Reply{Err: fmt.Errorf("monitor: unload needs taskID")}
 		}
-		return Reply{Err: m.Unload(int(c.Args[0]))}
+		return Reply{Err: m.unload(int(c.Args[0]))}
 	case FnAbort:
 		if len(c.Args) < 1 {
 			return Reply{Err: fmt.Errorf("monitor: abort needs taskID")}
 		}
-		return Reply{Err: m.Abort(int(c.Args[0]))}
+		return Reply{Err: m.abort(int(c.Args[0]))}
 	case FnPreempt:
 		if len(c.Args) < 1 {
 			return Reply{Err: fmt.Errorf("monitor: preempt needs taskID")}
 		}
-		return Reply{Err: m.Preempt(int(c.Args[0]))}
+		return Reply{Err: m.preempt(int(c.Args[0]))}
 	case FnKVAlloc:
 		if len(c.Args) < 4 {
 			return Reply{Err: fmt.Errorf("monitor: kv-alloc needs taskID, core, lines, bytes")}
 		}
-		d, err := m.KVAlloc(int(c.Args[0]), int(c.Args[1]), int(c.Args[2]), c.Args[3])
+		d, err := m.kvAlloc(int(c.Args[0]), int(c.Args[1]), int(c.Args[2]), c.Args[3])
 		return Reply{Value: uint64(d), Err: err}
 	case FnQueueLen:
 		return Reply{Value: uint64(m.QueueLen())}
@@ -160,19 +157,19 @@ func (m *Monitor) dispatch(c Call) Reply {
 		if len(c.Args) < 5 {
 			return Reply{Err: fmt.Errorf("monitor: map-nonsecure needs core, slot, vbase, pbase, size")}
 		}
-		return Reply{Err: m.MapNonSecure(int(c.Args[0]), int(c.Args[1]),
+		return Reply{Err: m.mapNonSecure(int(c.Args[0]), int(c.Args[1]),
 			mem.VirtAddr(c.Args[2]), mem.PhysAddr(c.Args[3]), c.Args[4])}
 	case FnSubmitImage:
 		img, err := taskimage.Decode(c.Shared)
 		if err != nil {
 			return Reply{Err: m.reject(fmt.Errorf("monitor: task image rejected: %w", err))}
 		}
-		id, err := m.Submit(TaskSpec{
-			Program:     img.Program,
-			Expected:    img.Expected,
-			KeyID:       img.KeyID,
-			SealedModel: img.SealedModel,
-			Topology:    img.Topology,
+		id, err := m.submit(Call{
+			Shared:   img.SealedModel,
+			Program:  img.Program,
+			Expected: img.Expected,
+			KeyID:    img.KeyID,
+			Topology: img.Topology,
 		})
 		return Reply{Value: uint64(id), Err: err}
 	default:

@@ -81,9 +81,9 @@ func TestTrampolineAbortMidProtocolLeavesNoSecureState(t *testing.T) {
 	if rep := w.mon.Dispatch(Call{Func: FnLoad, Args: []uint64{uint64(id), 0, 1024, 0}}); rep.Err != nil {
 		t.Fatal(rep.Err)
 	}
-	task, err := w.mon.Task(id)
-	if err != nil {
-		t.Fatal(err)
+	task, ok := w.mon.tasks[id]
+	if !ok {
+		t.Fatal("task unknown to the monitor")
 	}
 	chunk, chunkSize := task.Chunk, task.ChunkSize
 	// Plant a sentinel in the secure chunk so the zeroing is observable.
@@ -118,7 +118,7 @@ func TestTrampolineAbortMidProtocolLeavesNoSecureState(t *testing.T) {
 			t.Fatalf("abort left chunk byte %d = %#x", i, b)
 		}
 	}
-	if _, err := w.mon.Task(id); !errors.Is(err, ErrUnknownTask) {
+	if w.mon.HasTask(id) {
 		t.Fatal("aborted task still known")
 	}
 	if _, err := w.mon.ModelBytes(w.machine.SecureContext(), id); err == nil {
@@ -144,13 +144,13 @@ func TestAbortQueuedTask(t *testing.T) {
 	if w.mon.QueueLen() != 1 {
 		t.Fatal("task not queued")
 	}
-	if err := w.mon.Abort(id); err != nil {
+	if err := w.mon.abort(id); err != nil {
 		t.Fatal(err)
 	}
 	if w.mon.QueueLen() != 0 {
 		t.Fatal("aborted task still queued")
 	}
-	if _, err := w.mon.Task(id); !errors.Is(err, ErrUnknownTask) {
+	if w.mon.HasTask(id) {
 		t.Fatal("aborted task still known")
 	}
 }

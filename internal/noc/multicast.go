@@ -26,19 +26,8 @@ func (m *Mesh) Multicast(pkt Packet, dsts []Coord, at sim.Cycle) (sim.Cycle, err
 		return 0, fmt.Errorf("noc: packet with %d flits", pkt.Flits)
 	}
 	// Authenticate every destination before any flit moves.
-	if m.cfg.Peephole {
-		for _, dst := range dsts {
-			if m.IDSource(dst) != pkt.SrcID {
-				if m.ctrAuthFail != nil {
-					*m.ctrAuthFail++
-				}
-				return 0, fmt.Errorf("%w: multicast %v(id=%d) -> %v(id=%d)",
-					ErrAuthFailed, pkt.Src, pkt.SrcID, dst, m.IDSource(dst))
-			}
-		}
-		if m.ctrAuthPass != nil {
-			*m.ctrAuthPass += int64(len(dsts))
-		}
+	if err := m.authenticate(pkt.Src, pkt.SrcID, dsts...); err != nil {
+		return 0, err
 	}
 	// Build the multicast tree: the union of the XY paths' links,
 	// deduplicated over the dense link index.

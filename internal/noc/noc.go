@@ -431,6 +431,30 @@ func (m *Mesh) takeLinkFaults(now sim.Cycle) {
 	}
 }
 
+// authenticate is the peephole check at the receive engines of dsts:
+// each destination core's ID state must equal srcID, the identity in
+// src's head flit. It is the one check behind Send,
+// RouterController.BeginSend and Multicast, and counts one pass per
+// destination or one failure per call. Without Peephole every packet
+// passes uncounted.
+func (m *Mesh) authenticate(src Coord, srcID spad.DomainID, dsts ...Coord) error {
+	if !m.cfg.Peephole {
+		return nil
+	}
+	for _, dst := range dsts {
+		if dstID := m.IDSource(dst); dstID != srcID {
+			if m.ctrAuthFail != nil {
+				*m.ctrAuthFail++
+			}
+			return fmt.Errorf("%w: src %v id=%d, dst %v id=%d", ErrAuthFailed, src, srcID, dst, dstID)
+		}
+	}
+	if m.ctrAuthPass != nil {
+		*m.ctrAuthPass += int64(len(dsts))
+	}
+	return nil
+}
+
 // Send transmits a packet starting no earlier than cycle `at`,
 // returning the cycle at which the tail flit arrives at the
 // destination. It performs peephole authentication (if enabled) at the
@@ -442,6 +466,12 @@ func (m *Mesh) takeLinkFaults(now sim.Cycle) {
 // Authentication adds zero cycles — it is decided from the head flit
 // the receive engine already has.
 func (m *Mesh) Send(pkt Packet, at sim.Cycle) (sim.Cycle, error) {
+	return m.send(pkt, at, false)
+}
+
+// send is Send; authed skips the peephole check for a packet streamed
+// on a channel its router controller already authenticated and locked.
+func (m *Mesh) send(pkt Packet, at sim.Cycle, authed bool) (sim.Cycle, error) {
 	if pkt.Flits <= 0 {
 		return 0, fmt.Errorf("noc: packet with %d flits", pkt.Flits)
 	}
@@ -464,18 +494,9 @@ func (m *Mesh) Send(pkt Packet, at sim.Cycle) (sim.Cycle, error) {
 		return 0, fmt.Errorf("%w: dst %v locked to %v", ErrChannelLocked, pkt.Dst, *lockSrc)
 	}
 
-	// Peephole authentication at the destination's receive engine.
-	if m.cfg.Peephole {
-		dstID := m.IDSource(pkt.Dst)
-		if dstID != pkt.SrcID {
-			if m.ctrAuthFail != nil {
-				*m.ctrAuthFail++
-			}
-			return 0, fmt.Errorf("%w: src %v id=%d, dst %v id=%d",
-				ErrAuthFailed, pkt.Src, pkt.SrcID, pkt.Dst, dstID)
-		}
-		if m.ctrAuthPass != nil {
-			*m.ctrAuthPass++
+	if !authed {
+		if err := m.authenticate(pkt.Src, pkt.SrcID, pkt.Dst); err != nil {
+			return 0, err
 		}
 	}
 

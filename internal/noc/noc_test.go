@@ -287,6 +287,20 @@ func TestRouterControllerTransfer(t *testing.T) {
 	}
 }
 
+// A Transfer is authenticated once, at its handshake: the packet it
+// streams on the locked channel is not checked again.
+func TestRouterControllerTransferAuthenticatesOnce(t *testing.T) {
+	ids := map[Coord]spad.DomainID{{0, 0}: spad.SecureDomain, {1, 0}: spad.SecureDomain}
+	m, stats := meshWithIDs(t, true, ids)
+	rc := NewRouterController(Coord{0, 0}, m)
+	if _, err := rc.Transfer(Coord{1, 0}, 4, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if pass, fail := stats.Get(sim.CtrNoCAuthPass), stats.Get(sim.CtrNoCAuthFail); pass != 1 || fail != 0 {
+		t.Fatalf("one Transfer counted %d passing and %d failing authentications, want 1 and 0", pass, fail)
+	}
+}
+
 func TestRouterStateString(t *testing.T) {
 	for s, want := range map[RouterState]string{
 		StateIdle: "idle", StatePeephole: "peephole", StateStreaming: "streaming", RouterState(9): "unknown",

@@ -72,20 +72,9 @@ func (r *RouterController) BeginSend(dst Coord, at sim.Cycle) (sim.Cycle, error)
 		return 0, fmt.Errorf("noc: destination %v outside mesh", dst)
 	}
 	r.state = StatePeephole
-	if r.mesh.cfg.Peephole {
-		srcID := r.mesh.IDSource(r.node)
-		dstID := r.mesh.IDSource(dst)
-		if srcID != dstID {
-			r.state = StateIdle
-			if r.mesh.ctrAuthFail != nil {
-				*r.mesh.ctrAuthFail++
-			}
-			return 0, fmt.Errorf("%w: handshake %v(id=%d) -> %v(id=%d)",
-				ErrAuthFailed, r.node, srcID, dst, dstID)
-		}
-		if r.mesh.ctrAuthPass != nil {
-			*r.mesh.ctrAuthPass++
-		}
+	if err := r.mesh.authenticate(r.node, r.idOf(r.node), dst); err != nil {
+		r.state = StateIdle
+		return 0, err
 	}
 	// Verified: lock the channel so no other core can use it.
 	if lockSrc, locked := r.mesh.locks[dst]; locked && *lockSrc != r.node {
@@ -99,7 +88,8 @@ func (r *RouterController) BeginSend(dst Coord, at sim.Cycle) (sim.Cycle, error)
 }
 
 // Stream sends one data packet on the locked channel, returning the
-// arrival cycle of its tail.
+// arrival cycle of its tail. BeginSend authenticated the channel, so
+// the packet is not checked again.
 func (r *RouterController) Stream(flits int, payload []byte, at sim.Cycle) (sim.Cycle, error) {
 	if r.state != StateStreaming {
 		return 0, fmt.Errorf("noc: stream without authenticated channel (state %s)", r.state)
@@ -111,7 +101,7 @@ func (r *RouterController) Stream(flits int, payload []byte, at sim.Cycle) (sim.
 		Flits:   flits,
 		Payload: payload,
 	}
-	return r.mesh.Send(pkt, at)
+	return r.mesh.send(pkt, at, true)
 }
 
 // EndSend releases the channel (tail flit) and returns to idle.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -14,10 +15,10 @@ import (
 	"repro/internal/workload"
 )
 
-// referenceMeasurement is the measurement loop as first written: one
-// hash write per 64-bit word. Measurement writes in chunks and must
-// hash exactly these bytes. The two zero words stand where the retired
-// NoC ops' flit count and peer were hashed.
+// referenceMeasurement hashes the measured bytes one 64-bit word per
+// write: the name, the source digest, then per op its kind, VA, bytes,
+// cycles, layer, flags (bit 0 Tile, bit 1 Weight) and MACs.
+// Measurement writes in chunks and must hash exactly these bytes.
 func referenceMeasurement(p *npu.Program) [sha256.Size]byte {
 	h := sha256.New()
 	var buf [8]byte
@@ -28,13 +29,20 @@ func referenceMeasurement(p *npu.Program) [sha256.Size]byte {
 	h.Write([]byte(p.Name))
 	h.Write(p.SourceDigest[:])
 	for _, op := range p.Ops {
+		var flags uint64
+		if op.Tile {
+			flags |= 1
+		}
+		if op.Weight {
+			flags |= 2
+		}
 		write(uint64(op.Kind))
 		write(uint64(op.VA))
 		write(op.Bytes)
 		write(uint64(op.Cycles))
-		write(0)
-		write(0)
 		write(uint64(op.Layer))
+		write(flags)
+		write(uint64(op.MACs))
 	}
 	var out [sha256.Size]byte
 	copy(out[:], h.Sum(nil))
@@ -89,6 +97,45 @@ func TestMeasurementMatchesPerWordReference(t *testing.T) {
 			t.Fatalf("OwnerMeasurement %x, per-word reference %x", got, want)
 		}
 	})
+}
+
+// Changing any one field of one op changes the measurement, so the
+// code verifier refuses a program whose ops differ from the owner's in
+// any field the executor reads.
+func TestMeasurementBindsEveryOpField(t *testing.T) {
+	w, err := workload.Lookup("yololite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := npu.Compile(w, npu.DefaultConfig(), 0, npu.DefaultLayout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := p.Measurement()
+	i := slices.IndexFunc(p.Ops, func(op npu.Op) bool { return op.Kind == npu.OpCompute })
+	for _, c := range []struct {
+		field string
+		edit  func(op *npu.Op)
+	}{
+		{"Kind", func(op *npu.Op) { op.Kind = npu.OpLoad }},
+		{"Tile", func(op *npu.Op) { op.Tile = !op.Tile }},
+		{"Weight", func(op *npu.Op) { op.Weight = !op.Weight }},
+		{"VA", func(op *npu.Op) { op.VA += 64 }},
+		{"Bytes", func(op *npu.Op) { op.Bytes++ }},
+		{"Cycles", func(op *npu.Op) { op.Cycles++ }},
+		{"Layer", func(op *npu.Op) { op.Layer++ }},
+		{"MACs", func(op *npu.Op) { op.MACs *= 1000 }},
+	} {
+		cp := *p
+		cp.Ops = slices.Clone(p.Ops)
+		c.edit(&cp.Ops[i])
+		if cp.Ops[i] == p.Ops[i] {
+			t.Fatalf("%s: the edit left op %d unchanged", c.field, i)
+		}
+		if cp.Measurement() == orig {
+			t.Errorf("changing op %d's %s left the measurement unchanged", i, c.field)
+		}
+	}
 }
 
 func TestVASpanMatchesScan(t *testing.T) {
@@ -208,7 +255,7 @@ var sinkMeasurement [sha256.Size]byte
 
 // BenchmarkMeasurement hashes a compiled program the way the monitor's
 // code verifier does on every secure admission. Bytes are the hashed
-// encoding: name, source digest, seven words per op.
+// encoding: name, source digest, one record per op.
 func BenchmarkMeasurement(b *testing.B) {
 	for _, name := range []string{"yololite", "bert"} {
 		w, err := workload.Lookup(name)
@@ -220,7 +267,7 @@ func BenchmarkMeasurement(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(p.Name) + sha256.Size + 7*8*len(p.Ops)))
+			b.SetBytes(int64(len(p.Name) + sha256.Size + npu.OpRecordBytes*len(p.Ops)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sinkMeasurement = p.Measurement()

@@ -122,30 +122,77 @@ var measureCalls atomic.Int64
 // measureChunkOps is how many ops Measurement encodes per hash write.
 const measureChunkOps = 64
 
+// OpRecordBytes is the size of an op's one encoding: seven
+// little-endian 64-bit words (kind, VA, bytes, cycles, layer, flags,
+// MACs). Measurement hashes these records and a task image carries
+// them, so the code verifier measures every field the executor reads.
+const OpRecordBytes = 7 * 8
+
+// Bits of an op record's flags word. Every other bit is invalid.
+const (
+	opFlagTile   = 1 << 0
+	opFlagWeight = 1 << 1
+)
+
+// AppendOp appends op's record to b.
+func AppendOp(b []byte, op Op) []byte {
+	var flags uint64
+	if op.Tile {
+		flags |= opFlagTile
+	}
+	if op.Weight {
+		flags |= opFlagWeight
+	}
+	le := binary.LittleEndian
+	b = le.AppendUint64(b, uint64(op.Kind))
+	b = le.AppendUint64(b, uint64(op.VA))
+	b = le.AppendUint64(b, op.Bytes)
+	b = le.AppendUint64(b, uint64(op.Cycles))
+	b = le.AppendUint64(b, uint64(op.Layer))
+	b = le.AppendUint64(b, flags)
+	return le.AppendUint64(b, uint64(op.MACs))
+}
+
+// ParseOp decodes the record at the front of rec. It rejects a short
+// record, kinds above OpCompute and unknown flag bits, so AppendOp
+// re-encodes every accepted record to the same bytes.
+func ParseOp(rec []byte) (Op, error) {
+	if len(rec) < OpRecordBytes {
+		return Op{}, fmt.Errorf("npu: op record of %d bytes", len(rec))
+	}
+	le := binary.LittleEndian
+	kind, flags := le.Uint64(rec), le.Uint64(rec[40:])
+	if kind > uint64(OpCompute) {
+		return Op{}, fmt.Errorf("npu: invalid op kind %d", kind)
+	}
+	if flags&^(opFlagTile|opFlagWeight) != 0 {
+		return Op{}, fmt.Errorf("npu: unknown op flag bits %#x", flags)
+	}
+	return Op{
+		Kind:   OpKind(kind),
+		VA:     mem.VirtAddr(le.Uint64(rec[8:])),
+		Bytes:  le.Uint64(rec[16:]),
+		Cycles: sim.Cycle(le.Uint64(rec[24:])),
+		Layer:  int(le.Uint64(rec[32:])),
+		Tile:   flags&opFlagTile != 0,
+		Weight: flags&opFlagWeight != 0,
+		MACs:   int64(le.Uint64(rec[48:])),
+	}, nil
+}
+
 // Measurement hashes the source digest and the op stream — the
 // code-integrity measurement the NPU Monitor's code verifier checks
 // before loading a secure task, and the value an attestation quote
-// binds. The hashed bytes are the name, the source digest, then seven
-// little-endian 64-bit words per op (kind, VA, bytes, cycles, two
-// reserved zero words, layer); they are written in chunks of
-// measureChunkOps ops. The reserved words once held the NoC fields of
-// retired send/receive ops; writing them as zero keeps every
-// measurement, and so every attestation quote, unchanged.
+// binds. The hashed bytes are the name, the source digest, then each
+// op's record (AppendOp), written in chunks of measureChunkOps ops.
 func (p *Program) Measurement() [sha256.Size]byte {
 	measureCalls.Add(1)
 	h := sha256.New()
 	h.Write([]byte(p.Name))
 	h.Write(p.SourceDigest[:])
-	const opBytes = 7 * 8
-	buf := make([]byte, 0, measureChunkOps*opBytes)
+	buf := make([]byte, 0, measureChunkOps*OpRecordBytes)
 	for _, op := range p.Ops {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Kind))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.VA))
-		buf = binary.LittleEndian.AppendUint64(buf, op.Bytes)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Cycles))
-		buf = binary.LittleEndian.AppendUint64(buf, 0)
-		buf = binary.LittleEndian.AppendUint64(buf, 0)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Layer))
+		buf = AppendOp(buf, op)
 		if len(buf) == cap(buf) {
 			h.Write(buf)
 			buf = buf[:0]

@@ -1310,7 +1310,7 @@ func (s *Scheduler) teardown(c *coreState, j *job, at sim.Cycle, abort bool) {
 			if rep := s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnUnload, Args: args}); rep.Err == nil {
 				s.invalidateWindows(c)
 			}
-		} else if _, err := s.deps.Monitor.Task(j.monID); err == nil {
+		} else if s.deps.Monitor.HasTask(j.monID) {
 			_ = s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnAbort, Args: args})
 			s.invalidateWindows(c)
 		}

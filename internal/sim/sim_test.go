@@ -5,120 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestEngineOrdersEventsByCycle(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
-	end := e.Run()
-	if end != 30 {
-		t.Fatalf("final cycle = %d, want 30", end)
-	}
-	want := []int{1, 2, 3}
-	for i, v := range want {
-		if order[i] != v {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestEngineSameCycleFIFO(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 16; i++ {
-		i := i
-		e.Schedule(5, func() { order = append(order, i) })
-	}
-	e.Run()
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("same-cycle events fired out of order: %v", order)
-		}
-	}
-}
-
-func TestEngineScheduleDuringRun(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < 5 {
-			e.After(10, tick)
-		}
-	}
-	e.Schedule(0, tick)
-	end := e.Run()
-	if count != 5 {
-		t.Fatalf("count = %d, want 5", count)
-	}
-	if end != 40 {
-		t.Fatalf("end = %d, want 40", end)
-	}
-}
-
-func TestEngineSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(10, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		e.Schedule(5, func() {})
-	})
-	e.Run()
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.Schedule(1, func() { fired++; e.Stop() })
-	e.Schedule(2, func() { fired++ })
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (Stop should halt the loop)", fired)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := []Cycle{}
-	for _, c := range []Cycle{5, 15, 25} {
-		c := c
-		e.Schedule(c, func() { fired = append(fired, c) })
-	}
-	e.RunUntil(20)
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want events at 5 and 15 only", fired)
-	}
-	if e.Now() != 20 {
-		t.Fatalf("now = %d, want 20", e.Now())
-	}
-	e.Run()
-	if len(fired) != 3 {
-		t.Fatalf("remaining event did not fire: %v", fired)
-	}
-}
-
-func TestEngineAdvance(t *testing.T) {
-	e := NewEngine()
-	e.Advance(100)
-	if e.Now() != 100 {
-		t.Fatalf("now = %d, want 100", e.Now())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("advancing backwards did not panic")
-		}
-	}()
-	e.Advance(50)
-}
-
 func TestResourceSerializesClaims(t *testing.T) {
 	r := NewResource("dram")
 	s1 := r.Claim(0, 10)

@@ -20,9 +20,7 @@ import (
 	"fmt"
 
 	"repro/internal/isolator"
-	"repro/internal/mem"
 	"repro/internal/npu"
-	"repro/internal/sim"
 )
 
 // Format constants.
@@ -31,10 +29,12 @@ const (
 	Magic = uint32(0x554e5073) // "sPNU" little-endian
 	// Version is the only format revision this decoder accepts.
 	// Version 2 added the program's 32-byte source digest (the
-	// canonical-graph measurement) to the program section; v1 images
-	// are rejected rather than decoded with a zero digest, so a stale
-	// producer cannot smuggle a program past the graph-binding check.
-	Version = uint16(2)
+	// canonical-graph measurement) to the program section; version 3
+	// carries each op as the record Measurement hashes (npu.AppendOp)
+	// instead of a nine-word layout of its own. Older images are
+	// rejected rather than translated, so a stale producer cannot
+	// smuggle a program past the measurement check.
+	Version = uint16(3)
 	// MaxOps caps the op stream a single image may carry.
 	MaxOps = 4 << 20
 	// MaxModelBytes caps the sealed model payload (64 MiB).
@@ -61,13 +61,6 @@ type Image struct {
 	SealedModel []byte
 	Topology    isolator.Topology
 }
-
-// opRecord is the fixed wire layout of one op: nine little-endian
-// u64s (kind, VA, bytes, cycles, two reserved words, layer, flags,
-// MACs). The reserved words once carried the NoC fields of retired
-// send/receive ops; producers write them as zero and the decoder
-// rejects anything else.
-const opRecordBytes = 9 * 8
 
 // Encode serializes an image. It is the *owner-side* producer; the
 // encoder is strict so every encoded image round-trips.
@@ -112,22 +105,7 @@ func Encode(img *Image) ([]byte, error) {
 	out = append(out, p.SourceDigest[:]...)
 	u32(uint32(len(p.Ops)))
 	for _, op := range p.Ops {
-		u64(uint64(op.Kind))
-		u64(uint64(op.VA))
-		u64(op.Bytes)
-		u64(uint64(op.Cycles))
-		u64(0)
-		u64(0)
-		u64(uint64(op.Layer))
-		flags := uint64(0)
-		if op.Tile {
-			flags |= 1
-		}
-		if op.Weight {
-			flags |= 2
-		}
-		u64(flags)
-		u64(uint64(op.MACs))
+		out = npu.AppendOp(out, op)
 	}
 	bytesSec(img.SealedModel)
 	return out, nil
@@ -282,35 +260,15 @@ func Decode(buf []byte) (*Image, error) {
 	}
 	// The op section's size is known exactly; check once up front so a
 	// huge claimed count cannot trigger a huge allocation.
-	if int64(d.remaining()) < int64(nOps)*opRecordBytes {
+	if int64(d.remaining()) < int64(nOps)*npu.OpRecordBytes {
 		return nil, ErrTruncated
 	}
 	p.Ops = make([]npu.Op, nOps)
 	for i := range p.Ops {
-		vals := make([]uint64, 9)
-		for j := range vals {
-			v, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			vals[j] = v
+		if p.Ops[i], err = npu.ParseOp(d.buf[d.off:]); err != nil {
+			return nil, fmt.Errorf("taskimage: op %d: %w", i, err)
 		}
-		if vals[0] > uint64(npu.OpCompute) {
-			return nil, fmt.Errorf("taskimage: op %d has invalid kind %d", i, vals[0])
-		}
-		if vals[4] != 0 || vals[5] != 0 {
-			return nil, fmt.Errorf("taskimage: op %d has nonzero reserved words", i)
-		}
-		p.Ops[i] = npu.Op{
-			Kind:   npu.OpKind(vals[0]),
-			VA:     mem.VirtAddr(vals[1]),
-			Bytes:  vals[2],
-			Cycles: sim.Cycle(vals[3]),
-			Layer:  int(vals[6]),
-			Tile:   vals[7]&1 != 0,
-			Weight: vals[7]&2 != 0,
-			MACs:   int64(vals[8]),
-		}
+		d.off += npu.OpRecordBytes
 	}
 	img.Program = p
 	if img.SealedModel, err = d.bytes(MaxModelBytes); err != nil {

@@ -109,6 +109,21 @@ func TestDecodeRejectsFraming(t *testing.T) {
 	if _, err := Decode(bad); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("bad version: %v", err)
 	}
+	// A version-2 image: nine-word op records with two reserved zero
+	// words after the cycles.
+	op0 := opSection(buf, img)
+	v2 := append([]byte{}, buf[:op0]...)
+	binary.LittleEndian.PutUint16(v2[4:], 2)
+	for _, op := range img.Program.Ops {
+		rec := npu.AppendOp(nil, op)
+		v2 = append(v2, rec[:32]...)         // kind, VA, bytes, cycles
+		v2 = append(v2, make([]byte, 16)...) // two reserved words
+		v2 = append(v2, rec[32:]...)         // layer, flags, MACs
+	}
+	v2 = append(v2, buf[op0+len(img.Program.Ops)*npu.OpRecordBytes:]...)
+	if _, err := Decode(v2); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("v2 image: %v", err)
+	}
 	// Trailing garbage.
 	if _, err := Decode(append(append([]byte{}, buf...), 0x00)); !errors.Is(err, ErrTrailing) {
 		t.Fatal("trailing byte accepted")
@@ -161,28 +176,34 @@ func TestDecodeRejectsHugeClaims(t *testing.T) {
 	_ = buf
 }
 
-// The op kinds of the retired NoC send/receive ops (3, 4) and nonzero
-// values in the two reserved op words, where those ops' fields were
-// carried, fail decoding.
+// opSection returns the offset of an encoded image's first op record:
+// the op section sits just before the sealed model's section.
+func opSection(buf []byte, img *Image) int {
+	return len(buf) - 4 - len(img.SealedModel) - len(img.Program.Ops)*npu.OpRecordBytes
+}
+
+// The op kinds of the retired NoC send/receive ops (3, 4) fail
+// decoding, and so does any reserved bit of an op's flags word (every
+// bit but Tile and Weight), which the decoder could not re-encode.
 func TestDecodeRejectsRetiredKindsAndReservedWords(t *testing.T) {
 	img := sampleImage(t)
 	buf, err := Encode(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The op section sits just before the sealed model's section.
-	op0 := len(buf) - 4 - len(img.SealedModel) - len(img.Program.Ops)*opRecordBytes
+	op0 := opSection(buf, img)
 	for _, c := range []struct {
-		name      string
-		word, val int
+		name string
+		word int
+		val  uint64
 	}{
 		{"kind-3", 0, 3},
 		{"kind-4", 0, 4},
-		{"reserved-word-4", 4, 1},
-		{"reserved-word-5", 5, 1},
+		{"flag-bit-2", 5, 1 << 2},
+		{"flag-bit-63", 5, 1 << 63},
 	} {
 		bad := append([]byte{}, buf...)
-		binary.LittleEndian.PutUint64(bad[op0+8*c.word:], uint64(c.val))
+		binary.LittleEndian.PutUint64(bad[op0+8*c.word:], c.val)
 		if _, err := Decode(bad); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}

@@ -288,11 +288,16 @@ func (s *System) mapNonSecure(core int, task *driver.Task) error {
 	vbase, size := mem.PageWindow(task.Program.VASpan())
 	slot := s.nextSlot[core]%(guarder.DefaultTransRegs-1) + 1 // slot 0 is reserved for secure tasks
 	s.nextSlot[core]++
-	rep := s.mon.Dispatch(monitor.Call{
+	return s.mapWindow(core, slot, vbase, task.Chunk, size)
+}
+
+// mapWindow asks the monitor, through FnMapNonSecure, to program a
+// non-secure translation window on one core.
+func (s *System) mapWindow(core, slot int, vbase mem.VirtAddr, pbase mem.PhysAddr, size uint64) error {
+	return s.mon.Dispatch(monitor.Call{
 		Func: monitor.FnMapNonSecure,
-		Args: []uint64{uint64(core), uint64(slot), uint64(vbase), uint64(task.Chunk), size},
-	})
-	return rep.Err
+		Args: []uint64{uint64(core), uint64(slot), uint64(vbase), uint64(pbase), size},
+	}).Err
 }
 
 // RunModelTraced runs a non-secure inference like RunModel and
@@ -364,8 +369,7 @@ func (s *System) MapWindow(coreID, slot int, va uint64, reservedOff, size uint64
 	if reservedOff+size > experiments.ReservedSize {
 		return fmt.Errorf("snpu: window [%#x,+%#x) exceeds reserved memory", reservedOff, size)
 	}
-	return s.mon.MapNonSecure(coreID, slot, mem.VirtAddr(va),
-		experiments.ReservedBase+mem.PhysAddr(reservedOff), size)
+	return s.mapWindow(coreID, slot, mem.VirtAddr(va), experiments.ReservedBase+mem.PhysAddr(reservedOff), size)
 }
 
 // AttestationReport re-exports the TEE quote type.
@@ -513,14 +517,14 @@ func (s *System) RunModelParallel(name string, cores []int, mode TransferMode) (
 			vbase, size := mem.PageWindow(prog.VASpan())
 			// Slice window onto a per-core cut of reserved memory.
 			pa := experiments.ReservedBase + mem.PhysAddr(uint64(coreID)*(experiments.ReservedSize/16))
-			if err := s.mon.MapNonSecure(coreID, 1, vbase, pa, size); err != nil {
+			if err := s.mapWindow(coreID, 1, vbase, pa, size); err != nil {
 				return err
 			}
 			// Shared-memory bounce buffer (software NoC), carved from
 			// the tail of NPU-reserved memory so the platform checking
 			// registers cover it.
 			shmPA := experiments.ReservedBase + mem.PhysAddr(experiments.ReservedSize-(32<<20))
-			return s.mon.MapNonSecure(coreID, 2, shmWindowVA, shmPA, 16<<20)
+			return s.mapWindow(coreID, 2, shmWindowVA, shmPA, 16<<20)
 		}
 	}
 	return s.soc.NPU.RunModelParallel(w, cores, mode, shmWindowVA, mapWindow)
