@@ -42,7 +42,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -53,7 +52,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 0, "secure same-model batch width (0 = default)")
 	baseline := flag.Bool("baseline", false, "boot the unprotected baseline (non-secure only)")
 	maxRestarts := flag.Int("max-restarts", 3, "fault-abort retry budget per secure request (0 = disabled)")
-	retryBackoff := flag.Int64("retry-backoff", 0, "base retry backoff in simulated cycles (0 = default)")
 	tenantQueue := flag.Int("tenant-queue", 8, "per-tenant queue bound; overflow sheds lowest priority (0 = unbounded)")
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive aborts before tenant quarantine (0 = disabled)")
 	breakerCooldown := flag.Int("breaker-cooldown", 2, "quarantine length in scheduling episodes")
@@ -92,7 +90,6 @@ func main() {
 		Workers:           *workers,
 		MaxBatch:          *maxBatch,
 		MaxRestarts:       *maxRestarts,
-		RetryBackoff:      sim.Cycle(*retryBackoff),
 		MaxQueuePerTenant: *tenantQueue,
 		BreakerThreshold:  *breakerThreshold,
 		BreakerCooldown:   *breakerCooldown,

@@ -44,7 +44,6 @@ func main() {
 	secure := flag.Bool("secure", false, "run as a secure task through the NPU Monitor")
 	counters := flag.Bool("counters", false, "dump hardware counters after the run")
 	traceOut := flag.String("trace", "", "write a Chrome-trace JSON timeline to this file")
-	modelFile := flag.String("model-file", "", "run a custom workload described in this JSON file")
 	faultsFile := flag.String("faults", "", "install the fault plan in this JSON file before running")
 	metricsOut := flag.String("metrics", "", "write run metrics: Prometheus text to this file, JSON alongside with a .json extension")
 	seed := flag.Int64("seed", 1, "deterministic seed for sealing-key derivation; same seed = identical run")
@@ -77,8 +76,8 @@ func main() {
 
 	var plan fault.Plan
 	if *faultsFile != "" {
-		if *baseline || *traceOut != "" || *modelFile != "" {
-			fatal(fmt.Errorf("-faults supports the protected run only (no -baseline, -trace, -model-file)"))
+		if *baseline || *traceOut != "" {
+			fatal(fmt.Errorf("-faults supports the protected run only (no -baseline, -trace)"))
 		}
 		f, err := os.Open(*faultsFile)
 		if err != nil {
@@ -93,31 +92,6 @@ func main() {
 	}
 
 	var res snpu.InferenceResult
-	if *modelFile != "" {
-		if *secure || *traceOut != "" {
-			fatal(fmt.Errorf("-model-file supports the plain non-secure path only"))
-		}
-		f, err := os.Open(*modelFile)
-		if err != nil {
-			fatal(err)
-		}
-		w, err := workload.ReadJSONWorkload(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		res, err = sys.RunWorkload(w)
-		if err != nil {
-			fatal(err)
-		}
-		printResult(res, "non-secure (custom model)")
-		if *counters {
-			fmt.Println("\nhardware counters:")
-			fmt.Print(sys.Stats().String())
-		}
-		dumpMetrics(sys, *metricsOut)
-		return
-	}
 	if *traceOut != "" {
 		if *secure || *baseline {
 			fatal(fmt.Errorf("-trace only supports the default non-secure protected run"))

@@ -110,34 +110,14 @@ func lowerNode(n *Node, shapes map[string]Shape) ([]workload.GEMM, error) {
 		return []workload.GEMM{workload.MatMul(n.Name, a[0], a[1], b[1])}, nil
 
 	case OpAttention:
+		// A non-zero ctx models an autoregressive step attending over a
+		// KV cache; otherwise scores and context run over the input's own
+		// sequence.
 		in := shapes[n.Inputs[0]]
-		seq, hidden := in[0], in[1]
-		heads := n.Attrs.Heads
-		headDim := hidden / heads
-		// Self-attention scores/context GEMMs run over the input's own
-		// sequence; a non-zero ctx models an autoregressive decode step
-		// attending over a KV cache, and the "_ctx_" naming (vs
-		// "_context_") keeps the two regimes distinct in traces.
-		ctxLen := seq
-		ctxName := "context"
 		if n.Attrs.Ctx > 0 {
-			ctxLen = n.Attrs.Ctx
-			ctxName = "ctx"
+			return workload.CachedAttention(n.Name, in[0], in[1], n.Attrs.Heads, n.Attrs.Ctx), nil
 		}
-		gemms := make([]workload.GEMM, 0, 4+2*heads)
-		for _, proj := range []string{"q", "k", "v"} {
-			gemms = append(gemms, workload.GEMM{
-				Name: fmt.Sprintf("%s_%sproj", n.Name, proj), M: seq, K: hidden, N: hidden,
-			})
-		}
-		for h := 0; h < heads; h++ {
-			gemms = append(gemms,
-				workload.GEMM{Name: fmt.Sprintf("%s_scores_h%d", n.Name, h), M: seq, K: headDim, N: ctxLen},
-				workload.GEMM{Name: fmt.Sprintf("%s_%s_h%d", n.Name, ctxName, h), M: seq, K: ctxLen, N: headDim},
-			)
-		}
-		gemms = append(gemms, workload.GEMM{Name: n.Name + "_outproj", M: seq, K: hidden, N: hidden})
-		return gemms, nil
+		return workload.Attention(n.Name, in[0], in[1], n.Attrs.Heads), nil
 
 	case OpPool, OpReduce, OpAdd, OpMul, OpRelu, OpSoftmax, OpConcat:
 		return nil, nil

@@ -1,10 +1,9 @@
 // Package mem models the SoC's physical memory system: a sparse
 // physical memory backing store, a region map splitting DRAM into
 // normal-world and secure-world areas (the two-world split of the
-// paper's §II TEE background), permission checks, and the two
-// allocators the NPU software stack uses — a CMA-style contiguous
-// allocator for NPU-reserved memory and a slot allocator used by the
-// trusted world.
+// paper's §II TEE background), permission checks, and the CMA-style
+// contiguous allocator the NPU driver and the NPU Monitor carve their
+// memory from.
 package mem
 
 import "fmt"

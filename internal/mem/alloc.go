@@ -149,67 +149,3 @@ func (a *ContigAlloc) Allocations() []Region {
 	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
 	return out
 }
-
-// SlotAlloc is the NPU Monitor's trusted allocator: fixed-size slots
-// (typically scratchpad-sized) carved from secure memory. Fixed slots
-// make the security-relevant overlap check trivial and allocation O(1)
-// — matching the paper's "efficiently allocate memory slots of
-// specific sizes" description.
-type SlotAlloc struct {
-	base     PhysAddr
-	slotSize uint64
-	slots    int
-	inUse    []bool
-	nextHint int
-}
-
-// NewSlotAlloc manages `slots` consecutive slots of slotSize bytes
-// starting at base.
-func NewSlotAlloc(base PhysAddr, slotSize uint64, slots int) *SlotAlloc {
-	return &SlotAlloc{base: base, slotSize: slotSize, slots: slots, inUse: make([]bool, slots)}
-}
-
-// Alloc claims one free slot and returns its base address.
-func (s *SlotAlloc) Alloc() (PhysAddr, error) {
-	for i := 0; i < s.slots; i++ {
-		idx := (s.nextHint + i) % s.slots
-		if !s.inUse[idx] {
-			s.inUse[idx] = true
-			s.nextHint = idx + 1
-			return s.base + PhysAddr(uint64(idx)*s.slotSize), nil
-		}
-	}
-	return 0, fmt.Errorf("mem: no free slots (%d total)", s.slots)
-}
-
-// Free releases a slot by its base address.
-func (s *SlotAlloc) Free(addr PhysAddr) error {
-	off := uint64(addr - s.base)
-	if addr < s.base || off%s.slotSize != 0 || off/s.slotSize >= uint64(s.slots) {
-		return fmt.Errorf("mem: %#x is not a slot base", uint64(addr))
-	}
-	idx := int(off / s.slotSize)
-	if !s.inUse[idx] {
-		return fmt.Errorf("mem: double free of slot %d", idx)
-	}
-	s.inUse[idx] = false
-	return nil
-}
-
-// Reset releases every slot and restores the first-fit scan origin, so
-// a recycled monitor allocates the same slot sequence as a fresh one.
-func (s *SlotAlloc) Reset() {
-	clear(s.inUse)
-	s.nextHint = 0
-}
-
-// InUse reports the number of allocated slots.
-func (s *SlotAlloc) InUse() int {
-	n := 0
-	for _, u := range s.inUse {
-		if u {
-			n++
-		}
-	}
-	return n
-}

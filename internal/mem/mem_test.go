@@ -251,40 +251,3 @@ func TestContigAllocInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSlotAlloc(t *testing.T) {
-	s := NewSlotAlloc(0x9000_0000, 256<<10, 4)
-	seen := map[PhysAddr]bool{}
-	for i := 0; i < 4; i++ {
-		p, err := s.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen[p] {
-			t.Fatal("slot returned twice")
-		}
-		seen[p] = true
-		if (uint64(p)-0x9000_0000)%(256<<10) != 0 {
-			t.Fatalf("slot %#x not slot-aligned", uint64(p))
-		}
-	}
-	if _, err := s.Alloc(); err == nil {
-		t.Fatal("allocation beyond capacity succeeded")
-	}
-	if s.InUse() != 4 {
-		t.Fatalf("in use = %d", s.InUse())
-	}
-	var first PhysAddr = 0x9000_0000
-	if err := s.Free(first); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Free(first); err == nil {
-		t.Fatal("double free accepted")
-	}
-	if err := s.Free(first + 1); err == nil {
-		t.Fatal("unaligned free accepted")
-	}
-	if _, err := s.Alloc(); err != nil {
-		t.Fatalf("re-allocation after free failed: %v", err)
-	}
-}

@@ -467,23 +467,26 @@ func (m *Monitor) SetupPlatform(reservedBase mem.PhysAddr, reservedSize uint64, 
 // mapNonSecure programs a translation window for a NON-secure task on
 // behalf of the untrusted driver (translation registers are secure
 // state, so the driver cannot write them itself). The monitor applies
-// no software checks beyond refusing windows that reach into
-// secure-owned memory — for non-secure tasks the hardware checking
-// registers carry the isolation (§IV-C: "for non-secure tasks, we do
-// not apply any software checks and rely only on the hardware
-// mechanisms").
+// no software checks beyond refusing slot 0, which load reserves for
+// the secure task's window, and windows that reach into secure-owned
+// memory — for non-secure tasks the hardware checking registers carry
+// the isolation (§IV-C: "for non-secure tasks, we do not apply any
+// software checks and rely only on the hardware mechanisms").
 func (m *Monitor) mapNonSecure(core int, slot int, vbase mem.VirtAddr, pbase mem.PhysAddr, size uint64) error {
 	m.call()
 	g, ok := m.guarders[core]
 	if !ok {
 		return m.reject(fmt.Errorf("monitor: core %d has no guarder", core))
 	}
+	if slot == 0 {
+		return m.reject(fmt.Errorf("monitor: translation slot 0 is reserved for the secure task"))
+	}
 	if r, found := m.machine.Phys().FindRegion(pbase); found && r.Owner == mem.Secure {
 		m.note(TrMapSecureTarget)
 		return m.reject(fmt.Errorf("monitor: non-secure window targets secure region %q", r.Name))
 	}
 	if err := g.SetTransReg(m.ctx, slot, guarder.TransReg{VBase: vbase, PBase: pbase, Size: size, Valid: true}); err != nil {
-		return err
+		return m.reject(err)
 	}
 	m.note(TrMapOK)
 	return nil

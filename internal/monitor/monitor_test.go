@@ -456,3 +456,43 @@ func TestNextQueued(t *testing.T) {
 		t.Fatalf("next after load = %d, want %d", next, id2)
 	}
 }
+
+// Translation slot 0 holds the loaded secure task's window.
+// FnMapNonSecure must not retarget it at memory the normal world reads,
+// and every refused map, the Guarder's own range check included,
+// counts as a rejection.
+func TestMapNonSecureRefusesSecureSlot(t *testing.T) {
+	w := bootWorld(t)
+	prog := testProgram(t)
+	id, err := w.mon.submit(Call{Program: prog, Expected: prog.Measurement()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := w.mon.Dispatch(Call{Func: FnLoad, Args: []uint64{uint64(id), 0, 64, 0}}); rep.Err != nil {
+		t.Fatal(rep.Err)
+	}
+	secure := w.guarders[0].TransRegs()[0]
+	if !secure.Valid {
+		t.Fatal("load left translation slot 0 invalid")
+	}
+	mapSlot := func(slot uint64) error {
+		return w.mon.Dispatch(Call{Func: FnMapNonSecure,
+			Args: []uint64{0, slot, uint64(secure.VBase), 0x8800_0000, secure.Size}}).Err
+	}
+	rejected := w.stats.Get(sim.CtrMonitorRejected)
+	if err := mapSlot(0); err == nil {
+		t.Fatal("non-secure map of slot 0 accepted")
+	}
+	if got := w.guarders[0].TransRegs()[0]; got != secure {
+		t.Fatalf("slot 0 = %+v after the refused map, want %+v", got, secure)
+	}
+	if err := mapSlot(99); err == nil {
+		t.Fatal("out-of-range slot accepted")
+	}
+	if got := w.stats.Get(sim.CtrMonitorRejected); got != rejected+2 {
+		t.Fatalf("%d rejections counted, want 2", got-rejected)
+	}
+	if err := mapSlot(1); err != nil {
+		t.Fatalf("slot 1: %v", err)
+	}
+}

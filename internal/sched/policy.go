@@ -21,19 +21,14 @@ var (
 	ErrTenantQuarantined = errors.New("sched: tenant quarantined")
 )
 
-// DefaultRetryBackoff is the base retry delay (in simulated cycles)
-// when Config.MaxRestarts enables fault retries but Config.RetryBackoff
-// is zero. Attempt n waits base << (n-1).
+// DefaultRetryBackoff is the base retry delay in simulated cycles,
+// used when Config.MaxRestarts enables fault retries.
 const DefaultRetryBackoff sim.Cycle = 100_000
 
-// RetryBackoff is the exponential backoff ladder shared by the
-// scheduler's retry queue and RunSecureResilient-style callers:
-// attempt 1 waits base, attempt 2 waits 2*base, ... The shift is capped
-// so a hostile restart budget cannot overflow the cycle counter.
-func RetryBackoff(base sim.Cycle, attempt int) sim.Cycle {
-	if base <= 0 {
-		base = DefaultRetryBackoff
-	}
+// RetryBackoff is the scheduler's exponential retry ladder: attempt 1
+// waits DefaultRetryBackoff, attempt 2 twice that, ... The shift is
+// capped so a hostile restart budget cannot overflow the cycle counter.
+func RetryBackoff(attempt int) sim.Cycle {
 	if attempt < 1 {
 		attempt = 1
 	}
@@ -41,7 +36,7 @@ func RetryBackoff(base sim.Cycle, attempt int) sim.Cycle {
 	if shift > 20 {
 		shift = 20
 	}
-	return base << shift
+	return DefaultRetryBackoff << shift
 }
 
 // Breaker defaults.

@@ -14,26 +14,24 @@ import (
 )
 
 func TestRetryBackoffTable(t *testing.T) {
+	const base = DefaultRetryBackoff
 	cases := []struct {
 		name    string
-		base    sim.Cycle
 		attempt int
 		want    sim.Cycle
 	}{
-		{"first attempt", 1000, 1, 1000},
-		{"second doubles", 1000, 2, 2000},
-		{"third quadruples", 1000, 3, 4000},
-		{"attempt zero clamps to first", 1000, 0, 1000},
-		{"negative attempt clamps to first", 1000, -5, 1000},
-		{"zero base selects default", 0, 1, DefaultRetryBackoff},
-		{"negative base selects default", -1, 2, 2 * DefaultRetryBackoff},
-		{"shift caps at 20", 1000, 21, 1000 << 20},
-		{"hostile attempt stays capped", 1000, 1 << 30, 1000 << 20},
+		{"first attempt", 1, base},
+		{"second doubles", 2, 2 * base},
+		{"third quadruples", 3, 4 * base},
+		{"attempt zero clamps to first", 0, base},
+		{"negative attempt clamps to first", -5, base},
+		{"shift caps at 20", 21, base << 20},
+		{"hostile attempt stays capped", 1 << 30, base << 20},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := RetryBackoff(c.base, c.attempt); got != c.want {
-				t.Fatalf("RetryBackoff(%d, %d) = %d, want %d", c.base, c.attempt, got, c.want)
+			if got := RetryBackoff(c.attempt); got != c.want {
+				t.Fatalf("RetryBackoff(%d) = %d, want %d", c.attempt, got, c.want)
 			}
 		})
 	}

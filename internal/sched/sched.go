@@ -166,11 +166,9 @@ type Config struct {
 	// exponential backoff) up to MaxRestarts times per request,
 	// restarting from its last completed layer checkpoint through a
 	// fresh FnSubmit. 0 disables retries — a fault aborts terminally,
-	// exactly the pre-policy behavior.
+	// exactly the pre-policy behavior. Attempt n waits
+	// RetryBackoff(n) cycles.
 	MaxRestarts int
-	// RetryBackoff is the base retry delay in cycles (default
-	// DefaultRetryBackoff); attempt n waits RetryBackoff << (n-1).
-	RetryBackoff sim.Cycle
 	// MaxQueuePerTenant bounds how many non-terminal requests one
 	// tenant may have queued in the episode (0 = unlimited). A full
 	// queue sheds its least-urgent member to make room for a strictly
@@ -359,9 +357,6 @@ func New(deps Deps, cfg Config) (*Scheduler, error) {
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
 	}
 	return &Scheduler{
 		deps: deps, cfg: cfg,
@@ -1389,7 +1384,7 @@ func (s *Scheduler) faultJob(c *coreState, j *job, at sim.Cycle) {
 			continue
 		}
 		m.attempts++
-		retryAt := at + RetryBackoff(s.cfg.RetryBackoff, m.attempts)
+		retryAt := at + RetryBackoff(m.attempts)
 		if m.req.Deadline > 0 && retryAt >= m.req.Deadline {
 			// The backoff alone blows the deadline: retrying is futile.
 			s.abortMember(m, at, c.id, true)

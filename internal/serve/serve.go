@@ -43,10 +43,9 @@ type Config struct {
 	Cores    []int
 	Workers  int
 	MaxBatch int
-	// MaxRestarts, RetryBackoff, MaxQueuePerTenant pass the resilience
-	// policy through to sched.Config (zero = disabled/defaults).
+	// MaxRestarts, MaxQueuePerTenant pass the resilience policy
+	// through to sched.Config (zero = disabled).
 	MaxRestarts       int
-	RetryBackoff      sim.Cycle
 	MaxQueuePerTenant int
 	// BreakerThreshold enables the per-tenant circuit breaker (>0):
 	// a tenant whose tasks abort Threshold times in a row sits out
@@ -131,7 +130,6 @@ func (s *Server) resetScheduler() error {
 		Workers:           s.cfg.Workers,
 		MaxBatch:          s.cfg.MaxBatch,
 		MaxRestarts:       s.cfg.MaxRestarts,
-		RetryBackoff:      s.cfg.RetryBackoff,
 		MaxQueuePerTenant: s.cfg.MaxQueuePerTenant,
 		Breaker:           s.breaker,
 	})

@@ -2,11 +2,11 @@ package spad
 
 import "repro/internal/sim"
 
-// This file models the two strawman scratchpad protections the paper
-// compares against (Table I, Fig. 14, Fig. 15): flushing with context
-// save/restore, and static partitioning. Neither adds hardware; both
-// cost performance or utilization, which is what the experiments
-// measure.
+// This file models the flushing strawman the paper compares against
+// (Table I, Fig. 14): scratchpad flushes with context save/restore,
+// which add no hardware but cost performance. The other strawman,
+// Fig. 15's static partition, is the driver's spatial split
+// (driver.SpatialPolicy).
 
 // FlushGranularity selects how often a time-shared NPU flushes the
 // scratchpad between tasks (Fig. 14).
@@ -60,44 +60,4 @@ func FlushCost(liveBytes uint64, bandwidthBytesPerCycle uint64, dmaLatency sim.C
 		stats.Add(sim.CtrSpadFlushBytes, int64(2*liveBytes))
 	}
 	return cycles
-}
-
-// Partition is a static split of a scratchpad between the trusted and
-// untrusted worlds (Fig. 6(a), Fig. 15): the trusted task owns
-// [0, Boundary) lines, the untrusted task owns the rest. The split is
-// fixed at configuration time; fragmentation and misfit are the cost.
-type Partition struct {
-	TotalLines int
-	Boundary   int // first untrusted line
-}
-
-// NewPartition splits lines so the trusted world owns the given
-// fraction (e.g., 0.25, 0.5, 0.75).
-func NewPartition(totalLines int, trustedFraction float64) Partition {
-	b := int(float64(totalLines) * trustedFraction)
-	if b < 0 {
-		b = 0
-	}
-	if b > totalLines {
-		b = totalLines
-	}
-	return Partition{TotalLines: totalLines, Boundary: b}
-}
-
-// TrustedLines reports the trusted share.
-func (p Partition) TrustedLines() int { return p.Boundary }
-
-// UntrustedLines reports the untrusted share.
-func (p Partition) UntrustedLines() int { return p.TotalLines - p.Boundary }
-
-// Allows reports whether a world's access to a line respects the
-// static split (secure domain maps to the trusted share).
-func (p Partition) Allows(d DomainID, line int) bool {
-	if line < 0 || line >= p.TotalLines {
-		return false
-	}
-	if d == NonSecure {
-		return line >= p.Boundary
-	}
-	return line < p.Boundary
 }

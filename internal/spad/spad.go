@@ -16,8 +16,8 @@
 //     back to non-secure.
 //
 // The checks are combinational (same-cycle), so isolation adds zero
-// runtime cost; the cost model for the *strawman* mechanisms (flushing
-// with context save/restore, static partition) lives in flush.go.
+// runtime cost; the cost model for the flushing strawman (context
+// save/restore) lives in flush.go.
 package spad
 
 import (

@@ -62,20 +62,12 @@ type Image struct {
 	Topology    isolator.Topology
 }
 
-// Encode serializes an image. It is the *owner-side* producer; the
-// encoder is strict so every encoded image round-trips.
+// Encode serializes an image. It is the *owner-side* producer, and it
+// returns only bytes that Decode accepts: every cap and field check
+// lives in Decode, which Encode runs on its own output.
 func Encode(img *Image) ([]byte, error) {
 	if img == nil || img.Program == nil {
 		return nil, fmt.Errorf("taskimage: nil image or program")
-	}
-	if len(img.Name) > MaxNameLen || len(img.KeyID) > MaxNameLen || len(img.Program.Name) > MaxNameLen {
-		return nil, fmt.Errorf("taskimage: name/keyID too long")
-	}
-	if len(img.Program.Ops) > MaxOps {
-		return nil, fmt.Errorf("taskimage: %d ops exceeds cap", len(img.Program.Ops))
-	}
-	if len(img.SealedModel) > MaxModelBytes {
-		return nil, fmt.Errorf("taskimage: sealed model too large")
 	}
 	var out []byte
 	u16 := func(v uint16) { out = binary.LittleEndian.AppendUint16(out, v) }
@@ -108,6 +100,9 @@ func Encode(img *Image) ([]byte, error) {
 		out = npu.AppendOp(out, op)
 	}
 	bytesSec(img.SealedModel)
+	if _, err := Decode(out); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

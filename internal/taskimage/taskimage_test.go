@@ -80,14 +80,29 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// Encode refuses every image Decode would refuse.
 func TestEncodeRejectsBadInputs(t *testing.T) {
 	if _, err := Encode(nil); err == nil {
 		t.Fatal("nil image encoded")
 	}
-	img := sampleImage(t)
-	img.Name = string(bytes.Repeat([]byte{'a'}, MaxNameLen+1))
-	if _, err := Encode(img); err == nil {
-		t.Fatal("oversized name encoded")
+	cases := []struct {
+		name   string
+		mutate func(*Image)
+	}{
+		{"oversized name", func(img *Image) { img.Name = string(bytes.Repeat([]byte{'a'}, MaxNameLen+1)) }},
+		{"op kind above OpCompute", func(img *Image) { img.Program.Ops[0].Kind = npu.OpCompute + 1 }},
+		{"topology over 64", func(img *Image) { img.Topology = isolator.Topology{W: 65, H: 1} }},
+		{"more than 2^20 layers", func(img *Image) { img.Program.Layers = 1<<20 + 1 }},
+		{"more than 2^32 spad bytes", func(img *Image) { img.Program.SpadBytes = 1<<32 + 1 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			img := sampleImage(t)
+			c.mutate(img)
+			if _, err := Encode(img); err == nil {
+				t.Fatal("encoded an image Decode rejects")
+			}
+		})
 	}
 }
 

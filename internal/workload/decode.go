@@ -76,61 +76,19 @@ func (d DecodeSpec) KVBytes() int64 {
 	return 2 * int64(d.Layers) * int64(d.Hidden) * int64(d.Prompt+d.Steps) * ElemBytes
 }
 
-// Prefill returns the prompt pass: the attention-builder shapes (BERT)
-// at sequence Prompt. Its completion emits the request's first token
-// and leaves the prompt's K/V vectors resident in the cache.
+// Prefill returns the prompt pass: Prompt tokens attending over the
+// Prompt-token cache they fill. Its completion emits the request's
+// first token and leaves the prompt's K/V vectors resident in the
+// cache.
 func (d DecodeSpec) Prefill() Workload {
-	headDim := d.Hidden / d.Heads
-	var layers []Layer
-	for l := 0; l < d.Layers; l++ {
-		name := fmt.Sprintf("pre%d", l+1)
-		var attn []GEMM
-		for _, proj := range []string{"q", "k", "v"} {
-			attn = append(attn, GEMM{Name: fmt.Sprintf("%s_%sproj", name, proj),
-				M: d.Prompt, K: d.Hidden, N: d.Hidden})
-		}
-		for h := 0; h < d.Heads; h++ {
-			attn = append(attn,
-				GEMM{Name: fmt.Sprintf("%s_scores_h%d", name, h), M: d.Prompt, K: headDim, N: d.Prompt},
-				GEMM{Name: fmt.Sprintf("%s_ctx_h%d", name, h), M: d.Prompt, K: d.Prompt, N: headDim},
-			)
-		}
-		attn = append(attn, GEMM{Name: name + "_outproj", M: d.Prompt, K: d.Hidden, N: d.Hidden})
-		layers = append(layers, Layer{Name: name + "_attn", GEMMs: attn})
-		layers = append(layers, Layer{Name: name + "_ffn", GEMMs: []GEMM{
-			{Name: name + "_ffn1", M: d.Prompt, K: d.Hidden, N: d.FFN},
-			{Name: name + "_ffn2", M: d.Prompt, K: d.FFN, N: d.Hidden},
-		}})
-	}
+	layers := transformer("pre", d.Layers, d.Prompt, d.Hidden, d.Heads, d.FFN, d.Prompt, "ctx")
 	return Workload{Name: d.ModelName() + "+prefill", Layers: layers}
 }
 
 // Step returns decode step tok (0-based): one new token attending over
-// a context of Prompt+tok+1 cached tokens — GPTDecodeStep's shapes with
-// the per-step growing context.
+// a context of Prompt+tok+1 cached tokens.
 func (d DecodeSpec) Step(tok int) Workload {
-	headDim := d.Hidden / d.Heads
-	ctxLen := d.Prompt + tok + 1
-	var layers []Layer
-	for l := 0; l < d.Layers; l++ {
-		name := fmt.Sprintf("dec%d", l+1)
-		var attn []GEMM
-		for _, proj := range []string{"q", "k", "v"} {
-			attn = append(attn, GEMM{Name: fmt.Sprintf("%s_%sproj", name, proj), M: 1, K: d.Hidden, N: d.Hidden})
-		}
-		for h := 0; h < d.Heads; h++ {
-			attn = append(attn,
-				GEMM{Name: fmt.Sprintf("%s_scores_h%d", name, h), M: 1, K: headDim, N: ctxLen},
-				GEMM{Name: fmt.Sprintf("%s_ctx_h%d", name, h), M: 1, K: ctxLen, N: headDim},
-			)
-		}
-		attn = append(attn, GEMM{Name: name + "_outproj", M: 1, K: d.Hidden, N: d.Hidden})
-		layers = append(layers, Layer{Name: name + "_attn", GEMMs: attn})
-		layers = append(layers, Layer{Name: name + "_ffn", GEMMs: []GEMM{
-			{Name: name + "_ffn1", M: 1, K: d.Hidden, N: d.FFN},
-			{Name: name + "_ffn2", M: 1, K: d.FFN, N: d.Hidden},
-		}})
-	}
+	layers := transformer("dec", d.Layers, 1, d.Hidden, d.Heads, d.FFN, d.Prompt+tok+1, "ctx")
 	return Workload{Name: fmt.Sprintf("%s+step%03d", d.ModelName(), tok), Layers: layers}
 }
 
@@ -152,14 +110,15 @@ func (d DecodeSpec) Passes() []Workload {
 // a single conventional inference — this is what the graph IR's Decode
 // op lowers to.
 func (d DecodeSpec) Flat() Workload {
-	w := Workload{Name: d.ModelName()}
-	for i, pass := range d.Passes() {
-		prefix := "prefill"
+	passes := d.Passes()
+	w := Workload{Name: d.ModelName(), Layers: make([]Layer, 0, 2*d.Layers*len(passes))}
+	for i, pass := range passes {
+		prefix := "prefill_"
 		if i > 0 {
-			prefix = fmt.Sprintf("s%03d", i-1)
+			prefix = fmt.Sprintf("s%03d_", i-1)
 		}
 		for _, l := range pass.Layers {
-			w.Layers = append(w.Layers, Layer{Name: prefix + "_" + l.Name, GEMMs: l.GEMMs})
+			w.Layers = append(w.Layers, Layer{Name: prefix + l.Name, GEMMs: l.GEMMs})
 		}
 	}
 	return w

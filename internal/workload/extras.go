@@ -27,53 +27,27 @@ func VGG16() Workload {
 		for c := 0; c < b.convs; c++ {
 			name := fmt.Sprintf("conv%d_%d", bi+1, c+1)
 			layers = append(layers, Layer{Name: name, GEMMs: []GEMM{
-				conv(name, b.h, b.h, in, b.ch, 3, 1, 1),
+				Conv(name, b.h, b.h, in, b.ch, 3, 1, 1),
 			}})
 			in = b.ch
 		}
 	}
 	layers = append(layers,
-		Layer{Name: "fc6", GEMMs: []GEMM{fc("fc6", 512*7*7, 4096)}},
-		Layer{Name: "fc7", GEMMs: []GEMM{fc("fc7", 4096, 4096)}},
-		Layer{Name: "fc8", GEMMs: []GEMM{fc("fc8", 4096, 1000)}},
+		Layer{Name: "fc6", GEMMs: []GEMM{FC("fc6", 512*7*7, 4096)}},
+		Layer{Name: "fc7", GEMMs: []GEMM{FC("fc7", 4096, 4096)}},
+		Layer{Name: "fc8", GEMMs: []GEMM{FC("fc8", 4096, 1000)}},
 	)
 	return Workload{Name: "vgg16", Layers: layers}
 }
 
-// GPTDecodeStep returns one autoregressive decode step of a GPT-style
-// transformer: batch 1, a single new token attending over a cached
-// context of ctxLen tokens. Every GEMM has M=1 — the pathological
-// low-utilization case for a systolic array, and the memory-bound
-// regime modern serving lives in.
-func GPTDecodeStep(layers, hidden, heads, ffn, ctxLen int) Workload {
-	headDim := hidden / heads
-	var ls []Layer
-	for l := 0; l < layers; l++ {
-		name := fmt.Sprintf("dec%d", l+1)
-		var attn []GEMM
-		for _, proj := range []string{"q", "k", "v"} {
-			attn = append(attn, GEMM{Name: fmt.Sprintf("%s_%sproj", name, proj), M: 1, K: hidden, N: hidden})
-		}
-		for h := 0; h < heads; h++ {
-			attn = append(attn,
-				GEMM{Name: fmt.Sprintf("%s_scores_h%d", name, h), M: 1, K: headDim, N: ctxLen},
-				GEMM{Name: fmt.Sprintf("%s_ctx_h%d", name, h), M: 1, K: ctxLen, N: headDim},
-			)
-		}
-		attn = append(attn, GEMM{Name: name + "_outproj", M: 1, K: hidden, N: hidden})
-		ls = append(ls, Layer{Name: name + "_attn", GEMMs: attn})
-		ls = append(ls, Layer{Name: name + "_ffn", GEMMs: []GEMM{
-			{Name: name + "_ffn1", M: 1, K: hidden, N: ffn},
-			{Name: name + "_ffn2", M: 1, K: ffn, N: hidden},
-		}})
-	}
-	return Workload{Name: "gpt-decode", Layers: ls}
-}
-
-// GPTSmallDecode is a GPT-2-small-scale decode step over a 512-token
-// context.
+// GPTSmallDecode returns one autoregressive decode step of a GPT-2-
+// small-scale transformer: batch 1, a single new token attending over
+// a cached context of 512 tokens. Every GEMM has M=1 — the
+// pathological low-utilization case for a systolic array, and the
+// memory-bound regime modern serving lives in.
 func GPTSmallDecode() Workload {
-	return GPTDecodeStep(12, 768, 12, 3072, 512)
+	layers := transformer("dec", 12, 1, 768, 12, 3072, 512, "ctx")
+	return Workload{Name: "gpt-decode", Layers: layers}
 }
 
 // DLRM returns a recommendation-style MLP tower: wide dense layers at
@@ -83,7 +57,7 @@ func DLRM() Workload {
 	var layers []Layer
 	for i := 0; i+1 < len(dims); i++ {
 		name := fmt.Sprintf("mlp%d", i+1)
-		layers = append(layers, Layer{Name: name, GEMMs: []GEMM{fc(name, dims[i], dims[i+1])}})
+		layers = append(layers, Layer{Name: name, GEMMs: []GEMM{FC(name, dims[i], dims[i+1])}})
 	}
 	return Workload{Name: "dlrm", Layers: layers}
 }

@@ -10,7 +10,11 @@
 // channel. Element size is one byte (int8 inference, as in Gemmini).
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strconv"
+)
 
 // ElemBytes is the tensor element size (int8 inference).
 const ElemBytes = 1
@@ -124,25 +128,69 @@ func (w Workload) GEMMCount() int {
 	return n
 }
 
-// conv lowers a convolution to its im2col GEMM. h, w are the *input*
-// spatial dims; c in-channels; k filters; r kernel; stride; pad.
-func conv(name string, h, w, c, k, r, stride, pad int) GEMM {
+// The layer builders: each operator is lowered to GEMMs here and only
+// here, by the built-in models and the graph IR front end alike.
+
+// Conv lowers a standard convolution to its im2col GEMM. h and w are
+// the input spatial dims, c the input channels, k the filter count, r
+// the (square) kernel size.
+func Conv(name string, h, w, c, k, r, stride, pad int) GEMM {
 	oh := (h+2*pad-r)/stride + 1
 	ow := (w+2*pad-r)/stride + 1
 	return GEMM{Name: name, M: oh * ow, K: c * r * r, N: k}
 }
 
-// dwconv lowers a depthwise convolution: each channel convolves
+// DWConv lowers a depthwise convolution: each channel convolves
 // independently, so the systolic array streams only r*r deep and
 // cannot amortize its fill — modeled as a GEMM over all channels with
 // a deep efficiency penalty.
-func dwconv(name string, h, w, c, r, stride, pad int) GEMM {
+func DWConv(name string, h, w, c, r, stride, pad int) GEMM {
 	oh := (h+2*pad-r)/stride + 1
 	ow := (w+2*pad-r)/stride + 1
 	return GEMM{Name: name, M: oh * ow, K: r * r, N: c, Efficiency: 0.08}
 }
 
-// fc lowers a fully-connected layer at batch 1.
-func fc(name string, in, out int) GEMM {
+// FC lowers a fully-connected layer at batch 1.
+func FC(name string, in, out int) GEMM {
 	return GEMM{Name: name, M: 1, K: in, N: out}
+}
+
+// MatMul describes a raw GEMM (a projection, a plain matrix product).
+func MatMul(name string, m, k, n int) GEMM {
+	return GEMM{Name: name, M: m, K: k, N: n}
+}
+
+// Attention lowers multi-head self-attention over seq tokens: the Q, K
+// and V projections, one score and one context GEMM per head, and the
+// output projection.
+func Attention(name string, seq, hidden, heads int) []GEMM {
+	return appendAttention(nil, name, seq, hidden, heads, seq, "context")
+}
+
+// CachedAttention lowers seq new tokens attending over a KV cache of
+// ctx tokens (an autoregressive prefill or decode step). Only the
+// context GEMMs' name ("_ctx_" instead of "_context_") tells it apart
+// from Attention at ctx == seq.
+func CachedAttention(name string, seq, hidden, heads, ctx int) []GEMM {
+	return appendAttention(nil, name, seq, hidden, heads, ctx, "ctx")
+}
+
+// appendAttention appends the 4+2*heads GEMMs of one attention block to
+// dst; ctxName names the per-head context GEMMs.
+func appendAttention(dst []GEMM, name string, seq, hidden, heads, ctx int, ctxName string) []GEMM {
+	headDim := hidden / heads
+	dst = slices.Grow(dst, 4+2*heads)
+	dst = append(dst,
+		GEMM{Name: name + "_qproj", M: seq, K: hidden, N: hidden},
+		GEMM{Name: name + "_kproj", M: seq, K: hidden, N: hidden},
+		GEMM{Name: name + "_vproj", M: seq, K: hidden, N: hidden},
+	)
+	for h := 0; h < heads; h++ {
+		hs := strconv.Itoa(h)
+		dst = append(dst,
+			GEMM{Name: name + "_scores_h" + hs, M: seq, K: headDim, N: ctx},
+			GEMM{Name: name + "_" + ctxName + "_h" + hs, M: seq, K: ctx, N: headDim},
+		)
+	}
+	return append(dst, GEMM{Name: name + "_outproj", M: seq, K: hidden, N: hidden})
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -69,18 +70,18 @@ func TestModelScaleSanity(t *testing.T) {
 }
 
 func TestConvLowering(t *testing.T) {
-	g := conv("c", 27, 27, 96, 256, 5, 1, 2)
+	g := Conv("c", 27, 27, 96, 256, 5, 1, 2)
 	if g.M != 27*27 || g.K != 96*25 || g.N != 256 {
 		t.Fatalf("conv2 lowering = %dx%dx%d", g.M, g.K, g.N)
 	}
-	g = conv("c1", 227, 227, 3, 96, 11, 4, 0)
+	g = Conv("c1", 227, 227, 3, 96, 11, 4, 0)
 	if g.M != 55*55 {
 		t.Fatalf("stride-4 conv M = %d, want 3025", g.M)
 	}
 }
 
 func TestDWConvEfficiencyPenalty(t *testing.T) {
-	g := dwconv("dw", 112, 112, 64, 3, 1, 1)
+	g := DWConv("dw", 112, 112, 64, 3, 1, 1)
 	if g.Eff() >= 1.0 {
 		t.Fatal("depthwise conv should carry an efficiency penalty")
 	}
@@ -226,5 +227,21 @@ func TestResNetStructure(t *testing.T) {
 	// conv1 + 16 bottlenecks + fc = 18 layers.
 	if len(w.Layers) != 18 {
 		t.Fatalf("resnet layers = %d", len(w.Layers))
+	}
+}
+
+// Attention and CachedAttention share one body: at ctx == seq they
+// differ only in the context GEMMs' names.
+func TestAttentionAndCachedAttentionDifferOnlyInContextName(t *testing.T) {
+	self := Attention("a", 16, 64, 4)
+	cached := CachedAttention("a", 16, 64, 4, 16)
+	if len(self) != 4+2*4 || len(cached) != len(self) {
+		t.Fatalf("GEMM counts %d and %d, want %d", len(self), len(cached), 4+2*4)
+	}
+	for i, g := range self {
+		g.Name = strings.Replace(g.Name, "_context_", "_ctx_", 1)
+		if cached[i] != g {
+			t.Fatalf("GEMM %d: cached %+v, self-attention %+v", i, cached[i], self[i])
+		}
 	}
 }
