@@ -31,9 +31,6 @@ func NewMatrix(rows, cols int) Matrix {
 // At reads element (r, c).
 func (m Matrix) At(r, c int) int8 { return m.Data[r*m.Cols+c] }
 
-// Set writes element (r, c).
-func (m Matrix) Set(r, c int, v int8) { m.Data[r*m.Cols+c] = v }
-
 // Valid reports whether the backing slice matches the dimensions.
 func (m Matrix) Valid() bool { return len(m.Data) == m.Rows*m.Cols }
 
