@@ -48,7 +48,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cores := flag.String("cores", "", "comma-separated core list (default: all)")
-	workers := flag.Int("j", 0, "compile worker pool width (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", 0, "secure same-model batch width (0 = default)")
 	baseline := flag.Bool("baseline", false, "boot the unprotected baseline (non-secure only)")
 	maxRestarts := flag.Int("max-restarts", 3, "fault-abort retry budget per secure request (0 = disabled)")
@@ -87,7 +86,6 @@ func main() {
 	sys.EnableObservability(obs.Config{})
 	srv, err := serve.New(sys, serve.Config{
 		Cores:             coreList,
-		Workers:           *workers,
 		MaxBatch:          *maxBatch,
 		MaxRestarts:       *maxRestarts,
 		MaxQueuePerTenant: *tenantQueue,

@@ -427,8 +427,6 @@ func buildCall(mc MonCall) (monitor.Call, bool) {
 		return monitor.Call{Func: monitor.FnMapNonSecure, Args: []uint64{
 			a0 % 4, 1 + a1%15, uint64(mem.VirtAddr(0x1000 * (1 + a2))), pbase, 0x1000,
 		}}, secure
-	case monitor.FnSubmitImage:
-		return monitor.Call{Func: monitor.FnSubmitImage, Shared: []byte{mc.A[0], mc.A[1], mc.A[2]}}, false
 	default:
 		return monitor.Call{Func: mc.Fn}, false
 	}

@@ -45,9 +45,9 @@ func DeadlineCutScenario() Scenario {
 
 // HostileMonitorScenario pairs a small secure schedule with a
 // trampoline call sequence aimed at the post-episode monitor: stale
-// task ids for load/preempt/abort/unload, a garbage task image, and
-// translation windows into both reserved and secure memory (odd A[2]
-// selects a secure-region target, which must be refused).
+// task ids for load/preempt/abort/unload, an unassigned function ID,
+// and translation windows into both reserved and secure memory (odd
+// A[2] selects a secure-region target, which must be refused).
 func HostileMonitorScenario() Scenario {
 	sc := Scenario{
 		Seed: 17, Cores: 2, Tenants: 1, MaxBatch: 2,
@@ -61,7 +61,7 @@ func HostileMonitorScenario() Scenario {
 			{Fn: 7, A: [3]byte{3, 0, 0}}, // FnAbort of an unknown id
 			{Fn: 5, A: [3]byte{0, 2, 5}}, // FnMapNonSecure, odd A[2]: secure target
 			{Fn: 5, A: [3]byte{1, 3, 4}}, // FnMapNonSecure, even A[2]: reserved DRAM
-			{Fn: 6, A: [3]byte{9, 9, 9}}, // FnSubmitImage with garbage bytes
+			{Fn: 6, A: [3]byte{9, 9, 9}}, // unassigned function ID
 		},
 	}
 	return sc

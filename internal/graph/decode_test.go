@@ -89,6 +89,7 @@ func TestDecodeOpValidation(t *testing.T) {
 		{"kv under capacity", decodeModel(8, 32, Attrs{Heads: 2, Steps: 2, KV: 9}), "kv capacity"},
 		{"foreign attr", decodeModel(8, 32, Attrs{Heads: 2, Steps: 2, Kernel: 3}), "not consumed"},
 		{"steps cap", decodeModel(8, 32, Attrs{Heads: 2, Steps: workload.MaxDecodeSteps + 1}), "exceeds"},
+		{"gemm cap", decodeModel(1, 1024, Attrs{Heads: 1024, Steps: 512, FFN: 1, Layers: 128}), "GEMMs exceeds"},
 	}
 	layered := decodeModel(8, 32, Attrs{Heads: 2, Steps: 2})
 	layered.Nodes[0].Layer = "shared"

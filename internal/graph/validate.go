@@ -295,22 +295,14 @@ func (m *Model) Shapes() (map[string]Shape, error) {
 }
 
 // decodeSpec assembles a Decode node's workload.DecodeSpec from its
-// input shape and attributes (ffn defaults to 4x hidden, layers to 1)
-// and runs the workload-side caps, so validation and lowering agree on
-// exactly one spec.
+// input shape and attributes (DecodeSpec.WithDefaults fills ffn and
+// layers) and runs the workload-side caps, so validation and lowering
+// agree on exactly one spec.
 func (n *Node) decodeSpec(in Shape) (workload.DecodeSpec, error) {
-	ffn := n.Attrs.FFN
-	if ffn == 0 {
-		ffn = 4 * in[1]
-	}
-	layers := n.Attrs.Layers
-	if layers == 0 {
-		layers = 1
-	}
 	spec := workload.DecodeSpec{
-		Layers: layers, Hidden: in[1], Heads: n.Attrs.Heads,
-		FFN: ffn, Prompt: in[0], Steps: n.Attrs.Steps,
-	}
+		Layers: n.Attrs.Layers, Hidden: in[1], Heads: n.Attrs.Heads,
+		FFN: n.Attrs.FFN, Prompt: in[0], Steps: n.Attrs.Steps,
+	}.WithDefaults()
 	if err := spec.Validate(); err != nil {
 		return workload.DecodeSpec{}, fmt.Errorf("graph: node %q: %w", n.Name, err)
 	}

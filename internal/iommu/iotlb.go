@@ -44,9 +44,6 @@ func NewIOTLB(n int) *IOTLB {
 // mistranslation.
 func (t *IOTLB) EnableParity() { t.parity = true }
 
-// ParityEnabled reports whether entry parity is armed.
-func (t *IOTLB) ParityEnabled() bool { return t.parity }
-
 // Size reports the configured entry count.
 func (t *IOTLB) Size() int { return len(t.entries) }
 

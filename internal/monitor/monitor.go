@@ -29,8 +29,7 @@ var (
 // secureTask is one verified task waiting in (or loaded from) the
 // secure task queue.
 type secureTask struct {
-	ID      int
-	Program *npu.Program
+	ID int
 	// Model is the decrypted model blob, held only in secure memory.
 	model []byte
 	// Chunk is the task's buffer in secure memory.
@@ -169,10 +168,11 @@ func (m *Monitor) ProvisionKey(keyID string, key []byte) error {
 	return nil
 }
 
-// submit is the code-verifier + trusted-allocator path behind FnSubmit
-// and FnSubmitImage: decrypt the sealed model in c.Shared, measure the
-// program against the owner's expectation, allocate the task's
-// secure-memory chunk, and enqueue it.
+// submit is the code-verifier + trusted-allocator path behind FnSubmit:
+// decrypt the sealed model in c.Shared, measure the program against the
+// owner's expectation, allocate the task's secure-memory chunk, and
+// enqueue it. The task keeps what submit derived from the measured ops,
+// not c.Program, which stays in driver memory.
 func (m *Monitor) submit(c Call) (int, error) {
 	m.call()
 	if c.Program == nil {
@@ -214,7 +214,6 @@ func (m *Monitor) submit(c Call) (int, error) {
 	}
 	task := &secureTask{
 		ID:        m.nextID,
-		Program:   c.Program,
 		model:     model,
 		Chunk:     chunk,
 		ChunkSize: size,

@@ -11,7 +11,6 @@ import (
 	"repro/internal/npu"
 	"repro/internal/sim"
 	"repro/internal/spad"
-	"repro/internal/taskimage"
 	"repro/internal/tee"
 	"repro/internal/workload"
 )
@@ -340,58 +339,6 @@ func TestUnloadUnknownAndDoubleFree(t *testing.T) {
 	}
 	if err := w.mon.unload(id); !errors.Is(err, ErrUnknownTask) {
 		t.Fatal("double unload accepted")
-	}
-}
-
-func TestTrampolineSubmitImage(t *testing.T) {
-	w := bootWorld(t)
-	prog := testProgram(t)
-	key := bytes.Repeat([]byte{4}, KeySize)
-	if err := w.mon.ProvisionKey("k", key); err != nil {
-		t.Fatal(err)
-	}
-	sealed, err := SealModel(key, []byte("model"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := &taskimage.Image{
-		Name:        "imgtask",
-		Program:     prog,
-		Expected:    prog.Measurement(),
-		KeyID:       "k",
-		SealedModel: sealed,
-		Topology:    isolator.Topology{W: 1, H: 1},
-	}
-	buf, err := taskimage.Encode(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := w.mon.Dispatch(Call{Func: FnSubmitImage, Shared: buf})
-	if rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	if rep := w.mon.Dispatch(Call{Func: FnLoad, Args: []uint64{rep.Value, 0, 256, 0}}); rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	// A tampered image (flip an op byte) must fail the measurement
-	// check even though the framing still parses.
-	img2 := &taskimage.Image{
-		Name:     "evil",
-		Program:  testProgram(t),
-		Expected: prog.Measurement(), // claims the honest measurement
-		Topology: isolator.Topology{W: 1, H: 1},
-	}
-	img2.Program.Ops[0].VA ^= 0x40
-	buf2, err := taskimage.Encode(img2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := w.mon.Dispatch(Call{Func: FnSubmitImage, Shared: buf2}); !errors.Is(rep.Err, ErrBadMeasurement) {
-		t.Fatalf("tampered image accepted: %v", rep.Err)
-	}
-	// Garbage bytes are rejected at the decoder.
-	if rep := w.mon.Dispatch(Call{Func: FnSubmitImage, Shared: []byte("garbage")}); rep.Err == nil {
-		t.Fatal("garbage image accepted")
 	}
 }
 

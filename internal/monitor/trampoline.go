@@ -7,15 +7,16 @@ import (
 	"repro/internal/isolator"
 	"repro/internal/mem"
 	"repro/internal/npu"
-	"repro/internal/taskimage"
 )
 
 // The trampoline is the narrow interface between the non-secure NPU
 // driver and the NPU Monitor (§V): a function ID, arguments, and a
 // shared-memory payload. The driver marshals a call; the monitor-side
-// dispatcher validates and executes it. Keeping the boundary to plain
-// data (no callbacks, no pointers into normal-world structures beyond
-// the payload) is what keeps the TCB small.
+// dispatcher validates and executes it. FnSubmit is the one way a
+// secure task enters: the monitor measures the op stream it is handed
+// and keeps only what it derives from those ops, never a pointer into
+// driver memory. Keeping the boundary to plain data (no callbacks, one
+// submit format) is what keeps the TCB small.
 
 // FuncID selects the monitor entry point.
 type FuncID uint32
@@ -32,9 +33,7 @@ const (
 	// FnMapNonSecure programs a translation window for a non-secure
 	// task (args: core, slot, vbase, pbase, size).
 	FnMapNonSecure
-	// FnSubmitImage submits a serialized task image (Shared carries
-	// the raw taskimage bytes; the monitor decodes them defensively).
-	FnSubmitImage
+	_ // ID 6 stays unassigned, so the IDs after it keep their values.
 	// FnAbort fail-closed-aborts a secure task (scrub + teardown).
 	FnAbort
 	// FnPreempt evicts a loaded task with the mandatory flush and
@@ -60,8 +59,6 @@ func (f FuncID) String() string {
 		return "queue-len"
 	case FnMapNonSecure:
 		return "map-nonsecure"
-	case FnSubmitImage:
-		return "submit-image"
 	case FnAbort:
 		return "abort"
 	case FnPreempt:
@@ -74,10 +71,9 @@ func (f FuncID) String() string {
 }
 
 // Call is one trampoline invocation. Args carries small scalars;
-// Shared carries the bulk payload (the sealed model for FnSubmit, the
-// task image for FnSubmitImage). The submit-only fields carry what
-// FnSubmit verifies (in hardware they sit in the shared buffer too —
-// we keep them typed for clarity).
+// Shared carries the bulk payload (the sealed model for FnSubmit). The
+// submit-only fields carry what FnSubmit verifies (in hardware they sit
+// in the shared buffer too — we keep them typed for clarity).
 type Call struct {
 	Func   FuncID
 	Args   []uint64
@@ -159,19 +155,6 @@ func (m *Monitor) dispatch(c Call) Reply {
 		}
 		return Reply{Err: m.mapNonSecure(int(c.Args[0]), int(c.Args[1]),
 			mem.VirtAddr(c.Args[2]), mem.PhysAddr(c.Args[3]), c.Args[4])}
-	case FnSubmitImage:
-		img, err := taskimage.Decode(c.Shared)
-		if err != nil {
-			return Reply{Err: m.reject(fmt.Errorf("monitor: task image rejected: %w", err))}
-		}
-		id, err := m.submit(Call{
-			Shared:   img.SealedModel,
-			Program:  img.Program,
-			Expected: img.Expected,
-			KeyID:    img.KeyID,
-			Topology: img.Topology,
-		})
-		return Reply{Value: uint64(id), Err: err}
 	default:
 		return Reply{Err: ErrBadFunc}
 	}

@@ -1,7 +1,7 @@
 package npu
 
 import (
-	"hash/fnv"
+	"crypto/sha256"
 	"sync"
 
 	"repro/internal/workload"
@@ -15,15 +15,14 @@ import (
 // sharing turns the dominant allocation source of the suite into a
 // near-free map lookup.
 //
-// The cache key covers everything Compile's output depends on: a
-// structural fingerprint of the workload (name plus every GEMM's
-// dimensions and efficiency — not just the name, so user-built
-// workloads that happen to collide on Name still compile correctly),
-// the comparable Config value, the scratchpad budget, and the Layout.
+// The cache key covers everything Compile's output depends on: the
+// workload's digest (workload.Digest, the SHA-256 of its canonical
+// bytes: name, layers and every GEMM's name, dimensions and exact
+// efficiency — the same value Compile stamps as SourceDigest), the
+// comparable Config value, the scratchpad budget, and the Layout.
 
 type progKey struct {
-	name   string
-	fp     uint64
+	digest [sha256.Size]byte
 	cfg    Config
 	budget int
 	layout Layout
@@ -53,38 +52,11 @@ var progCache = struct {
 	misses uint64
 }{m: make(map[progKey]*progEntry)}
 
-// fingerprintWorkload hashes the structure Compile consumes: layer
-// partitioning and every GEMM's name, dimensions, and efficiency.
-func fingerprintWorkload(w workload.Workload) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	wr := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	h.Write([]byte(w.Name))
-	for _, l := range w.Layers {
-		h.Write([]byte{0xff})
-		h.Write([]byte(l.Name))
-		for _, g := range l.GEMMs {
-			h.Write([]byte{0xfe})
-			h.Write([]byte(g.Name))
-			wr(uint64(g.M))
-			wr(uint64(g.K))
-			wr(uint64(g.N))
-			wr(uint64(int64(g.Efficiency * 1e9)))
-		}
-	}
-	return h.Sum64()
-}
-
 // CompileCached is Compile behind a process-wide cache of immutable
 // programs. Callers MUST treat the returned Program as read-only — it
 // may be shared with concurrent experiment cells. Code that intends to
-// mutate the op stream (slicing per-core partitions, decoded task
-// images) must keep calling Compile.
+// mutate the op stream (slicing per-core partitions) must keep calling
+// Compile.
 //
 // Concurrent misses on one key coalesce: the first caller publishes an
 // in-flight entry and compiles outside the lock (cells missing on
@@ -92,7 +64,8 @@ func fingerprintWorkload(w workload.Workload) uint64 {
 // count a hit and wait for it. A failed compile is not cached — its
 // waiters get the same error, and the next caller compiles afresh.
 func CompileCached(w workload.Workload, cfg Config, spadBudget int, layout Layout) (*Program, CompileStats, error) {
-	key := progKey{name: w.Name, fp: fingerprintWorkload(w), cfg: cfg, budget: spadBudget, layout: layout}
+	digest := workload.Digest(w)
+	key := progKey{digest: digest, cfg: cfg, budget: spadBudget, layout: layout}
 
 	progCache.Lock()
 	if e, ok := progCache.m[key]; ok {
@@ -109,7 +82,7 @@ func CompileCached(w workload.Workload, cfg Config, spadBudget int, layout Layou
 	progCache.m[key] = e
 	progCache.Unlock()
 
-	e.prog, e.stats, e.err = Compile(w, cfg, spadBudget, layout)
+	e.prog, e.stats, e.err = compile(w, cfg, spadBudget, layout, digest)
 	if e.err != nil {
 		progCache.Lock()
 		if progCache.m[key] == e {

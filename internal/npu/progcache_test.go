@@ -66,6 +66,31 @@ func TestCompileCachedSharesPrograms(t *testing.T) {
 	}
 }
 
+// Two same-named workloads whose efficiencies differ below 1e-9 are
+// distinct compiles: each cached program carries its own workload's
+// digest, so a quote binds the graph that was actually submitted.
+func TestCompileCachedKeysOnDigest(t *testing.T) {
+	ResetProgCache()
+	defer ResetProgCache()
+	cfg := DefaultConfig()
+	var progs [2]*Program
+	for i, eff := range []float64{0.5, 0.5 + 1e-12} {
+		w := workload.Workload{Name: "one-gemm", Layers: []workload.Layer{{Name: "l0",
+			GEMMs: []workload.GEMM{{Name: "g", M: 64, K: 64, N: 64, Efficiency: eff}}}}}
+		p, _, err := CompileCached(w, cfg, 0, DefaultLayout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.SourceDigest != workload.Digest(w) {
+			t.Fatalf("efficiency %v: cached program carries another workload's digest", eff)
+		}
+		progs[i] = p
+	}
+	if progs[0] == progs[1] {
+		t.Fatal("workloads with different efficiencies shared a program")
+	}
+}
+
 // TestCompileCachedEviction fills the cache past its bound and checks
 // the wholesale drop: no entry count ever exceeds progCacheMax, and a
 // dropped key simply recompiles.

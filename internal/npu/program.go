@@ -93,7 +93,8 @@ type Program struct {
 	// derived holds the VA span Compile recorded and the owner's
 	// measurement once someone asks for it. It belongs to the *Program
 	// Compile built: a by-value copy, which may carry other Ops, sees
-	// no recorded span and no memo.
+	// no recorded span and no memo. The monitor reads neither; it
+	// derives the span from the ops it measures.
 	derived *derived
 }
 
@@ -106,8 +107,7 @@ type derived struct {
 }
 
 // own returns p's derived values, or nil when p was not built by
-// Compile (decoded task images, literals) or is a copy of a program
-// that was.
+// Compile (a literal) or is a copy of a program that was.
 func (p *Program) own() *derived {
 	if d := p.derived; d != nil && d.prog == p {
 		return d
@@ -124,18 +124,18 @@ const measureChunkOps = 64
 
 // OpRecordBytes is the size of an op's one encoding: seven
 // little-endian 64-bit words (kind, VA, bytes, cycles, layer, flags,
-// MACs). Measurement hashes these records and a task image carries
-// them, so the code verifier measures every field the executor reads.
+// MACs). Measurement hashes these records, so the code verifier
+// measures every field the executor reads.
 const OpRecordBytes = 7 * 8
 
-// Bits of an op record's flags word. Every other bit is invalid.
+// Bits of an op record's flags word; every other bit is zero.
 const (
 	opFlagTile   = 1 << 0
 	opFlagWeight = 1 << 1
 )
 
-// AppendOp appends op's record to b.
-func AppendOp(b []byte, op Op) []byte {
+// appendOp appends op's record to b.
+func appendOp(b []byte, op Op) []byte {
 	var flags uint64
 	if op.Tile {
 		flags |= opFlagTile
@@ -153,38 +153,11 @@ func AppendOp(b []byte, op Op) []byte {
 	return le.AppendUint64(b, uint64(op.MACs))
 }
 
-// ParseOp decodes the record at the front of rec. It rejects a short
-// record, kinds above OpCompute and unknown flag bits, so AppendOp
-// re-encodes every accepted record to the same bytes.
-func ParseOp(rec []byte) (Op, error) {
-	if len(rec) < OpRecordBytes {
-		return Op{}, fmt.Errorf("npu: op record of %d bytes", len(rec))
-	}
-	le := binary.LittleEndian
-	kind, flags := le.Uint64(rec), le.Uint64(rec[40:])
-	if kind > uint64(OpCompute) {
-		return Op{}, fmt.Errorf("npu: invalid op kind %d", kind)
-	}
-	if flags&^(opFlagTile|opFlagWeight) != 0 {
-		return Op{}, fmt.Errorf("npu: unknown op flag bits %#x", flags)
-	}
-	return Op{
-		Kind:   OpKind(kind),
-		VA:     mem.VirtAddr(le.Uint64(rec[8:])),
-		Bytes:  le.Uint64(rec[16:]),
-		Cycles: sim.Cycle(le.Uint64(rec[24:])),
-		Layer:  int(le.Uint64(rec[32:])),
-		Tile:   flags&opFlagTile != 0,
-		Weight: flags&opFlagWeight != 0,
-		MACs:   int64(le.Uint64(rec[48:])),
-	}, nil
-}
-
 // Measurement hashes the source digest and the op stream — the
 // code-integrity measurement the NPU Monitor's code verifier checks
 // before loading a secure task, and the value an attestation quote
 // binds. The hashed bytes are the name, the source digest, then each
-// op's record (AppendOp), written in chunks of measureChunkOps ops.
+// op's record (appendOp), written in chunks of measureChunkOps ops.
 func (p *Program) Measurement() [sha256.Size]byte {
 	measureCalls.Add(1)
 	h := sha256.New()
@@ -192,7 +165,7 @@ func (p *Program) Measurement() [sha256.Size]byte {
 	h.Write(p.SourceDigest[:])
 	buf := make([]byte, 0, measureChunkOps*OpRecordBytes)
 	for _, op := range p.Ops {
-		buf = AppendOp(buf, op)
+		buf = appendOp(buf, op)
 		if len(buf) == cap(buf) {
 			h.Write(buf)
 			buf = buf[:0]
@@ -223,8 +196,8 @@ func (p *Program) OwnerMeasurement() [sha256.Size]byte {
 // range and non-decreasing (the flush/pipeline machinery depends on
 // monotonic layers), op kinds known, loads/stores non-empty, and
 // compute ops carrying positive occupancy. The NPU Monitor runs this
-// on decoded task images before accepting them — a malformed stream is
-// rejected rather than executed.
+// on every submitted program before measuring it — a malformed stream
+// is rejected rather than executed.
 func (p *Program) Validate() error {
 	if p.Layers <= 0 {
 		return fmt.Errorf("npu: program %q has %d layers", p.Name, p.Layers)
@@ -285,6 +258,11 @@ type CompileStats struct {
 // the driver (the usual NPU weight layout), so each DMA descriptor
 // covers SystolicDim rows of a tile contiguously.
 func Compile(w workload.Workload, cfg Config, spadBudget int, layout Layout) (*Program, CompileStats, error) {
+	return compile(w, cfg, spadBudget, layout, workload.Digest(w))
+}
+
+// compile is Compile with w's digest already taken.
+func compile(w workload.Workload, cfg Config, spadBudget int, layout Layout, digest [sha256.Size]byte) (*Program, CompileStats, error) {
 	if err := w.Validate(); err != nil {
 		return nil, CompileStats{}, err
 	}
@@ -293,7 +271,7 @@ func Compile(w workload.Workload, cfg Config, spadBudget int, layout Layout) (*P
 	}
 	dim := cfg.SystolicDim
 	p := &Program{Name: w.Name, Layers: len(w.Layers), SpadBytes: spadBudget,
-		SourceDigest: workload.Digest(w)}
+		SourceDigest: digest}
 	var st CompileStats
 	weightOff := uint64(0)
 	actOff := uint64(0)

@@ -13,19 +13,17 @@ import (
 	"repro/internal/workload"
 )
 
-// Differential determinism: the scheduler's compile pool width and the
-// identity of the System instance must be invisible in every observable
-// output. The same trace replayed at Workers 1 vs 4, and on two
-// independently booted Systems, must produce byte-identical decision
-// logs and identical per-request cycle spans. CI runs this under -race,
-// so the Workers=4 leg also proves the pool is data-race free.
+// Differential determinism: the identity of the System instance must
+// be invisible in every observable output. The same trace replayed on
+// two independently booted Systems must produce byte-identical decision
+// logs and identical per-request cycle spans.
 
 // runTrace replays one ServeTrace episode on a fresh System. Sealed
 // blobs are supplied by the caller so every leg of a differential pair
 // shares the exact same bytes (sealing uses a random nonce; only the
 // blob's length feeds the cycle model, but identical inputs keep the
 // comparison airtight).
-func runTrace(t *testing.T, seed int64, workers int, sealed map[string][]byte) *sched.Report {
+func runTrace(t *testing.T, seed int64, sealed map[string][]byte) *sched.Report {
 	t.Helper()
 	sys, err := snpu.New(snpu.DefaultConfig())
 	if err != nil {
@@ -35,10 +33,7 @@ func runTrace(t *testing.T, seed int64, workers int, sealed map[string][]byte) *
 	if err := schedgen.ProvisionKeys(sys, seed, tenants); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := sys.NewScheduler(sched.Config{
-		Cores:   []int{0, 1, 2, 3},
-		Workers: workers,
-	})
+	sc, err := sys.NewScheduler(sched.Config{Cores: []int{0, 1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,17 +93,14 @@ func TestDifferentialDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sealed := sealedSet(t, seed)
-			ref := runTrace(t, seed, 1, sealed)
+			ref := runTrace(t, seed, sealed)
 			// Sanity: the reference episode did real work, so the
 			// comparison below is not vacuous.
 			if ref.Completed == 0 || ref.Makespan == 0 {
 				t.Fatalf("reference episode did nothing: %+v", ref)
 			}
-			// Leg 1: compile-pool width must not leak into the schedule.
-			wide := runTrace(t, seed, 4, sealed)
-			diffReports(t, "workers 1 vs 4", ref, wide)
-			// Leg 2: a second fresh System replays identically.
-			again := runTrace(t, seed, 1, sealed)
+			// A second fresh System replays identically.
+			again := runTrace(t, seed, sealed)
 			diffReports(t, "fresh system", ref, again)
 		})
 	}
@@ -143,7 +135,7 @@ func decodeTrace(seed int64) []sched.Request {
 // runDecodeTrace replays one decode episode. When sys is nil a fresh
 // System boots; passing a recycled (Reset) System pins the pooled-reuse
 // path to the same observable outputs.
-func runDecodeTrace(t *testing.T, seed int64, workers int, sys *snpu.System, sealed map[string][]byte) *sched.Report {
+func runDecodeTrace(t *testing.T, seed int64, sys *snpu.System, sealed map[string][]byte) *sched.Report {
 	t.Helper()
 	if sys == nil {
 		var err error
@@ -155,9 +147,7 @@ func runDecodeTrace(t *testing.T, seed int64, workers int, sys *snpu.System, sea
 	if err := schedgen.ProvisionKeys(sys, seed, 2); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := sys.NewScheduler(sched.Config{
-		Cores: []int{0, 1}, Workers: workers, MaxBatch: 3,
-	})
+	sc, err := sys.NewScheduler(sched.Config{Cores: []int{0, 1}, MaxBatch: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +179,9 @@ func diffDecodeReports(t *testing.T, label string, a, b *sched.Report) {
 	}
 }
 
-// Decode determinism: the same decode trace at compile-pool widths 1
-// vs 4 and on a fresh vs a recycled (pool-path, Reset) System must
-// produce byte-identical decision logs and identical per-token retire
-// cycles. CI runs this under -race, so the wide leg also proves the
-// decode compile fan-out is race free.
+// Decode determinism: the same decode trace on a fresh vs a recycled
+// (pool-path, Reset) System must produce byte-identical decision logs
+// and identical per-token retire cycles.
 func TestDecodeDifferentialDeterminism(t *testing.T) {
 	seeds := []int64{3, 11}
 	if testing.Short() {
@@ -204,12 +192,10 @@ func TestDecodeDifferentialDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sealed := sealedSet(t, seed)
-			ref := runDecodeTrace(t, seed, 1, nil, sealed)
+			ref := runDecodeTrace(t, seed, nil, sealed)
 			if ref.Tokens == 0 || ref.Completed == 0 {
 				t.Fatalf("reference decode episode did nothing: %+v", ref)
 			}
-			wide := runDecodeTrace(t, seed, 4, nil, sealed)
-			diffDecodeReports(t, "workers 1 vs 4", ref, wide)
 
 			// Pooled leg: run a throwaway episode on a System, hand it
 			// back through Reset (exactly what the pool does), and replay
@@ -218,11 +204,11 @@ func TestDecodeDifferentialDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_ = runDecodeTrace(t, seed+1000, 1, pooled, sealedSet(t, seed+1000))
+			_ = runDecodeTrace(t, seed+1000, pooled, sealedSet(t, seed+1000))
 			if err := pooled.Reset(); err != nil {
 				t.Fatal(err)
 			}
-			recycled := runDecodeTrace(t, seed, 1, pooled, sealed)
+			recycled := runDecodeTrace(t, seed, pooled, sealed)
 			diffDecodeReports(t, "fresh vs recycled system", ref, recycled)
 		})
 	}
@@ -233,7 +219,7 @@ func TestDecodeDifferentialDeterminism(t *testing.T) {
 // aggregate makespan.
 func TestDeterministicReportInternalConsistency(t *testing.T) {
 	sealed := sealedSet(t, 5)
-	rep := runTrace(t, 5, 2, sealed)
+	rep := runTrace(t, 5, sealed)
 	var maxFinish sim.Cycle
 	for _, r := range rep.Results {
 		if r.Completed && r.Finish > maxFinish {

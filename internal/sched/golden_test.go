@@ -4,9 +4,8 @@ package sched_test
 // a hash of this log, so the log itself must never go silently
 // nondeterministic (or silently change shape). One fixed schedule —
 // secure and plain requests, priorities, a deadline, a queue-bound
-// shed, and a scheduled hang that exercises the retry path — replayed
-// at compile-pool widths 1 and 4, byte-compared against a committed
-// golden file. Regenerate with:
+// shed, and a scheduled hang that exercises the retry path —
+// byte-compared against a committed golden file. Regenerate with:
 //
 //	go test ./internal/sched -run TestGoldenDecisionLog -update-golden
 //
@@ -31,7 +30,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 
 const goldenSeed = 7001
 
-func runGoldenSchedule(t *testing.T, workers int, sealed map[string][]byte) *sched.Report {
+func runGoldenSchedule(t *testing.T, sealed map[string][]byte) *sched.Report {
 	t.Helper()
 	sys, err := snpu.New(snpu.DefaultConfig())
 	if err != nil {
@@ -47,7 +46,6 @@ func runGoldenSchedule(t *testing.T, workers int, sealed map[string][]byte) *sch
 	}
 	sc, err := sys.NewScheduler(sched.Config{
 		Cores:             []int{0, 1},
-		Workers:           workers,
 		MaxBatch:          2,
 		MaxRestarts:       1,
 		MaxQueuePerTenant: 2,
@@ -83,19 +81,11 @@ func TestGoldenDecisionLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow := runGoldenSchedule(t, 1, sealed)
-	wide := runGoldenSchedule(t, 4, sealed)
-	if narrow.DecisionLog() != wide.DecisionLog() {
-		t.Fatalf("decision log differs between workers 1 and 4\n--- j1 ---\n%s\n--- j4 ---\n%s",
-			narrow.DecisionLog(), wide.DecisionLog())
-	}
-	if narrow.DecisionHash() != wide.DecisionHash() {
-		t.Fatalf("decision hash differs: %#x vs %#x", narrow.DecisionHash(), wide.DecisionHash())
-	}
+	rep := runGoldenSchedule(t, sealed)
 
 	path := filepath.Join("testdata", "golden_decisions.log")
 	if *updateGolden {
-		if err := os.WriteFile(path, []byte(narrow.DecisionLog()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(rep.DecisionLog()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +93,7 @@ func TestGoldenDecisionLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := narrow.DecisionLog(); got != string(want) {
+	if got := rep.DecisionLog(); got != string(want) {
 		t.Fatalf("decision log diverged from the committed golden "+
 			"(intentional? rerun with -update-golden and review)\n--- got ---\n%s\n--- want ---\n%s",
 			got, want)
@@ -116,7 +106,7 @@ func TestGoldenDecisionLog(t *testing.T) {
 // decode retry with a fresh KV claim. Pinned the same way:
 //
 //	go test ./internal/sched -run TestGoldenDecodeDecisionLog -update-golden
-func runGoldenDecodeSchedule(t *testing.T, workers int, sealed map[string][]byte) *sched.Report {
+func runGoldenDecodeSchedule(t *testing.T, sealed map[string][]byte) *sched.Report {
 	t.Helper()
 	sys, err := snpu.New(snpu.DefaultConfig())
 	if err != nil {
@@ -130,7 +120,6 @@ func runGoldenDecodeSchedule(t *testing.T, workers int, sealed map[string][]byte
 	}
 	sc, err := sys.NewScheduler(sched.Config{
 		Cores:       []int{0, 1},
-		Workers:     workers,
 		MaxBatch:    2,
 		MaxRestarts: 1,
 	})
@@ -166,22 +155,17 @@ func TestGoldenDecodeDecisionLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow := runGoldenDecodeSchedule(t, 1, sealed)
-	wide := runGoldenDecodeSchedule(t, 4, sealed)
-	if narrow.DecisionLog() != wide.DecisionLog() {
-		t.Fatalf("decode decision log differs between workers 1 and 4\n--- j1 ---\n%s\n--- j4 ---\n%s",
-			narrow.DecisionLog(), wide.DecisionLog())
-	}
+	rep := runGoldenDecodeSchedule(t, sealed)
 	// The golden must actually cover the decode vocabulary.
 	for _, want := range []string{"kv_alloc", "join", "token", "leave", "kv_scrub"} {
-		if !strings.Contains(narrow.DecisionLog(), want) {
-			t.Fatalf("golden decode schedule never emitted %q:\n%s", want, narrow.DecisionLog())
+		if !strings.Contains(rep.DecisionLog(), want) {
+			t.Fatalf("golden decode schedule never emitted %q:\n%s", want, rep.DecisionLog())
 		}
 	}
 
 	path := filepath.Join("testdata", "golden_decode_decisions.log")
 	if *updateGolden {
-		if err := os.WriteFile(path, []byte(narrow.DecisionLog()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(rep.DecisionLog()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,7 +173,7 @@ func TestGoldenDecodeDecisionLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := narrow.DecisionLog(); got != string(want) {
+	if got := rep.DecisionLog(); got != string(want) {
 		t.Fatalf("decode decision log diverged from the committed golden "+
 			"(intentional? rerun with -update-golden and review)\n--- got ---\n%s\n--- want ---\n%s",
 			got, want)

@@ -362,8 +362,8 @@ func TestSchedulerDeadlineMissMidRunPaysFlush(t *testing.T) {
 
 // Differential determinism under the full policy stack: an armed fault
 // plan, overload-level queue bounds, retries, and deadlines replayed
-// at Workers 1 vs 4 and on a fresh System must be byte-identical.
-func runResilientTrace(t *testing.T, seed int64, workers int, sealed map[string][]byte) *sched.Report {
+// on a fresh System must be byte-identical.
+func runResilientTrace(t *testing.T, seed int64, sealed map[string][]byte) *sched.Report {
 	t.Helper()
 	sys, err := snpu.New(snpu.DefaultConfig())
 	if err != nil {
@@ -376,7 +376,6 @@ func runResilientTrace(t *testing.T, seed int64, workers int, sealed map[string]
 	}
 	sc, err := sys.NewScheduler(sched.Config{
 		Cores:             []int{0, 1, 2, 3},
-		Workers:           workers,
 		MaxRestarts:       2,
 		MaxQueuePerTenant: 5,
 	})
@@ -409,10 +408,8 @@ func TestDifferentialResilienceDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sealed := sealedSet(t, seed)
-			ref := runResilientTrace(t, seed, 1, sealed)
-			wide := runResilientTrace(t, seed, 4, sealed)
-			diffReports(t, "workers 1 vs 4", ref, wide)
-			again := runResilientTrace(t, seed, 1, sealed)
+			ref := runResilientTrace(t, seed, sealed)
+			again := runResilientTrace(t, seed, sealed)
 			diffReports(t, "fresh system", ref, again)
 		})
 	}

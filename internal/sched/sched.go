@@ -14,18 +14,15 @@
 // Everything is cycle-deterministic: decisions depend only on the
 // submitted requests (never wall clock, map order, or goroutine
 // interleaving), so one request trace replays to byte-identical
-// per-request cycle counts and decision logs at any worker-pool width
-// and across fresh System instances.
+// per-request cycle counts and decision logs across fresh System
+// instances.
 package sched
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/driver"
 	"repro/internal/guarder"
@@ -154,10 +151,6 @@ func (r Result) Latency() sim.Cycle { return r.Finish - r.Arrival }
 type Config struct {
 	// Cores lists the NPU cores the scheduler owns (default: all).
 	Cores []int
-	// Workers bounds the parallel program-compile pool in Run's
-	// prepare phase (default GOMAXPROCS). Compilation is pure, so the
-	// width never changes a single scheduling decision.
-	Workers int
 	// MaxBatch bounds same-tenant same-model secure batching
 	// (default DefaultMaxBatch; 1 disables batching).
 	MaxBatch int
@@ -648,22 +641,10 @@ func (rs *reqState) workload() (workload.Workload, error) {
 	return workload.Lookup(rs.req.Model)
 }
 
-// prepare compiles every request's program on a worker pool.
-// Compilation is pure — the pool width cannot change any result — and
-// per-request layouts keep VA spans non-aliasing (secure programs use
+// prepare compiles every request's programs in submission order.
+// Per-request layouts keep VA spans non-aliasing (secure programs use
 // the monitor's fixed layout; the per-core slot-0 window disambiguates).
 func (s *Scheduler) prepare() {
-	n := len(s.all)
-	if n == 0 {
-		return
-	}
-	w := s.cfg.Workers
-	if w < 1 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
 	compile := func(rs *reqState) {
 		if rs.terminal { // shed at submit time: nothing to compile
 			return
@@ -699,27 +680,8 @@ func (s *Scheduler) prepare() {
 		}
 		rs.progs, rs.minExec = progs, floor
 	}
-	if w <= 1 {
-		for _, rs := range s.all {
-			compile(rs)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for g := 0; g < w; g++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					compile(s.all[i])
-				}
-			}()
-		}
-		wg.Wait()
+	for _, rs := range s.all {
+		compile(rs)
 	}
 	// Reject compile failures in ID order, before the event loop.
 	ordered := append([]*reqState(nil), s.all...)

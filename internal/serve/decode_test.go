@@ -76,6 +76,12 @@ func TestServeDecodeRejections(t *testing.T) {
 		{"unknown-decode-field",
 			`{"tenant":"a","secure":true,"decode":{"hidden":64,"heads":4,"prompt":8,"steps":2,"evil":1}}`,
 			http.StatusBadRequest},
+		{"gemm-cap-wide",
+			`{"tenant":"a","secure":true,"decode":{"layers":128,"hidden":65536,"heads":65536,"ffn":1,"prompt":1,"steps":512}}`,
+			http.StatusBadRequest},
+		{"gemm-cap-narrow",
+			`{"tenant":"a","secure":true,"decode":{"layers":128,"hidden":1024,"heads":1024,"ffn":1,"prompt":1,"steps":512}}`,
+			http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if rec := do(t, h, "POST", "/v1/submit", c.body); rec.Code != c.want {

@@ -30,12 +30,12 @@ func TestServeDifferentialRun(t *testing.T) {
 		{Tenant: "c", Model: "alexnet", Arrival: 12000, Deadline: 90_000_000},
 	}
 
-	runOnce := func(workers int) string {
+	runOnce := func() string {
 		sys, err := snpu.New(snpu.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := New(sys, Config{Cores: []int{0, 1}, Workers: workers})
+		srv, err := New(sys, Config{Cores: []int{0, 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestServeDifferentialRun(t *testing.T) {
 		return rec.Body.String()
 	}
 
-	ref := runOnce(1)
+	ref := runOnce()
 	var rep RunReport
 	if err := json.Unmarshal([]byte(ref), &rep); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestServeDifferentialRun(t *testing.T) {
 	if rep.Completed != len(submits) {
 		t.Fatalf("reference run completed %d of %d: %s", rep.Completed, len(submits), ref)
 	}
-	if got := runOnce(4); got != ref {
+	if got := runOnce(); got != ref {
 		t.Fatalf("run bodies diverge across daemons\n--- ref ---\n%s\n--- got ---\n%s", ref, got)
 	}
 }

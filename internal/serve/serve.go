@@ -39,9 +39,8 @@ const RetryAfterSeconds = 1
 
 // Config tunes the daemon's scheduler episodes.
 type Config struct {
-	// Cores, Workers, MaxBatch pass through to sched.Config.
+	// Cores, MaxBatch pass through to sched.Config.
 	Cores    []int
-	Workers  int
 	MaxBatch int
 	// MaxRestarts, MaxQueuePerTenant pass the resilience policy
 	// through to sched.Config (zero = disabled).
@@ -127,7 +126,6 @@ func New(sys *snpu.System, cfg Config) (*Server, error) {
 func (s *Server) resetScheduler() error {
 	sc, err := s.sys.NewScheduler(sched.Config{
 		Cores:             s.cfg.Cores,
-		Workers:           s.cfg.Workers,
 		MaxBatch:          s.cfg.MaxBatch,
 		MaxRestarts:       s.cfg.MaxRestarts,
 		MaxQueuePerTenant: s.cfg.MaxQueuePerTenant,
@@ -182,9 +180,9 @@ type SubmitRequest struct {
 	Decode *DecodeParams `json:"decode,omitempty"`
 }
 
-// DecodeParams mirrors workload.DecodeSpec for the wire: Layers
-// defaults to 1 and FFN to 4x Hidden, exactly as the graph IR's
-// Decode op defaults them.
+// DecodeParams mirrors workload.DecodeSpec for the wire; zero Layers
+// and FFN take DecodeSpec.WithDefaults, as the graph IR's Decode op
+// does.
 type DecodeParams struct {
 	Layers int `json:"layers,omitempty"`
 	Hidden int `json:"hidden"`
@@ -195,16 +193,7 @@ type DecodeParams struct {
 }
 
 func (p *DecodeParams) spec() *workload.DecodeSpec {
-	spec := workload.DecodeSpec{
-		Layers: p.Layers, Hidden: p.Hidden, Heads: p.Heads,
-		FFN: p.FFN, Prompt: p.Prompt, Steps: p.Steps,
-	}
-	if spec.Layers == 0 {
-		spec.Layers = 1
-	}
-	if spec.FFN == 0 {
-		spec.FFN = 4 * spec.Hidden
-	}
+	spec := workload.DecodeSpec(*p).WithDefaults()
 	return &spec
 }
 

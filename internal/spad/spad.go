@@ -131,9 +131,6 @@ func New(cfg Config, stats *sim.Stats) (*Scratchpad, error) {
 // events fire at the next access after their scheduled cycle.
 func (s *Scratchpad) AttachInjector(inj *fault.Injector) { s.inj = inj }
 
-// ParityEnabled reports whether per-line parity is armed.
-func (s *Scratchpad) ParityEnabled() bool { return s.cfg.Parity }
-
 // Config returns the scratchpad's configuration.
 func (s *Scratchpad) Config() Config { return s.cfg }
 

@@ -21,6 +21,10 @@ const (
 	MaxDecodeLayers = 128
 	// MaxDecodeWidth caps Hidden and FFN.
 	MaxDecodeWidth = 1 << 16
+	// MaxDecodeGEMMs caps the GEMMs of all passes together,
+	// (Steps+1)·Layers·(6+2·Heads): heads multiply the per-pass count,
+	// so the caps above alone admit billions.
+	MaxDecodeGEMMs = 1 << 16
 )
 
 // DecodeSpec describes one autoregressive decode request: a GPT-style
@@ -61,7 +65,22 @@ func (d DecodeSpec) Validate() error {
 	if d.Prompt+d.Steps > MaxDecodeContext {
 		return fmt.Errorf("workload: decode context %d exceeds %d", d.Prompt+d.Steps, MaxDecodeContext)
 	}
+	if n := int64(d.Steps+1) * int64(d.Layers) * int64(6+2*d.Heads); n > MaxDecodeGEMMs {
+		return fmt.Errorf("workload: decode spec of %d GEMMs exceeds %d", n, MaxDecodeGEMMs)
+	}
 	return nil
+}
+
+// WithDefaults fills the fields a request may leave zero: Layers
+// defaults to 1 and FFN to 4x Hidden.
+func (d DecodeSpec) WithDefaults() DecodeSpec {
+	if d.Layers == 0 {
+		d.Layers = 1
+	}
+	if d.FFN == 0 {
+		d.FFN = 4 * d.Hidden
+	}
+	return d
 }
 
 // ModelName is the deterministic display name; it encodes every field,

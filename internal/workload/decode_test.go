@@ -18,6 +18,10 @@ func TestDecodeSpecValidate(t *testing.T) {
 		{Layers: MaxDecodeLayers + 1, Hidden: 8, Heads: 2, FFN: 4, Prompt: 2, Steps: 1}, // depth cap
 		{Layers: 1, Hidden: MaxDecodeWidth + 2, Heads: 2, FFN: 4, Prompt: 2, Steps: 1},  // width cap
 		{Layers: 1, Hidden: 8, Heads: 2, FFN: 4, Prompt: 2, Steps: 0},                   // no steps
+		// GEMM cap: 8,607,105,792 and 134,873,856 GEMMs; the second
+		// keeps heads within the graph IR's MaxHeads.
+		{Layers: 128, Hidden: 65536, Heads: 65536, FFN: 1, Prompt: 1, Steps: 512},
+		{Layers: 128, Hidden: 1024, Heads: 1024, FFN: 1, Prompt: 1, Steps: 512},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
