@@ -302,3 +302,24 @@ func TestChaosDeterministicPerSeed(t *testing.T) {
 		t.Fatalf("same seed, different tables:\n%s\nvs\n%s", a.TableString(), b.TableString())
 	}
 }
+
+// Chaos's rate-0 control row is an armed, empty-plan resilient run, so
+// it takes exactly the cycles of a plain RunSecure: the layer slices
+// must not drain the double-buffered pipeline at every boundary.
+func TestChaosControlRowMatchesRunSecure(t *testing.T) {
+	sys, h := bootResilientSys(t)
+	res, err := sys.RunSecure(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycles != goldenYololiteCycles {
+		t.Fatalf("RunSecure took %d cycles, want %d", res.Cycles, goldenYololiteCycles)
+	}
+	tbl, err := Chaos("yololite", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := tbl.Rows[0]; row.RatePerM != 0 || row.Cycles != res.Cycles {
+		t.Fatalf("control row (rate %g) took %d cycles, RunSecure %d", row.RatePerM, row.Cycles, res.Cycles)
+	}
+}

@@ -123,16 +123,20 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 		ex.SkipToLayer(checkpoint)
 
 		// Run layer by layer so the last completed layer boundary is
-		// always known — that boundary is the checkpoint.
+		// always known — that boundary is the checkpoint. Only the
+		// attempt's first slice waits for now (a hang's detection or the
+		// restore flush); later slices start at 0 so the double-buffered
+		// pipeline keeps running across layer boundaries.
 		boundary := npu.BoundaryLayers(1)
+		from := now
 		var runErr error
 		for !ex.Done() {
 			var done sim.Cycle
-			done, runErr = ex.RunUntil(now, boundary)
+			done, runErr = ex.RunUntil(from, boundary)
 			if runErr != nil {
 				break
 			}
-			now = done
+			now, from = done, 0
 			if ex.CurrentLayer() > checkpoint {
 				checkpoint = ex.CurrentLayer()
 				consecutive = 0 // forward progress resets the crash-loop budget
