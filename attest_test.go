@@ -28,7 +28,7 @@ func TestAttestationFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The owner verifies against the program measurement they expect.
-	expected := h.prog.prog.Measurement()
+	expected := h.prog.Measurement()
 	if err := sys.VerifyAttestation(rep, expected, nonce); err != nil {
 		t.Fatal(err)
 	}

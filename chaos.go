@@ -150,6 +150,6 @@ func chaosRun(model string, seed int64, plan fault.Plan) (SecureRunReport, map[s
 		return SecureRunReport{}, nil, err
 	}
 	sys.InstallFaultPlan(plan)
-	rep, err := sys.RunSecureResilient(h, DefaultMaxRestarts)
+	rep, err := sys.RunSecureResilient(h)
 	return rep, sys.Stats().Snapshot(), err
 }

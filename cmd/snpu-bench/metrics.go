@@ -11,6 +11,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/mem"
 	"repro/internal/monitor"
+	"repro/internal/npu"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -127,7 +128,7 @@ func measureMetricsOverhead() (overheadReading, error) {
 		start := time.Now()
 		for i := 0; i < overheadProbeRepeats; i++ {
 			sys.NPU().ResetTiming()
-			cycles, err := sys.Driver().RunSolo(core, task, nil)
+			cycles, err := npu.NewExec(core, task.Program, task.ID).Run(0)
 			if err != nil {
 				return err
 			}

@@ -9,24 +9,27 @@
 //	snpu-sim -model googlenet -counters        # dump stat counters
 //	snpu-sim -model yololite -secure -faults plan.json -seed 3
 //	snpu-sim -model my-graph.json -secure      # compile a graph-IR file
+//	snpu-sim -model alexnet -secure -trace t.json
 //
 // -model accepts either a built-in name or a path to a graph-IR JSON
 // document (anything ending in .json): the graph is parsed, validated,
 // and lowered to the same GEMM workload form the built-ins use, then
-// runs through any mode — baseline, secure, traced. Invalid IR fails
-// before anything executes.
+// runs through any mode. Invalid IR fails before anything executes.
 //
 // -seed (default 1) makes every run reproducible: it derives the
 // secure-task sealing key and is echoed into fault plans, so the same
 // seed and flags always produce identical output. -faults installs a
 // fault plan (see internal/fault; generate one with fault.Generate or
 // write the JSON by hand); a secure run with faults goes through the
-// Monitor's recovery path and reports what it had to do.
+// Monitor's recovery path and reports what it had to do. -trace works
+// in every mode: it records the observability layer's spans and, after
+// the run, writes them as a Chrome-trace timeline.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,6 +52,15 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed for sealing-key derivation; same seed = identical run")
 	flag.Parse()
 
+	if *secure && *baseline {
+		fatal(fmt.Errorf("the baseline NPU has no monitor; drop -baseline"))
+	}
+	// Resolve -model once, before the SoC does anything, so an IR
+	// error surfaces first.
+	w, err := loadWorkload(*model)
+	if err != nil {
+		fatal(err)
+	}
 	cfg := snpu.DefaultConfig()
 	if *baseline {
 		cfg = snpu.BaselineConfig()
@@ -57,18 +69,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	// A .json -model is a graph-IR document: compile it up front so any
-	// IR error surfaces before the SoC does anything.
-	var graphWL workload.Workload
-	haveGraph := strings.HasSuffix(*model, ".json")
-	if haveGraph {
-		graphWL, err = graph.LoadFile(*model)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if *metricsOut != "" {
+	if *metricsOut != "" || *traceOut != "" {
 		// Spans ride along only when a -trace timeline was requested;
 		// the plain metrics path stays within the <2% overhead budget.
 		sys.EnableObservability(obs.Config{Spans: *traceOut != ""})
@@ -76,9 +77,6 @@ func main() {
 
 	var plan fault.Plan
 	if *faultsFile != "" {
-		if *baseline || *traceOut != "" {
-			fatal(fmt.Errorf("-faults supports the protected run only (no -baseline, -trace)"))
-		}
 		f, err := os.Open(*faultsFile)
 		if err != nil {
 			fatal(err)
@@ -91,89 +89,74 @@ func main() {
 		sys.InstallFaultPlan(plan)
 	}
 
-	var res snpu.InferenceResult
-	if *traceOut != "" {
-		if *secure || *baseline {
-			fatal(fmt.Errorf("-trace only supports the default non-secure protected run"))
-		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if haveGraph {
-			res, err = sys.RunWorkloadTraced(graphWL, f)
-		} else {
-			res, err = sys.RunModelTraced(*model, f)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace written to %s\n", *traceOut)
-	} else if *secure {
-		if *baseline {
-			fatal(fmt.Errorf("the baseline NPU has no monitor; drop -baseline"))
-		}
-		key := snpu.ChaosKey(*seed)
-		if err := sys.ProvisionKey("cli-owner", key); err != nil {
-			fatal(err)
-		}
-		sealed, err := snpu.SealModel(key, []byte("model weights for "+*model))
-		if err != nil {
-			fatal(err)
-		}
-		var handle *snpu.SecureTaskHandle
-		if haveGraph {
-			handle, err = sys.SubmitSecureWorkload(graphWL, "cli-owner", sealed)
-		} else {
-			handle, err = sys.SubmitSecure(*model, "cli-owner", sealed)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if *faultsFile != "" {
-			rep, err := sys.RunSecureResilient(handle, snpu.DefaultMaxRestarts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "snpu-sim: %v (faults fired: %d, restarts: %d, remaps: %d)\n",
-					err, rep.Faults, rep.Restarts, rep.Remaps)
-				os.Exit(1)
-			}
-			res = rep.InferenceResult
-			printResult(res, "secure (via NPU Monitor, resilient)")
-			fmt.Printf("fault plan:   %d scheduled, %d fired, %d restarts, %d remaps\n",
-				len(plan.Events), rep.Faults, rep.Restarts, rep.Remaps)
-			if *counters {
-				fmt.Println("\nhardware counters:")
-				fmt.Print(sys.Stats().String())
-			}
-			dumpMetrics(sys, *metricsOut)
-			return
-		}
-		res, err = sys.RunSecure(handle)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		if haveGraph {
-			res, err = sys.RunWorkload(graphWL)
-		} else {
-			res, err = sys.RunModel(*model)
-		}
-		if err != nil {
-			fatal(err)
-		}
-	}
-
 	mode := "non-secure"
+	resilient := *secure && *faultsFile != ""
+	var rep snpu.SecureRunReport
 	if *secure {
 		mode = "secure (via NPU Monitor)"
+		if resilient {
+			mode = "secure (via NPU Monitor, resilient)"
+		}
+		rep, err = runSecure(sys, w, *model, *seed, resilient)
+	} else {
+		rep.InferenceResult, err = sys.RunWorkload(w)
 	}
-	printResult(res, mode)
+	// The timeline is written even for a failed run: it shows what the
+	// monitor did before giving up.
+	if *traceOut != "" {
+		writeFile(*traceOut, sys.Observer().Trace().ExportChrome)
+		fmt.Printf("trace written to %s\n", *traceOut)
+	}
+	if err != nil {
+		if resilient {
+			err = fmt.Errorf("%w (faults fired: %d, restarts: %d, remaps: %d)", err, rep.Faults, rep.Restarts, rep.Remaps)
+		}
+		fatal(err)
+	}
+
+	printResult(rep.InferenceResult, mode)
+	if resilient {
+		fmt.Printf("fault plan:   %d scheduled, %d fired, %d restarts, %d remaps\n",
+			len(plan.Events), rep.Faults, rep.Restarts, rep.Remaps)
+	}
 	if *counters {
 		fmt.Println("\nhardware counters:")
 		fmt.Print(sys.Stats().String())
 	}
 	dumpMetrics(sys, *metricsOut)
+}
+
+// loadWorkload resolves -model: a graph-IR document (anything ending
+// in .json) is parsed, validated and lowered; anything else is a
+// built-in model name.
+func loadWorkload(model string) (workload.Workload, error) {
+	if strings.HasSuffix(model, ".json") {
+		return graph.LoadFile(model)
+	}
+	return workload.Lookup(model)
+}
+
+// runSecure seals the model under the seed's key, submits it through
+// the NPU Monitor and runs it: with the recovery ladder when resilient,
+// fail-closed otherwise.
+func runSecure(sys *snpu.System, w workload.Workload, model string, seed int64, resilient bool) (snpu.SecureRunReport, error) {
+	key := snpu.ChaosKey(seed)
+	if err := sys.ProvisionKey("cli-owner", key); err != nil {
+		return snpu.SecureRunReport{}, err
+	}
+	sealed, err := snpu.SealModel(key, []byte("model weights for "+model))
+	if err != nil {
+		return snpu.SecureRunReport{}, err
+	}
+	h, err := sys.SubmitSecureWorkload(w, "cli-owner", sealed)
+	if err != nil {
+		return snpu.SecureRunReport{}, err
+	}
+	if resilient {
+		return sys.RunSecureResilient(h)
+	}
+	res, err := sys.RunSecure(h)
+	return snpu.SecureRunReport{InferenceResult: res}, err
 }
 
 // dumpMetrics writes the run's metrics registry as Prometheus text to
@@ -184,30 +167,25 @@ func dumpMetrics(sys *snpu.System, path string) {
 	if o == nil || path == "" {
 		return
 	}
+	jsonPath := strings.TrimSuffix(path, filepath.Ext(path)) + ".json"
+	writeFile(path, o.Registry().WritePrometheus)
+	writeFile(jsonPath, o.Registry().WriteJSON)
+	fmt.Printf("metrics written to %s and %s\n", path, jsonPath)
+}
+
+// writeFile creates path and fills it through write.
+func writeFile(path string, write func(io.Writer) error) {
 	f, err := os.Create(path)
 	if err != nil {
 		fatal(err)
 	}
-	if err := o.Registry().WritePrometheus(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	jsonPath := strings.TrimSuffix(path, filepath.Ext(path)) + ".json"
-	jf, err := os.Create(jsonPath)
-	if err != nil {
-		fatal(err)
-	}
-	if err := o.Registry().WriteJSON(jf); err != nil {
-		jf.Close()
-		fatal(err)
-	}
-	if err := jf.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("metrics written to %s and %s\n", path, jsonPath)
 }
 
 func printResult(res snpu.InferenceResult, mode string) {

@@ -147,7 +147,7 @@ func resilientRun(t *testing.T, plan fault.Plan) (SecureRunReport, error) {
 		t.Fatal(err)
 	}
 	sys.InstallFaultPlan(plan)
-	return sys.RunSecureResilient(h, DefaultMaxRestarts)
+	return sys.RunSecureResilient(h)
 }
 
 // The resilient runner replays byte-identically and reports no
@@ -235,15 +235,16 @@ func bootResilientSys(t *testing.T) (*System, *SecureTaskHandle) {
 // The crash-loop budget is exact: with every attempt wedged before any
 // checkpoint progress, a budget of N abandons after exactly N restarts
 // — not N-1, not N+1 — and the unrecovered-fault counter ticks once.
+// Budget 0 is RunSecure.
 func TestResilientRunAbortsExactlyAtBudget(t *testing.T) {
-	for _, budget := range []int{1, 2, 3} {
+	for _, budget := range []int{0, 1, 2, 3} {
 		sys, h := bootResilientSys(t)
 		var events []fault.Event
 		for i := 0; i < 4*(budget+1); i++ {
 			events = append(events, fault.Event{At: 0, Kind: fault.CoreHang})
 		}
 		sys.InstallFaultPlan(fault.Plan{Events: events})
-		rep, err := sys.RunSecureResilient(h, budget)
+		rep, err := sys.runSecure(h, budget)
 		if !errors.Is(err, ErrTaskAborted) {
 			t.Fatalf("budget %d: err = %v, want ErrTaskAborted", budget, err)
 		}
@@ -268,7 +269,7 @@ func TestResilientRunFaultBeforeFirstCheckpoint(t *testing.T) {
 	sys.InstallFaultPlan(fault.Plan{Events: []fault.Event{
 		{At: 0, Kind: fault.CoreHang},
 	}})
-	rep, err := sys.RunSecureResilient(h, DefaultMaxRestarts)
+	rep, err := sys.RunSecureResilient(h)
 	if err != nil {
 		t.Fatalf("pre-checkpoint fault not survivable: %v", err)
 	}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/npu"
 	"repro/internal/sim"
 	"repro/internal/spad"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -120,17 +119,6 @@ func (d *Driver) SubmitProgram(w workload.Workload, prog *npu.Program, secure bo
 func (d *Driver) MapTask(u *iommu.IOMMU, t *Task) error {
 	base, _ := mem.PageWindow(t.Program.VASpan())
 	return u.Table().MapRange(base, t.Chunk, t.ChunkSize, mem.PermRW, t.Secure)
-}
-
-// RunSolo executes one task alone on a core and reports its runtime.
-// A non-nil rec records the run's timeline; nil leaves the core's
-// default (its observer's recorder, if any).
-func (d *Driver) RunSolo(core *npu.Core, t *Task, rec *trace.Recorder) (sim.Cycle, error) {
-	ex := npu.NewExec(core, t.Program, t.ID)
-	if rec != nil {
-		ex.Trace = rec
-	}
-	return ex.Run(0)
 }
 
 // TimeShareResult reports a time-shared run.

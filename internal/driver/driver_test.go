@@ -97,13 +97,13 @@ func TestRunSoloWithIOMMU(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unmapped -> faults.
-	if _, err := d.RunSolo(core, task, nil); err == nil {
+	if _, err := npu.NewExec(core, task.Program, task.ID).Run(0); err == nil {
 		t.Fatal("unmapped task ran under IOMMU")
 	}
 	if err := d.MapTask(u, task); err != nil {
 		t.Fatal(err)
 	}
-	cycles, err := d.RunSolo(core, task, nil)
+	cycles, err := npu.NewExec(core, task.Program, task.ID).Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}

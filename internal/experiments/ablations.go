@@ -292,7 +292,7 @@ func AblationPreemption(model string, cfg npu.Config) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	solo, err := d.RunSolo(core, low, nil)
+	solo, err := npu.NewExec(core, low.Program, low.ID).Run(0)
 	if err != nil {
 		return nil, err
 	}

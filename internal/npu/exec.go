@@ -42,9 +42,9 @@ type Exec struct {
 	storeReq [1]dma.Request
 	taskID   int
 
-	// Trace, when non-nil, records every DMA batch, compute tile, and
-	// store as a timeline event.
-	Trace *trace.Recorder
+	// rec, when non-nil (the core's observer records spans), records
+	// every DMA batch, compute tile, and store as a timeline event.
+	rec *trace.Recorder
 
 	// Totals for reporting.
 	ComputeBusy sim.Cycle
@@ -52,11 +52,10 @@ type Exec struct {
 }
 
 // NewExec binds a program to a core. taskID feeds the translator's
-// context-switch detection. When the core carries an observer, the
-// executor's spans default onto the observer's timeline (Trace remains
-// overridable).
+// context-switch detection. When the core carries an observer that
+// records spans, the executor's spans land on the observer's timeline.
 func NewExec(core *Core, prog *Program, taskID int) *Exec {
-	return &Exec{core: core, prog: prog, taskID: taskID, Trace: core.obs.Trace()}
+	return &Exec{core: core, prog: prog, taskID: taskID, rec: core.obs.Trace()}
 }
 
 // Done reports whether the whole program has executed.
@@ -142,7 +141,7 @@ func (e *Exec) RunUntil(from sim.Cycle, boundary Boundary) (sim.Cycle, error) {
 			if err != nil {
 				return 0, fmt.Errorf("npu: core %d: %w", e.core.id, err)
 			}
-			e.Trace.Record(trace.Event{
+			e.rec.Record(trace.Event{
 				Name: "mvin-batch", Kind: trace.KindDMA, Core: e.core.id,
 				Start: issueAt, End: loadsDone,
 			})
@@ -154,7 +153,7 @@ func (e *Exec) RunUntil(from sim.Cycle, boundary Boundary) (sim.Cycle, error) {
 			}
 			e.Stalls += start - pipe.computeFree
 			end := start + op.Cycles
-			e.Trace.Record(trace.Event{
+			e.rec.Record(trace.Event{
 				Name: "matmul", Kind: trace.KindCompute, Core: e.core.id,
 				Start: start, End: end,
 			})
@@ -198,7 +197,7 @@ func (e *Exec) RunUntil(from sim.Cycle, boundary Boundary) (sim.Cycle, error) {
 			if err != nil {
 				return 0, fmt.Errorf("npu: core %d: %w", e.core.id, err)
 			}
-			e.Trace.Record(trace.Event{
+			e.rec.Record(trace.Event{
 				Name: "mvout", Kind: trace.KindDMA, Core: e.core.id,
 				Start: at, End: done,
 			})

@@ -38,7 +38,7 @@ import (
 )
 
 // traceCap bounds the span recorder so long runs cannot grow without
-// bound (matches RunModelTraced's cap).
+// bound.
 const traceCap = 1 << 20
 
 // sampleEvery is the profiling-hook cadence in simulated cycles. 4096

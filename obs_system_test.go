@@ -113,7 +113,7 @@ func TestResilientRunRecordsEpochsAndMonitorSpans(t *testing.T) {
 	sys.InstallFaultPlan(fault.Plan{Events: []fault.Event{
 		{At: 900_000, Kind: fault.CoreHang},
 	}})
-	rep, err := sys.RunSecureResilient(h, DefaultMaxRestarts)
+	rep, err := sys.RunSecureResilient(h)
 	if err != nil {
 		t.Fatal(err)
 	}

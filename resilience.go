@@ -1,9 +1,10 @@
 package snpu
 
 // This file is the system-level fault story: installing a fault plan
-// arms every hardware site's injector; RunSecureResilient is the NPU
-// Monitor-backed recovery policy on top of the per-site detection
-// mechanisms (ECC, CRC+retry, parity, watchdogs).
+// arms every hardware site's injector; runSecure, behind RunSecure and
+// RunSecureResilient, is the NPU Monitor-backed recovery policy on top
+// of the per-site detection mechanisms (ECC, CRC+retry, parity,
+// watchdogs).
 //
 // The escalation ladder, bottom to top:
 //
@@ -16,8 +17,8 @@ package snpu
 //	              last layer-boundary checkpoint
 //	core-level    a core that hangs twice in a row is marked unhealthy
 //	              and the task remaps to the next core
-//	give-up       past MaxRestarts the task is abandoned; the untrusted
-//	              driver sees only the opaque ErrTaskAborted
+//	give-up       past the restart budget the task is abandoned; the
+//	              untrusted driver sees only the opaque ErrTaskAborted
 //
 // Nothing here reads a wall clock or global randomness: with the same
 // plan the whole ladder replays byte-identically.
@@ -77,21 +78,27 @@ type SecureRunReport struct {
 // scratchpad parity, wedged cores) abort the task fail-closed, then
 // the run resubmits and restarts from the last completed layer
 // boundary, remapping off a core that hangs twice in a row. The
-// restart budget (maxRestarts; <=0 selects DefaultMaxRestarts) counts
-// consecutive failures without checkpoint progress — a crash-loop
-// detector, not a lifetime cap — and once spent the task is abandoned
-// and the caller sees only ErrTaskAborted.
-func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep SecureRunReport, err error) {
+// restart budget (DefaultMaxRestarts) counts consecutive failures
+// without checkpoint progress — a crash-loop detector, not a lifetime
+// cap — and once spent the task is abandoned and the caller sees only
+// ErrTaskAborted.
+func (s *System) RunSecureResilient(h *SecureTaskHandle) (SecureRunReport, error) {
+	return s.runSecure(h, DefaultMaxRestarts)
+}
+
+// runSecure is the one secure runner: FnLoad, layer slices, FnUnload;
+// on a failure FnAbort, then — while fewer than maxRestarts
+// consecutive failures made no checkpoint progress — resubmit, pay the
+// restore and retry from the checkpoint. Past the budget it gives up
+// with ErrTaskAborted.
+func (s *System) runSecure(h *SecureTaskHandle, maxRestarts int) (rep SecureRunReport, err error) {
 	if s.mon == nil {
 		return rep, fmt.Errorf("snpu: baseline system has no monitor")
-	}
-	if maxRestarts <= 0 {
-		maxRestarts = DefaultMaxRestarts
 	}
 	s.soc.NPU.ResetTiming()
 	injectedBefore := s.inj.Injected()
 	spadLines := s.cfg.NPU.SpadLines()
-	prog := h.prog.prog
+	prog := h.prog
 
 	core := 0
 	checkpoint := 0 // first layer not yet completed
@@ -114,7 +121,6 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 		if lrep.Err != nil {
 			return rep, lrep.Err
 		}
-		h.Cores = []int{core}
 		c, err := s.soc.NPU.Core(core)
 		if err != nil {
 			return rep, err
@@ -147,12 +153,7 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle, maxRestarts int) (rep S
 			if urep := s.mon.Dispatch(monitor.Call{Func: monitor.FnUnload, Args: []uint64{uint64(h.ID)}}); urep.Err != nil {
 				return rep, urep.Err
 			}
-			rep.InferenceResult = InferenceResult{
-				Model:       h.prog.w.Name,
-				Cycles:      now,
-				Utilization: npu.Utilization(prog, now, s.cfg.NPU.SystolicDim),
-				MACs:        prog.TotalMACs,
-			}
+			rep.InferenceResult = s.result(prog, now)
 			if s.inj.Injected() > injectedBefore && s.soc.Stats != nil {
 				s.soc.Stats.Inc(sim.CtrRecoveredFaults)
 			}

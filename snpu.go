@@ -20,7 +20,6 @@ package snpu
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/driver"
 	"repro/internal/experiments"
@@ -34,7 +33,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spad"
 	"repro/internal/tee"
-	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/internal/xlate"
 )
@@ -246,12 +244,6 @@ func (s *System) RunModel(name string) (InferenceResult, error) {
 // history (use TimeShare or the NPU's lower-level API for genuinely
 // concurrent execution).
 func (s *System) RunWorkload(w workload.Workload) (InferenceResult, error) {
-	return s.runWorkload(w, nil)
-}
-
-// runWorkload is the body of RunWorkload and RunWorkloadTraced: a
-// non-nil rec records the run's timeline.
-func (s *System) runWorkload(w workload.Workload, rec *trace.Recorder) (InferenceResult, error) {
 	s.soc.NPU.ResetTiming()
 	task, err := s.drv.Submit(w, 0, false)
 	if err != nil {
@@ -265,16 +257,21 @@ func (s *System) runWorkload(w workload.Workload, rec *trace.Recorder) (Inferenc
 	if err := s.mapNonSecure(0, task); err != nil {
 		return InferenceResult{}, err
 	}
-	cycles, err := s.drv.RunSolo(core, task, rec)
+	cycles, err := npu.NewExec(core, task.Program, task.ID).Run(0)
 	if err != nil {
 		return InferenceResult{}, err
 	}
+	return s.result(task.Program, cycles), nil
+}
+
+// result reports a completed run of prog that took cycles.
+func (s *System) result(prog *npu.Program, cycles sim.Cycle) InferenceResult {
 	return InferenceResult{
-		Model:       w.Name,
+		Model:       prog.Name,
 		Cycles:      cycles,
-		Utilization: npu.Utilization(task.Program, cycles, s.cfg.NPU.SystolicDim),
-		MACs:        task.Program.TotalMACs,
-	}, nil
+		Utilization: npu.Utilization(prog, cycles, s.cfg.NPU.SystolicDim),
+		MACs:        prog.TotalMACs,
+	}
 }
 
 // mapNonSecure installs a task's translation window through the
@@ -300,52 +297,17 @@ func (s *System) mapWindow(core, slot int, vbase mem.VirtAddr, pbase mem.PhysAdd
 	}).Err
 }
 
-// RunModelTraced runs a non-secure inference like RunModel and
-// additionally writes a Chrome-trace JSON timeline (DMA batches,
-// compute tiles, stores) to w — open it in chrome://tracing or
-// Perfetto.
-func (s *System) RunModelTraced(name string, w io.Writer) (InferenceResult, error) {
-	wl, err := workload.Lookup(name)
-	if err != nil {
-		return InferenceResult{}, err
-	}
-	return s.RunWorkloadTraced(wl, w)
-}
-
-// RunWorkloadTraced is RunModelTraced for a caller-provided workload
-// (e.g. one lowered from a graph-IR file).
-func (s *System) RunWorkloadTraced(wl workload.Workload, w io.Writer) (InferenceResult, error) {
-	// With span-recording observability enabled, reuse its recorder so
-	// component spans (noc.send, dma.mvin, iotlb.walk, ...) land on the
-	// same Chrome timeline as the op events.
-	rec := s.obs.Trace()
-	if rec == nil {
-		rec = trace.New(1 << 20)
-	}
-	res, err := s.runWorkload(wl, rec)
-	if err != nil {
-		return InferenceResult{}, err
-	}
-	return res, rec.ExportChrome(w)
-}
-
 // SecureTaskHandle identifies a verified secure task. It keeps the
 // submission inputs so the recovery path can resubmit the task after a
 // fail-closed abort.
 type SecureTaskHandle struct {
 	ID    int
-	Cores []int
-	prog  *workloadProg
+	prog  *npu.Program
 	keyID string
 	// sealed is the still-encrypted model blob — resubmission after an
 	// abort re-verifies and re-decrypts it; no plaintext outlives the
 	// abort outside the monitor.
 	sealed []byte
-}
-
-type workloadProg struct {
-	w    workload.Workload
-	prog *npu.Program
 }
 
 // ProvisionKey installs a model owner's sealing key into the monitor
@@ -385,7 +347,7 @@ func (s *System) Attest(h *SecureTaskHandle, nonce uint64) (AttestationReport, e
 	if h == nil || h.prog == nil {
 		return AttestationReport{}, fmt.Errorf("snpu: nil task handle")
 	}
-	return s.soc.Machine.Attest(s.soc.Machine.SecureContext(), tee.Measurement(h.prog.prog.Measurement()), nonce)
+	return s.soc.Machine.Attest(s.soc.Machine.SecureContext(), tee.Measurement(h.prog.Measurement()), nonce)
 }
 
 // VerifyAttestation is the model owner's check: the report must carry
@@ -435,7 +397,7 @@ func (s *System) SubmitSecureWorkload(w workload.Workload, keyID string, sealedM
 	}
 	return &SecureTaskHandle{
 		ID:     int(rep.Value),
-		prog:   &workloadProg{w: w, prog: prog},
+		prog:   prog,
 		keyID:  keyID,
 		sealed: append([]byte(nil), sealedModel...),
 	}, nil
@@ -444,45 +406,16 @@ func (s *System) SubmitSecureWorkload(w workload.Workload, keyID string, sealedM
 // RunSecure loads the task onto core 0 (flipping it into the secure
 // domain, programming its Guarder) and executes it, then unloads —
 // scrubbing secure scratchpad lines and returning the core to the
-// normal world. It fails closed: when execution fails (a hung core, an
-// unrecovered fault), the monitor aborts the task and the caller sees
-// only ErrTaskAborted. RunSecureResilient restarts instead.
+// normal world. It is the secure runner with no restarts: when
+// execution fails (a hung core, an unrecovered fault), the monitor
+// aborts the task fail-closed and the caller sees only ErrTaskAborted.
+// RunSecureResilient restarts instead.
 func (s *System) RunSecure(h *SecureTaskHandle) (InferenceResult, error) {
-	if s.mon == nil {
-		return InferenceResult{}, fmt.Errorf("snpu: baseline system has no monitor")
-	}
-	const core = 0
-	s.soc.NPU.ResetTiming()
-	spadLines := s.cfg.NPU.SpadLines()
-	rep := s.mon.Dispatch(monitor.Call{
-		Func: monitor.FnLoad,
-		Args: []uint64{uint64(h.ID), 0, uint64(spadLines), core},
-	})
-	if rep.Err != nil {
-		return InferenceResult{}, rep.Err
-	}
-	h.Cores = []int{core}
-	c, err := s.soc.NPU.Core(core)
+	rep, err := s.runSecure(h, 0)
 	if err != nil {
 		return InferenceResult{}, err
 	}
-	ex := npu.NewExec(c, h.prog.prog, h.ID+10000)
-	cycles, err := ex.Run(0)
-	if err != nil {
-		if rep := s.mon.Dispatch(monitor.Call{Func: monitor.FnAbort, Args: []uint64{uint64(h.ID)}}); rep.Err != nil {
-			return InferenceResult{}, rep.Err
-		}
-		return InferenceResult{}, ErrTaskAborted
-	}
-	if rep := s.mon.Dispatch(monitor.Call{Func: monitor.FnUnload, Args: []uint64{uint64(h.ID)}}); rep.Err != nil {
-		return InferenceResult{}, rep.Err
-	}
-	return InferenceResult{
-		Model:       h.prog.w.Name,
-		Cycles:      cycles,
-		Utilization: npu.Utilization(h.prog.prog, cycles, s.cfg.NPU.SystolicDim),
-		MACs:        h.prog.prog.TotalMACs,
-	}, nil
+	return rep.InferenceResult, nil
 }
 
 // TransferMode re-exports the multi-core activation transfer modes.
