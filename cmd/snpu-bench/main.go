@@ -10,7 +10,7 @@
 //	snpu-bench -markdown       # wrap tables for EXPERIMENTS.md
 //	snpu-bench -exp chaos -seed 7
 //	snpu-bench -j 4            # run experiment cells on 4 workers
-//	snpu-bench -bench-json BENCH_2026-08-06.json -bench-compare
+//	snpu-bench -bench-json BENCH_2026-08-06.json
 //	snpu-bench -bench-against BENCH_2026-08-06.json
 //
 // -seed (default 1) drives everything randomized: the chaos
@@ -247,7 +247,6 @@ func main() {
 	small := flag.Bool("small", false, "shrink randomized sweeps (resilience, decode) for CI smoke jobs")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "experiment-cell worker pool width; output is identical for any value")
 	benchJSON := flag.String("bench-json", "", "write a perf snapshot (wall-time per experiment, cells/sec, allocs) to this file")
-	benchCompare := flag.Bool("bench-compare", false, "with -bench-json: force the sequential reference pass even at -j 1")
 	benchAgainst := flag.String("bench-against", "", "compare wall-times and fig1 allocs/cell against a committed snapshot; exit 1 on regression")
 	benchTable := flag.String("bench-table", "", "with -bench-against: write a markdown comparison table to this file")
 	gateSpeedup := flag.Float64("gate-speedup", 0, "fail if the measured -j speedup is below this (0 disables; skipped when NumCPU < 4)")
@@ -272,7 +271,7 @@ func main() {
 	opts := options{exp: *exp, models: models, markdown: *markdown, seed: *seed, small: *small}
 
 	var seqMeasured []BenchExperiment
-	if *benchJSON != "" && (*jobs > 1 || *benchCompare) {
+	if *benchJSON != "" && *jobs > 1 {
 		// Sequential reference pass: same cells, pool width 1, output
 		// discarded (it is byte-identical by the determinism contract).
 		// It runs first, on cold pools, so its alloc counts are

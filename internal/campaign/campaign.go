@@ -20,7 +20,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 
 	snpu "repro"
 	"repro/internal/experiments"
@@ -54,29 +53,18 @@ type Outcome struct {
 // Run decodes and executes in one step.
 func Run(data []byte) (*Outcome, error) { return Execute(Decode(data)) }
 
-// measOf caches one compile per model for the attestation-binding leg.
-var (
-	measMu sync.Mutex
-	measBy = map[string][32]byte{}
-)
-
+// measOf is the owner's expected measurement of a registry model, from
+// the process-wide compile cache.
 func measOf(model string) ([32]byte, error) {
-	measMu.Lock()
-	defer measMu.Unlock()
-	if m, ok := measBy[model]; ok {
-		return m, nil
-	}
 	w, err := workload.Lookup(model)
 	if err != nil {
 		return [32]byte{}, err
 	}
-	prog, _, err := npu.Compile(w, snpu.DefaultConfig().NPU, 0, npu.DefaultLayout)
+	prog, _, err := npu.CompileCached(w, snpu.DefaultConfig().NPU, 0, npu.DefaultLayout)
 	if err != nil {
 		return [32]byte{}, err
 	}
-	m := prog.Measurement()
-	measBy[model] = m
-	return m, nil
+	return prog.OwnerMeasurement(), nil
 }
 
 // probe is the LeftoverLocals invariant without a testing.T: it

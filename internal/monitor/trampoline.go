@@ -94,9 +94,11 @@ type Reply struct {
 // Dispatch executes one trampoline call against the monitor. It is
 // the one way code outside the monitor changes the monitor's state:
 // submit, load, unload, abort, preempt, window mapping and KV claims
-// are reachable only through it. Every call lands one outcome bit
-// in the transition-coverage bitmap: bit 2*(f-1) for FuncID f
-// returning ok, bit 2*(f-1)+1 for f returning an error.
+// are reachable only through it. Every refused call counts once in
+// monitor.rejected, a malformed one (unknown function ID, too few
+// Args) included. Every call lands one outcome bit in the
+// transition-coverage bitmap: bit 2*(f-1) for FuncID f returning ok,
+// bit 2*(f-1)+1 for f returning an error.
 func (m *Monitor) Dispatch(c Call) Reply {
 	rep := m.dispatch(c)
 	if c.Func >= FnSubmit && c.Func <= FnPreempt {
@@ -116,7 +118,7 @@ func (m *Monitor) dispatch(c Call) Reply {
 		return Reply{Value: uint64(id), Err: err}
 	case FnLoad:
 		if len(c.Args) < 3 {
-			return Reply{Err: fmt.Errorf("monitor: load needs taskID, spadFrom, spadTo")}
+			return Reply{Err: m.reject(fmt.Errorf("monitor: load needs taskID, spadFrom, spadTo"))}
 		}
 		taskID := int(c.Args[0])
 		spadFrom := int(c.Args[1])
@@ -128,22 +130,22 @@ func (m *Monitor) dispatch(c Call) Reply {
 		return Reply{Err: m.load(taskID, cores, spadFrom, spadTo)}
 	case FnUnload:
 		if len(c.Args) < 1 {
-			return Reply{Err: fmt.Errorf("monitor: unload needs taskID")}
+			return Reply{Err: m.reject(fmt.Errorf("monitor: unload needs taskID"))}
 		}
 		return Reply{Err: m.unload(int(c.Args[0]))}
 	case FnAbort:
 		if len(c.Args) < 1 {
-			return Reply{Err: fmt.Errorf("monitor: abort needs taskID")}
+			return Reply{Err: m.reject(fmt.Errorf("monitor: abort needs taskID"))}
 		}
 		return Reply{Err: m.abort(int(c.Args[0]))}
 	case FnPreempt:
 		if len(c.Args) < 1 {
-			return Reply{Err: fmt.Errorf("monitor: preempt needs taskID")}
+			return Reply{Err: m.reject(fmt.Errorf("monitor: preempt needs taskID"))}
 		}
 		return Reply{Err: m.preempt(int(c.Args[0]))}
 	case FnKVAlloc:
 		if len(c.Args) < 4 {
-			return Reply{Err: fmt.Errorf("monitor: kv-alloc needs taskID, core, lines, bytes")}
+			return Reply{Err: m.reject(fmt.Errorf("monitor: kv-alloc needs taskID, core, lines, bytes"))}
 		}
 		d, err := m.kvAlloc(int(c.Args[0]), int(c.Args[1]), int(c.Args[2]), c.Args[3])
 		return Reply{Value: uint64(d), Err: err}
@@ -151,11 +153,11 @@ func (m *Monitor) dispatch(c Call) Reply {
 		return Reply{Value: uint64(m.QueueLen())}
 	case FnMapNonSecure:
 		if len(c.Args) < 5 {
-			return Reply{Err: fmt.Errorf("monitor: map-nonsecure needs core, slot, vbase, pbase, size")}
+			return Reply{Err: m.reject(fmt.Errorf("monitor: map-nonsecure needs core, slot, vbase, pbase, size"))}
 		}
 		return Reply{Err: m.mapNonSecure(int(c.Args[0]), int(c.Args[1]),
 			mem.VirtAddr(c.Args[2]), mem.PhysAddr(c.Args[3]), c.Args[4])}
 	default:
-		return Reply{Err: ErrBadFunc}
+		return Reply{Err: m.reject(ErrBadFunc)}
 	}
 }

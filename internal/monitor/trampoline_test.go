@@ -27,6 +27,32 @@ func TestTrampolineRejectsMalformedFuncIDs(t *testing.T) {
 	}
 }
 
+// Every malformed call — an unknown function ID or too few Args for a
+// known one — counts exactly one monitor.rejected, as a refusal from
+// inside a handler does.
+func TestMalformedDispatchCountsOneRejection(t *testing.T) {
+	w := bootWorld(t)
+	for _, c := range []Call{
+		{Func: 6},
+		{Func: FnKVAlloc + 1, Args: []uint64{1, 2, 3, 4, 5}},
+		{Func: FnLoad, Args: []uint64{1}},
+		{Func: FnUnload},
+		{Func: FnAbort},
+		{Func: FnPreempt},
+		{Func: FnKVAlloc, Args: []uint64{1, 0, 1}},
+		{Func: FnMapNonSecure, Args: []uint64{0, 1, 2, 3}},
+		{Func: FnAbort, Args: []uint64{999}}, // well-formed, unknown task
+	} {
+		before := w.stats.Get(sim.CtrMonitorRejected)
+		if rep := w.mon.Dispatch(c); rep.Err == nil {
+			t.Fatalf("%v %v accepted", c.Func, c.Args)
+		}
+		if got := w.stats.Get(sim.CtrMonitorRejected) - before; got != 1 {
+			t.Fatalf("%v %v: %d rejections counted, want 1", c.Func, c.Args, got)
+		}
+	}
+}
+
 // An abort arriving mid-protocol (task loaded, nothing unloaded yet)
 // must tear every piece of secure state down: scratchpad lines
 // scrubbed, core back to non-secure, Guarder cleared, model and chunk

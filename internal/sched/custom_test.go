@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -134,5 +135,35 @@ func TestSchedulerBatchesOnlyIdenticalGraphs(t *testing.T) {
 	}
 	if batched != 1 {
 		t.Fatalf("want exactly request 2 batched, got %d batched", batched)
+	}
+}
+
+// A secure request whose weights outgrow the whole secure region can
+// never be placed: admission defers it on a full secure memory, and
+// once nothing runs and nothing is due to arrive the scheduler rejects
+// it as stranded rather than waiting forever.
+func TestSchedulerRejectsStrandedSecureRequest(t *testing.T) {
+	sys, sc := bootSched(t, sched.Config{Cores: []int{0}})
+	sealed := sealFor(t, sys, "k", 5)
+	// 16384 x 20000 int8 weights, about 328 MB: more than the 256 MiB
+	// secure region.
+	big := workload.Workload{Name: "big", Layers: []workload.Layer{
+		{Name: "g", GEMMs: []workload.GEMM{workload.MatMul("g", 16, 16384, 20000)}},
+	}}
+	if err := sc.Submit(sched.Request{ID: 1, Tenant: "t", Workload: &big, Secure: true, KeyID: "k", Sealed: sealed}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := rep.DecisionLog()
+	if len(rep.Results) != 1 || !rep.Results[0].Rejected || rep.Rejected != 1 || rep.Completed != 0 {
+		t.Fatalf("want the one request rejected, got %+v\n%s", rep.Results, log)
+	}
+	for _, want := range []string{"defer", "secure memory full", "reject", "no capacity"} {
+		if !strings.Contains(log, want) {
+			t.Fatalf("decision log lacks %q:\n%s", want, log)
+		}
 	}
 }

@@ -1406,16 +1406,13 @@ func (s *Scheduler) reject(rs *reqState, at sim.Cycle, msg string) {
 
 // rejectStranded fails every leftover request when no placement can
 // ever succeed (e.g. a secure model larger than secure memory with
-// nothing left to free).
+// nothing left to free). Run calls it only once nextPending found no
+// arrival and no retry due, so the retry queue is already empty.
 func (s *Scheduler) rejectStranded(at sim.Cycle) {
 	for _, rs := range s.waitlist {
 		s.reject(rs, at, "no capacity")
 	}
 	s.waitlist = nil
-	for _, rs := range s.retryQ {
-		s.reject(rs, at, "no capacity")
-	}
-	s.retryQ = nil
 	for _, j := range s.ready {
 		if j.secure {
 			s.closeBatch(j)
