@@ -40,8 +40,9 @@ import (
 // detail about what happened inside the secure world.
 var ErrTaskAborted = errors.New("snpu: secure task aborted")
 
-// DefaultMaxRestarts bounds checkpoint restarts per resilient run.
-const DefaultMaxRestarts = 3
+// restartBudget bounds RunSecureResilient's consecutive checkpoint
+// restarts without progress.
+const restartBudget = 3
 
 // InstallFaultPlan arms the whole SoC with a fault schedule: an
 // injector is built from the plan and attached to the mesh, every
@@ -78,12 +79,11 @@ type SecureRunReport struct {
 // scratchpad parity, wedged cores) abort the task fail-closed, then
 // the run resubmits and restarts from the last completed layer
 // boundary, remapping off a core that hangs twice in a row. The
-// restart budget (DefaultMaxRestarts) counts consecutive failures
-// without checkpoint progress — a crash-loop detector, not a lifetime
-// cap — and once spent the task is abandoned and the caller sees only
-// ErrTaskAborted.
+// restart budget (three) counts consecutive failures without checkpoint
+// progress — a crash-loop detector, not a lifetime cap — and once spent
+// the task is abandoned and the caller sees only ErrTaskAborted.
 func (s *System) RunSecureResilient(h *SecureTaskHandle) (SecureRunReport, error) {
-	return s.runSecure(h, DefaultMaxRestarts)
+	return s.runSecure(h, restartBudget)
 }
 
 // runSecure is the one secure runner: FnLoad, layer slices, FnUnload;
@@ -154,7 +154,7 @@ func (s *System) runSecure(h *SecureTaskHandle, maxRestarts int) (rep SecureRunR
 				return rep, urep.Err
 			}
 			rep.InferenceResult = s.result(prog, now)
-			if s.inj.Injected() > injectedBefore && s.soc.Stats != nil {
+			if s.inj.Injected() > injectedBefore {
 				s.soc.Stats.Inc(sim.CtrRecoveredFaults)
 			}
 			return rep, nil
