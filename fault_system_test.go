@@ -130,22 +130,7 @@ func TestRunSecureAbortsOnHang(t *testing.T) {
 
 func resilientRun(t *testing.T, plan fault.Plan) (SecureRunReport, error) {
 	t.Helper()
-	sys, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := ChaosKey(3)
-	if err := sys.ProvisionKey("owner", key); err != nil {
-		t.Fatal(err)
-	}
-	sealed, err := SealModel(key, []byte("weights"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := sys.SubmitSecure("yololite", "owner", sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, h := bootResilientSys(t)
 	sys.InstallFaultPlan(plan)
 	return sys.RunSecureResilient(h)
 }
