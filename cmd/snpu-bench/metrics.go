@@ -90,8 +90,10 @@ type overheadReading struct {
 // each round runs it with the SoC's observer detached and attached,
 // alternating which goes first. Both sides share the SoC and its
 // memory, so the ratio holds only the instrumentation's cost. It also
-// proves the layer is passive: every run must reproduce the first
-// run's cycle count, or the probe errors out.
+// proves the layer is passive and that it timed what it claims: every
+// run must reproduce the first run's cycle count, and each batch must
+// grow npu.tile.cycles by one observation per compute op attached and
+// by none detached, or the probe errors out.
 func measureMetricsOverhead() (overheadReading, error) {
 	sys, err := snpu.New(snpu.DefaultConfig())
 	if err != nil {
@@ -117,6 +119,13 @@ func measureMetricsOverhead() (overheadReading, error) {
 	if err != nil {
 		return overheadReading{}, err
 	}
+	tiles := o.Registry().Histogram("npu.tile.cycles")
+	var computeOps int64
+	for _, op := range task.Program.Ops {
+		if op.Kind == npu.OpCompute {
+			computeOps++
+		}
+	}
 	var want sim.Cycle
 	var wall [2]time.Duration // by side: 0 = detached, 1 = attached
 	run := func(side int) error {
@@ -125,6 +134,7 @@ func measureMetricsOverhead() (overheadReading, error) {
 		} else {
 			sys.NPU().AttachObserver(nil)
 		}
+		before := tiles.Count()
 		start := time.Now()
 		for i := 0; i < overheadProbeRepeats; i++ {
 			sys.NPU().ResetTiming()
@@ -140,6 +150,10 @@ func measureMetricsOverhead() (overheadReading, error) {
 			}
 		}
 		wall[side] = time.Since(start)
+		wantTiles := int64(side) * overheadProbeRepeats * computeOps
+		if got := tiles.Count() - before; got != wantTiles {
+			return fmt.Errorf("metrics probe: a batch with the observer attached=%v observed %d compute tiles, want %d", side == 1, got, wantTiles)
+		}
 		return nil
 	}
 	// One untimed round per side: both reach steady state.

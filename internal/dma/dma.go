@@ -98,13 +98,12 @@ type Engine struct {
 	l2    *cache.L2 // optional shared L2 in front of DRAM
 	inj   *fault.Injector
 	// Counter cells, resolved on each counter's first increment.
-	ctrRequests, ctrPackets, ctrBytes, ctrDRAMRequests, ctrDRAMBytes *int64
+	ctrRequests, ctrPackets, ctrBytes *int64
 
 	// Observability: pre-resolved instruments, nil unless AttachObserver
 	// was called. core labels this engine's spans on the timeline.
 	obsXfer *obs.Histogram
 	obsRec  *trace.Recorder
-	obsProf *obs.Profiler
 	core    int
 }
 
@@ -117,28 +116,20 @@ func (e *Engine) AttachL2(l2 *cache.L2) { e.l2 = l2 }
 func (e *Engine) AttachInjector(inj *fault.Injector) { e.inj = inj }
 
 // AttachObserver wires the engine into an observability layer: a span
-// per burst, a dma.xfer.cycles histogram of end-to-end request
-// latency, and a dma.chan.backlog profiling hook sampling how far
-// ahead the shared DRAM channel is booked into dma.chan.backlog.samples.
-// core labels this engine's spans. Nil detaches.
+// per batch (the timeline's only record of a load or store) and a
+// dma.xfer.cycles histogram of end-to-end batch latency. core labels
+// this engine's spans. Nil detaches.
 func (e *Engine) AttachObserver(o *obs.Observer, core int) {
 	if o == nil {
-		e.obsXfer, e.obsRec, e.obsProf = nil, nil, nil
+		e.obsXfer, e.obsRec = nil, nil
 		return
 	}
 	e.core = core
 	e.obsXfer = o.Registry().Histogram("dma.xfer.cycles")
 	e.obsRec = o.Trace()
-	e.obsProf = o.Profiler()
-	e.obsProf.Register("dma.chan.backlog", func(now sim.Cycle) int64 {
-		if b := e.chan_.NextFree() - now; b > 0 {
-			return int64(b)
-		}
-		return 0
-	})
 }
 
-// recordXfer puts one completed burst on the span timeline and in the
+// recordXfer puts one completed batch on the span timeline and in the
 // latency histogram.
 func (e *Engine) recordXfer(dir Direction, at, done sim.Cycle) {
 	if e.obsXfer == nil {
@@ -184,13 +175,11 @@ func (e *Engine) Do(req Request, sp *spad.Scratchpad, domain spad.DomainID, at s
 	return e.DoPipelined([]Request{req}, sp, domain, at)
 }
 
-// count adds one translated request to the DMA and DRAM counters.
+// count adds one translated request to the DMA counters.
 func (e *Engine) count(req Request) {
 	e.stats.AddCell(&e.ctrRequests, sim.CtrDMARequests, 1)
 	e.stats.AddCell(&e.ctrPackets, sim.CtrDMAPackets, int64((req.Bytes+xlate.PacketBytes-1)/xlate.PacketBytes))
 	e.stats.AddCell(&e.ctrBytes, sim.CtrDMABytes, int64(req.Bytes))
-	e.stats.AddCell(&e.ctrDRAMRequests, sim.CtrDRAMRequests, 1)
-	e.stats.AddCell(&e.ctrDRAMBytes, sim.CtrDRAMBytes, int64(req.Bytes))
 }
 
 // applyStalls consumes due DMA-stall events. Each one freezes the
@@ -298,7 +287,6 @@ func (e *Engine) DoPipelined(reqs []Request, sp *spad.Scratchpad, domain spad.Do
 			}
 		}
 	}
-	e.obsProf.MaybeSample(at)
 	e.recordXfer(reqs[0].Dir, at, lastEnd+e.cfg.RequestLatency)
 	return lastEnd + e.cfg.RequestLatency, nil
 }

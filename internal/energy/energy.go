@@ -81,12 +81,13 @@ func (b Breakdown) String() string {
 const pjToUJ = 1e-6
 
 // FromCounters converts a run's hardware counters into a Breakdown.
-// The walker's DRAM traffic is charged under checking (it exists only
-// to serve translations).
+// DRAM energy is charged on every byte the DMA engines move. The
+// walker's DRAM traffic is charged under checking (it exists only to
+// serve translations).
 func FromCounters(c CostsPJ, stats map[string]int64) Breakdown {
 	var b Breakdown
 	b.ComputeUJ = float64(stats[sim.CtrComputeMACs]) * c.MAC * pjToUJ
-	b.DRAMUJ = float64(stats[sim.CtrDRAMBytes]) * c.DRAMByte * pjToUJ
+	b.DRAMUJ = float64(stats[sim.CtrDMABytes]) * c.DRAMByte * pjToUJ
 	// Access control: per-packet IOTLB CAM matches + page walks, or
 	// per-request Guarder range checks — whichever the run used.
 	b.CheckingUJ = float64(stats[sim.CtrIOTLBLookups])*c.IOTLBLookup*pjToUJ +

@@ -10,7 +10,7 @@ func TestFromCountersComponents(t *testing.T) {
 	c := DefaultCosts()
 	stats := map[string]int64{
 		sim.CtrComputeMACs:   1_000_000,
-		sim.CtrDRAMBytes:     1_000_000,
+		sim.CtrDMABytes:      1_000_000,
 		sim.CtrIOTLBLookups:  10_000,
 		sim.CtrPageWalks:     100,
 		sim.CtrGuarderChecks: 0,

@@ -81,7 +81,6 @@ func (m *Monitor) kvOnCore(core int) []*KVRegion {
 // scheduler asks via the trampoline (FnKVAlloc) and learns only the
 // assigned domain; refusals carry no detail beyond the failing check.
 func (m *Monitor) kvAlloc(taskID, coreID, lines int, bytes uint64) (spad.DomainID, error) {
-	m.call()
 	task, ok := m.tasks[taskID]
 	if !ok {
 		m.note(TrKVRefused)

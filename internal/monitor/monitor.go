@@ -114,9 +114,6 @@ func (m *Monitor) note(bit uint) {
 // like exploring a new branch.
 func (m *Monitor) TransitionBitmap() uint64 { return m.transitions }
 
-// call counts one trampoline entry into the monitor.
-func (m *Monitor) call() { m.stats.Inc(sim.CtrMonitorCalls) }
-
 // New builds the monitor. It refuses to run on a machine that has not
 // completed secure boot (the boot chain loads and verifies the monitor
 // itself before anything untrusted runs).
@@ -174,7 +171,6 @@ func (m *Monitor) ProvisionKey(keyID string, key []byte) error {
 // enqueue it. The task keeps what submit derived from the measured ops,
 // not c.Program, which stays in driver memory.
 func (m *Monitor) submit(c Call) (int, error) {
-	m.call()
 	if c.Program == nil {
 		return 0, m.reject(fmt.Errorf("monitor: nil program"))
 	}
@@ -235,7 +231,6 @@ func (m *Monitor) submit(c Call) (int, error) {
 // loads once: a second load would drop the cores of the first, which
 // the eviction then never returns to the normal world.
 func (m *Monitor) load(taskID int, cores []int, spadFrom, spadTo int) error {
-	m.call()
 	task, ok := m.tasks[taskID]
 	if !ok {
 		return m.reject(ErrUnknownTask)
@@ -308,7 +303,6 @@ func (m *Monitor) load(taskID int, cores []int, spadFrom, spadTo int) error {
 // unload releases a task: its KV windows are scrubbed and freed, a
 // loaded task is evicted from its cores, and its chunk is freed.
 func (m *Monitor) unload(taskID int) error {
-	m.call()
 	task, ok := m.tasks[taskID]
 	if !ok {
 		return m.reject(ErrUnknownTask)
@@ -330,7 +324,6 @@ func (m *Monitor) unload(taskID int) error {
 // resumes it without re-verification. The preempted task returns to
 // the tail of the pending queue.
 func (m *Monitor) preempt(taskID int) error {
-	m.call()
 	task, ok := m.tasks[taskID]
 	if !ok {
 		m.note(TrPreemptRefused)
@@ -357,7 +350,6 @@ func (m *Monitor) preempt(taskID int) error {
 // moment leaves nothing for the normal world to find. The untrusted
 // driver observes only an opaque "task gone" condition.
 func (m *Monitor) abort(taskID int) error {
-	m.call()
 	task, ok := m.tasks[taskID]
 	if !ok {
 		return m.reject(ErrUnknownTask)
@@ -472,7 +464,6 @@ func (m *Monitor) SetupPlatform(reservedBase mem.PhysAddr, reservedSize uint64, 
 // the isolation (§IV-C: "for non-secure tasks, we do not apply any
 // software checks and rely only on the hardware mechanisms").
 func (m *Monitor) mapNonSecure(core int, slot int, vbase mem.VirtAddr, pbase mem.PhysAddr, size uint64) error {
-	m.call()
 	g, ok := m.guarders[core]
 	if !ok {
 		return m.reject(fmt.Errorf("monitor: core %d has no guarder", core))

@@ -7,6 +7,7 @@ import (
 	"repro/internal/isolator"
 	"repro/internal/mem"
 	"repro/internal/npu"
+	"repro/internal/sim"
 )
 
 // The trampoline is the narrow interface between the non-secure NPU
@@ -94,12 +95,14 @@ type Reply struct {
 // Dispatch executes one trampoline call against the monitor. It is
 // the one way code outside the monitor changes the monitor's state:
 // submit, load, unload, abort, preempt, window mapping and KV claims
-// are reachable only through it. Every refused call counts once in
-// monitor.rejected, a malformed one (unknown function ID, too few
-// Args) included. Every call lands one outcome bit in the
-// transition-coverage bitmap: bit 2*(f-1) for FuncID f returning ok,
-// bit 2*(f-1)+1 for f returning an error.
+// are reachable only through it. Every call counts once in
+// monitor.calls and every refused call once in monitor.rejected, a
+// malformed one (unknown function ID, too few Args) included. Every
+// call lands one outcome bit in the transition-coverage bitmap: bit
+// 2*(f-1) for FuncID f returning ok, bit 2*(f-1)+1 for f returning an
+// error.
 func (m *Monitor) Dispatch(c Call) Reply {
+	m.stats.Inc(sim.CtrMonitorCalls)
 	rep := m.dispatch(c)
 	if c.Func >= FnSubmit && c.Func <= FnPreempt {
 		bit := uint(2 * (c.Func - FnSubmit))

@@ -53,6 +53,27 @@ func TestMalformedDispatchCountsOneRejection(t *testing.T) {
 	}
 }
 
+// Every trampoline entry counts exactly one monitor.calls, whatever it
+// asks for and whether or not it is well-formed, so monitor.rejected
+// can never exceed monitor.calls.
+func TestDispatchCountsEveryCallOnce(t *testing.T) {
+	w := bootWorld(t)
+	for _, c := range []Call{
+		{Func: 6},
+		{Func: FnLoad, Args: []uint64{1}},
+		{Func: FnQueueLen},
+	} {
+		before := w.stats.Get(sim.CtrMonitorCalls)
+		w.mon.Dispatch(c)
+		if got := w.stats.Get(sim.CtrMonitorCalls) - before; got != 1 {
+			t.Fatalf("%v %v: %d calls counted, want 1", c.Func, c.Args, got)
+		}
+	}
+	if calls, rejected := w.stats.Get(sim.CtrMonitorCalls), w.stats.Get(sim.CtrMonitorRejected); rejected > calls {
+		t.Fatalf("monitor.rejected %d exceeds monitor.calls %d", rejected, calls)
+	}
+}
+
 // An abort arriving mid-protocol (task loaded, nothing unloaded yet)
 // must tear every piece of secure state down: scratchpad lines
 // scrubbed, core back to non-secure, Guarder cleared, model and chunk

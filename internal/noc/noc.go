@@ -163,7 +163,6 @@ type Mesh struct {
 	// was called (the off-by-default contract — one nil check per event).
 	obsStall *obs.Histogram
 	obsRec   *trace.Recorder
-	obsProf  *obs.Profiler
 }
 
 // linkIndex maps a directed link between adjacent nodes to its slot in
@@ -258,34 +257,15 @@ func (m *Mesh) Reset() {
 }
 
 // AttachObserver wires the mesh into an observability layer: a send
-// span per delivered packet, a noc.link.stall_cycles histogram of
-// per-attempt contention stalls, and a noc.link.occupancy profiling
-// hook sampling the busiest link's claim backlog into
-// noc.link.occupancy.samples. Nil detaches.
+// span per delivered packet and a noc.link.stall_cycles histogram of
+// per-attempt contention stalls. Nil detaches.
 func (m *Mesh) AttachObserver(o *obs.Observer) {
 	if o == nil {
-		m.obsStall, m.obsRec, m.obsProf = nil, nil, nil
+		m.obsStall, m.obsRec = nil, nil
 		return
 	}
 	m.obsStall = o.Registry().Histogram("noc.link.stall_cycles")
 	m.obsRec = o.Trace()
-	m.obsProf = o.Profiler()
-	m.obsProf.Register("noc.link.occupancy", m.linkBacklog)
-}
-
-// linkBacklog reports how many cycles past now the most contended
-// link is already claimed — the mesh's instantaneous congestion depth.
-func (m *Mesh) linkBacklog(now sim.Cycle) int64 {
-	var max sim.Cycle
-	for _, l := range m.links {
-		if l == nil {
-			continue
-		}
-		if b := l.NextFree() - now; b > max {
-			max = b
-		}
-	}
-	return int64(max)
 }
 
 // FailLink permanently kills the directed link from->to (and is also
@@ -485,7 +465,6 @@ func (m *Mesh) send(pkt Packet, at sim.Cycle, authed bool) (sim.Cycle, error) {
 	if m.ctrPackets != nil {
 		*m.ctrPackets++
 	}
-	m.obsProf.MaybeSample(at)
 
 	// Channel lock: once a transfer is authenticated, the receive
 	// channel rejects other sources until the tail flit (modeled as

@@ -92,8 +92,8 @@ func (c *Core) AttachInjector(inj *fault.Injector) {
 // engine, its translator when the translator is instrumented (the
 // IOMMU's walk histogram and spans), and an npu.tile.cycles histogram
 // of compute-tile latency fed by the executor. Executors created after
-// attachment record their spans into the observer's timeline. Nil
-// detaches.
+// attachment record their compute tiles into the observer's timeline;
+// the DMA engine records the loads and stores. Nil detaches.
 func (c *Core) AttachObserver(o *obs.Observer) {
 	c.obs = o
 	c.obsTile = nil

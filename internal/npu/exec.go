@@ -43,7 +43,8 @@ type Exec struct {
 	taskID   int
 
 	// rec, when non-nil (the core's observer records spans), records
-	// every DMA batch, compute tile, and store as a timeline event.
+	// every compute tile as a timeline event. Loads and stores land on
+	// the timeline from the DMA engine that serves them.
 	rec *trace.Recorder
 
 	// Totals for reporting.
@@ -141,10 +142,6 @@ func (e *Exec) RunUntil(from sim.Cycle, boundary Boundary) (sim.Cycle, error) {
 			if err != nil {
 				return 0, fmt.Errorf("npu: core %d: %w", e.core.id, err)
 			}
-			e.rec.Record(trace.Event{
-				Name: "mvin-batch", Kind: trace.KindDMA, Core: e.core.id,
-				Start: issueAt, End: loadsDone,
-			})
 			e.pendingLoads = e.pendingLoads[:0]
 			pipe.dmaFree = loadsDone
 			start := loadsDone
@@ -197,10 +194,6 @@ func (e *Exec) RunUntil(from sim.Cycle, boundary Boundary) (sim.Cycle, error) {
 			if err != nil {
 				return 0, fmt.Errorf("npu: core %d: %w", e.core.id, err)
 			}
-			e.rec.Record(trace.Event{
-				Name: "mvout", Kind: trace.KindDMA, Core: e.core.id,
-				Start: at, End: done,
-			})
 			e.core.pipe.storeFree = done
 		default:
 			return 0, fmt.Errorf("npu: unknown op kind %d", op.Kind)

@@ -3,7 +3,7 @@
 // — where do stall cycles, extra NoC flits, and IOTLB walks go? —
 // answerable from any run, not only from the curated figures).
 //
-// It bundles three instruments behind one Observer handle:
+// It bundles two instruments behind one Observer handle:
 //
 //   - a metrics Registry with dotted per-component names, exported as
 //     Prometheus text and JSON. Every count lives in the SoC's
@@ -13,11 +13,10 @@
 //     dma.xfer.cycles, ...), all on one fixed bucket layout so an
 //     observation costs a constant-time index;
 //   - span-based tracing over internal/trace, unifying the Chrome-trace
-//     timeline with spans for NoC sends, DMA bursts, IOTLB walks, fault
-//     injection, and Monitor checkpoint/restart epochs;
-//   - pluggable profiling hooks (Profiler): components register
-//     samplers for queue depths and link occupancy, sampled on a fixed
-//     simulated-cycle cadence into <name>.samples histograms.
+//     timeline with spans for NoC sends, DMA bursts, compute tiles,
+//     IOTLB walks, fault injection, and Monitor checkpoint/restart
+//     epochs. Each event is recorded once, by the component that
+//     serves it.
 //
 // Determinism rules: nothing in this package reads the wall clock,
 // global randomness, or map iteration order on a hot path; every
@@ -32,27 +31,20 @@
 // running under the -j N experiment runner.
 package obs
 
-import (
-	"repro/internal/sim"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // traceCap bounds the span recorder so long runs cannot grow without
 // bound.
 const traceCap = 1 << 20
 
-// sampleEvery is the profiling-hook cadence in simulated cycles. 4096
-// cycles keeps sample streams small (a few thousand samples for the
-// largest workload) while still resolving per-layer behavior.
-const sampleEvery = sim.Cycle(4096)
-
-// Config sizes an Observer. The zero value selects metrics and
-// profiling hooks on, span recording off.
+// Config sizes an Observer. The zero value selects metrics on, span
+// recording off.
 type Config struct {
 	// Spans opts into span recording (one trace event per NoC send,
-	// DMA burst, IOTLB walk, ...). Spans cost wall time proportional
-	// to the event count — the same class as -trace — so they sit
-	// outside the <2% budget the metrics overhead gate enforces.
+	// DMA batch, compute tile, IOTLB walk, ...). Spans cost wall time
+	// proportional to the event count — the same class as -trace — so
+	// they sit outside the <2% budget the metrics overhead gate
+	// enforces.
 	Spans bool
 }
 
@@ -60,15 +52,13 @@ type Config struct {
 // components. A nil *Observer is valid everywhere and means
 // "observability off"; all methods are nil-safe.
 type Observer struct {
-	reg  *Registry
-	rec  *trace.Recorder
-	prof *Profiler
+	reg *Registry
+	rec *trace.Recorder
 }
 
 // NewObserver builds an enabled observer.
 func NewObserver(cfg Config) *Observer {
-	reg := NewRegistry()
-	o := &Observer{reg: reg, prof: NewProfiler(reg)}
+	o := &Observer{reg: NewRegistry()}
 	if cfg.Spans {
 		o.rec = trace.New(traceCap)
 	}
@@ -91,13 +81,4 @@ func (o *Observer) Trace() *trace.Recorder {
 		return nil
 	}
 	return o.rec
-}
-
-// Profiler returns the sampling hook manager (nil on a nil observer;
-// a nil *Profiler is a valid no-op).
-func (o *Observer) Profiler() *Profiler {
-	if o == nil {
-		return nil
-	}
-	return o.prof
 }

@@ -121,8 +121,6 @@ func (s *Stats) String() string {
 // Common counter names used across the simulator. Keeping them here
 // avoids typo'd string literals scattering through components.
 const (
-	CtrDRAMRequests     = "dram.requests"
-	CtrDRAMBytes        = "dram.bytes"
 	CtrDMARequests      = "dma.requests"
 	CtrDMAPackets       = "dma.packets"
 	CtrDMABytes         = "dma.bytes"
@@ -189,7 +187,6 @@ const (
 // monitor.*, sched.*, ...), with zeros for sites the run never touched.
 func CanonicalCounters() []string {
 	return []string{
-		CtrDRAMRequests, CtrDRAMBytes,
 		CtrDMARequests, CtrDMAPackets, CtrDMABytes,
 		CtrIOTLBLookups, CtrIOTLBHits, CtrIOTLBMisses, CtrIOTLBFlushes,
 		CtrPageWalks, CtrPageWalkCycles,

@@ -170,11 +170,11 @@ func (s *System) Reset() error {
 // whole SoC: the metrics registry exports the system counters (every
 // component, the monitor and the scheduler count into Stats) plus the
 // per-component cycle histograms (NoC stalls, DMA latency, IOTLB walks,
-// compute tiles), executors record spans on the observer's timeline,
-// and profiling hooks sample link occupancy and channel backlog on a
-// fixed cycle cadence. Every canonical counter is materialized up front
-// so a metrics dump always covers the full component namespace, zeros
-// included.
+// compute tiles), and with cfg.Spans each component records the events
+// it serves on the observer's timeline (executors their compute tiles,
+// DMA engines their loads and stores). Every canonical counter is
+// materialized up front so a metrics dump always covers the full
+// component namespace, zeros included.
 //
 // Observability is passive — enabling it does not change a single
 // simulated cycle — and stays attached for the system's lifetime.
