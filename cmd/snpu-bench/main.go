@@ -29,6 +29,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	snpu "repro"
@@ -49,6 +50,27 @@ type options struct {
 	// metricsDir, when set, exports per-experiment metrics files
 	// (<exp>.prom + <exp>.json) aggregated over the experiment's SoCs.
 	metricsDir string
+	// ran holds results one suite pass hands to a later experiment
+	// (runSuite sets it; nil when a spec runs on its own).
+	ran *suiteResults
+}
+
+// suiteResults carries a pass's Fig. 14 and Fig. 15 results to Table I,
+// which derives its table from them instead of re-running their cells.
+type suiteResults struct {
+	fig14 *experiments.Result[experiments.Fig14Row]
+	fig15 *experiments.Result[experiments.Fig15Row]
+}
+
+// table1 derives Table I from the pass's Fig. 14 and Fig. 15 results
+// when it ran both and Fig. 14 covered Table I's model, and otherwise
+// runs the cells Table I needs.
+func (r *suiteResults) table1(cfg npu.Config) (*experiments.Result[experiments.Table1Row], error) {
+	if r != nil && r.fig14 != nil && r.fig15 != nil &&
+		slices.ContainsFunc(r.fig14.Rows, func(row experiments.Fig14Row) bool { return row.Model == experiments.Table1Model }) {
+		return experiments.Table1From(r.fig14, r.fig15)
+	}
+	return experiments.Table1(cfg)
 }
 
 // section is one titled output block.
@@ -77,7 +99,7 @@ func suiteSpecs() []expSpec {
 			return []section{{"Fig. 1 — FLOPS utilization of single inference workloads", res.TableString()}}, nil
 		}},
 		{"table1", func(o options) ([]section, error) {
-			res, err := experiments.Table1(cfg)
+			res, err := o.ran.table1(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -98,12 +120,18 @@ func suiteSpecs() []expSpec {
 			if err != nil {
 				return nil, err
 			}
+			if o.ran != nil {
+				o.ran.fig14 = res
+			}
 			return []section{{"Fig. 14 — flush granularity overhead (time-shared)", res.TableString()}}, nil
 		}},
 		{"fig15", func(o options) ([]section, error) {
 			res, err := experiments.Fig15(cfg)
 			if err != nil {
 				return nil, err
+			}
+			if o.ran != nil {
+				o.ran.fig15 = res
 			}
 			return []section{{"Fig. 15 — static partition vs ID-based dynamic scratchpad", res.TableString()}}, nil
 		}},
@@ -193,29 +221,39 @@ func suiteSpecs() []expSpec {
 	}
 }
 
-// runSuite executes the selected experiments in order, writes their
-// sections to w, and returns the per-experiment measurements for the
-// bench snapshot.
+// runSuite executes the selected experiments, writes their sections to
+// w in suite order, and returns the per-experiment measurements for the
+// bench snapshot in the same order.
 func runSuite(w io.Writer, opts options) ([]BenchExperiment, error) {
-	emit := func(s section) {
-		if opts.markdown {
-			fmt.Fprintf(w, "### %s\n\n```\n%s```\n\n", s.title, s.body)
-		} else {
-			fmt.Fprintf(w, "==== %s ====\n%s\n", s.title, s.body)
+	var specs []expSpec
+	for _, spec := range suiteSpecs() {
+		if opts.exp == "all" || opts.exp == spec.name {
+			specs = append(specs, spec)
 		}
 	}
-	var measured []BenchExperiment
-	ran := false
-	for _, spec := range suiteSpecs() {
-		if opts.exp != "all" && opts.exp != spec.name {
-			continue
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q", opts.exp)
+	}
+	// Table I derives from the pass's Fig. 14 and Fig. 15 results
+	// (suiteResults.table1), so it runs after every other experiment;
+	// the sections print once the pass is done.
+	order := make([]int, 0, len(specs))
+	for i, spec := range specs {
+		if spec.name != "table1" {
+			order = append(order, i)
 		}
-		ran = true
-		var m BenchExperiment
-		var sections []section
+	}
+	if i := slices.IndexFunc(specs, func(spec expSpec) bool { return spec.name == "table1" }); i >= 0 {
+		order = append(order, i)
+	}
+	opts.ran = &suiteResults{}
+	measured := make([]BenchExperiment, len(specs))
+	sections := make([][]section, len(specs))
+	for _, i := range order {
+		spec := specs[i]
 		runOne := func() error {
 			var err error
-			m, sections, err = measureExperiment(spec, opts)
+			measured[i], sections[i], err = measureExperiment(spec, opts)
 			return err
 		}
 		var err error
@@ -227,13 +265,15 @@ func runSuite(w io.Writer, opts options) ([]BenchExperiment, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.name, err)
 		}
-		measured = append(measured, m)
-		for _, s := range sections {
-			emit(s)
-		}
 	}
-	if !ran {
-		return nil, fmt.Errorf("unknown experiment %q", opts.exp)
+	for _, ss := range sections {
+		for _, s := range ss {
+			if opts.markdown {
+				fmt.Fprintf(w, "### %s\n\n```\n%s```\n\n", s.title, s.body)
+			} else {
+				fmt.Fprintf(w, "==== %s ====\n%s\n", s.title, s.body)
+			}
+		}
 	}
 	return measured, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/npu"
 	"repro/internal/workload"
 )
 
@@ -50,6 +51,52 @@ func TestDifferentialFullSuite(t *testing.T) {
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("full suite differs between -j 1 and -j 4 (seq %d bytes, par %d bytes):\n%s",
 			len(seq), len(par), firstDiff(seq, par))
+	}
+}
+
+// A full pass derives Table I from its own Fig. 14 and Fig. 15 results:
+// table1 runs no cell there, and prints the bytes -exp table1 prints
+// when it runs the cells itself. A pass whose Fig. 14 lacks Table I's
+// model runs the cells too.
+func TestFullSuiteDerivesTable1(t *testing.T) {
+	experiments.SetWorkers(2)
+	defer experiments.SetWorkers(0)
+	run := func(exp string) (string, BenchExperiment) {
+		t.Helper()
+		var buf bytes.Buffer
+		measured, err := runSuite(&buf, options{exp: exp, models: testModels(t), seed: 1})
+		if err != nil {
+			t.Fatalf("runSuite(%s): %v", exp, err)
+		}
+		_, section, ok := strings.Cut(buf.String(), "==== Table I ")
+		if !ok {
+			t.Fatalf("-exp %s printed no Table I section", exp)
+		}
+		section, _, _ = strings.Cut(section, "\n==== ")
+		for _, m := range measured {
+			if m.Name == "table1" {
+				return strings.TrimRight(section, "\n"), m
+			}
+		}
+		t.Fatalf("-exp %s measured no table1", exp)
+		return "", BenchExperiment{}
+	}
+	all, inAll := run("all")
+	alone, onItsOwn := run("table1")
+	if all != alone {
+		t.Fatalf("Table I differs between the full pass and -exp table1:\n%s", firstDiff([]byte(all), []byte(alone)))
+	}
+	if inAll.Cells != 0 || onItsOwn.Cells == 0 {
+		t.Fatalf("table1 ran %d cells in the full pass and %d on its own, want 0 and more", inAll.Cells, onItsOwn.Cells)
+	}
+
+	yolo := &experiments.Result[experiments.Fig14Row]{Rows: []experiments.Fig14Row{{Model: "yololite"}}}
+	before := experiments.CellsRun()
+	if _, err := (&suiteResults{fig14: yolo, fig15: &experiments.Result[experiments.Fig15Row]{}}).table1(npu.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if experiments.CellsRun() == before {
+		t.Fatal("Table I derived from a Fig. 14 without its model")
 	}
 }
 

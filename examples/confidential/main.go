@@ -4,7 +4,9 @@
 // (2) verifies it and only then provisions their sealing key, (3) ships
 // the sealed model through the untrusted driver, and (4) the task
 // computes on a secure core — while a co-resident attacker probing the
-// same scratchpad gets nothing.
+// same scratchpad gets nothing. The owner's expected measurement comes
+// from the owner's own compile of the model, not from the device. The
+// example exits 1 if any check fails.
 //
 //	go run ./examples/confidential
 package main
@@ -18,6 +20,7 @@ import (
 	snpu "repro"
 	"repro/internal/npu"
 	"repro/internal/spad"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -54,8 +57,18 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("attestation: boot=%v task=%v nonce=%#x\n", report.BootDigest, report.TaskDigest, nonce)
-	if err := sys.VerifyAttestation(report, report.TaskDigest, nonce); err != nil {
-		log.Fatal("report rejected:", err)
+	// The owner's expected value: their own compile of the model for
+	// this NPU at the secure layout, measured on their side.
+	model, err := workload.Lookup("mobilenet")
+	if err != nil {
+		log.Fatal(err)
+	}
+	owned, _, err := npu.Compile(model, snpu.DefaultConfig().NPU, 0, npu.DefaultLayout)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := sys.VerifyAttestation(report, owned.Measurement(), nonce); err != nil {
+		log.Fatal("report rejected: ", err)
 	}
 	fmt.Println("attestation verified: device runs the expected boot chain and task")
 
@@ -93,20 +106,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	match := true
 	for i := range want {
 		if got[i] != want[i] {
-			match = false
+			log.Fatalf("functional GEMM on secure core: element %d is %d, reference %d", i, got[i], want[i])
 		}
 	}
-	fmt.Printf("functional GEMM on secure core: result matches reference = %v\n", match)
+	fmt.Println("functional GEMM on secure core: result matches reference")
 
 	// The attacker (non-secure domain) probes the operand lines the
 	// secure compute just used.
 	buf := make([]byte, core.Scratchpad().LineBytes())
-	if err := core.Scratchpad().Read(spad.NonSecure, 0, buf); err != nil {
-		fmt.Printf("attacker probe of the secure operands: DENIED (%v)\n", err)
-	} else {
-		fmt.Println("attacker probe SUCCEEDED — isolation broken!")
+	err = core.Scratchpad().Read(spad.NonSecure, 0, buf)
+	if err == nil {
+		log.Fatal("attacker probe SUCCEEDED — isolation broken!")
 	}
+	fmt.Printf("attacker probe of the secure operands: DENIED (%v)\n", err)
 }

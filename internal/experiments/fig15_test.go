@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/npu"
+	"repro/internal/spad"
 )
 
 func TestFig15Shape(t *testing.T) {
@@ -86,5 +87,32 @@ func TestTable1Shape(t *testing.T) {
 	}
 	if !strings.Contains(res.TableString(), "snpu") {
 		t.Fatal("table rendering broken")
+	}
+}
+
+// Table1From reads only Table I's model from a Fig. 14 result over any
+// model set, and refuses one without it.
+func TestTable1FromReadsItsModel(t *testing.T) {
+	f15 := &Result[Fig15Row]{}
+	tile, coarse := spad.FlushPerTile.String(), spad.FlushPer5Layers.String()
+	rows := []Fig14Row{
+		{Model: "yololite", Granularity: tile, Normalized: 3},
+		{Model: Table1Model, Granularity: tile, Normalized: 1.5},
+		{Model: Table1Model, Granularity: coarse, Normalized: 1.25},
+		{Model: "yololite", Granularity: coarse, Normalized: 2},
+	}
+	res, err := Table1From(&Result[Fig14Row]{Rows: rows}, f15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for _, r := range res.Rows {
+		got[r.Mechanism] = r.MeasuredOverheadPct
+	}
+	if got["flush-fine"] != 50 || got["flush-coarse"] != 25 {
+		t.Fatalf("overheads %v, want flush-fine 50 and flush-coarse 25 from %s's rows", got, Table1Model)
+	}
+	if _, err := Table1From(&Result[Fig14Row]{Rows: rows[:1]}, f15); err == nil {
+		t.Fatalf("derived Table I from a Fig. 14 without %s", Table1Model)
 	}
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"repro/internal/npu"
 	"repro/internal/spad"
 	"repro/internal/workload"
@@ -39,17 +41,14 @@ var table1Cols = []Column[Table1Row]{
 	Col("measured-overhead%", "%.1f", func(r Table1Row) any { return r.MeasuredOverheadPct }),
 }
 
-// Table1 derives the comparison from measured data on one
-// representative model (alexnet — the most scratchpad-sensitive):
-//   - Partition: supports both sharing modes but wastes capacity; its
-//     overhead is the best static split's slowdown vs dynamic.
-//   - Coarse flush (5 layers): cheap but cannot preempt quickly (poor
-//     SLA).
-//   - Fine flush (tile): preempts quickly but pays heavy save/restore.
-//   - sNPU: both sharing modes, high utilization, good performance and
-//     SLA (tile-granular switching at zero flush cost).
+// Table1Model is the one model Table I measures: alexnet, the most
+// scratchpad-sensitive.
+const Table1Model = "alexnet"
+
+// Table1 runs the cells Table I needs, Fig. 14 for Table1Model and all
+// of Fig. 15, and derives the table from them (Table1From).
 func Table1(cfg npu.Config) (*Result[Table1Row], error) {
-	model, err := workload.Lookup("alexnet")
+	model, err := workload.Lookup(Table1Model)
 	if err != nil {
 		return nil, err
 	}
@@ -57,8 +56,31 @@ func Table1(cfg npu.Config) (*Result[Table1Row], error) {
 	if err != nil {
 		return nil, err
 	}
+	f15, err := Fig15(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return Table1From(fl, f15)
+}
+
+// Table1From derives the comparison from finished Fig. 14 and Fig. 15
+// results without running a cell. fig14 may cover any model set that
+// includes Table1Model; only that model's rows are read.
+//   - Partition: supports both sharing modes but wastes capacity; its
+//     overhead is the best static split's slowdown vs dynamic.
+//   - Coarse flush (5 layers): cheap but cannot preempt quickly (poor
+//     SLA).
+//   - Fine flush (tile): preempts quickly but pays heavy save/restore.
+//   - sNPU: both sharing modes, high utilization, good performance and
+//     SLA (tile-granular switching at zero flush cost).
+func Table1From(fig14 *Result[Fig14Row], fig15 *Result[Fig15Row]) (*Result[Table1Row], error) {
 	var tilePct, coarsePct float64
-	for _, r := range fl.Rows {
+	found := false
+	for _, r := range fig14.Rows {
+		if r.Model != Table1Model {
+			continue
+		}
+		found = true
 		switch r.Granularity {
 		case spad.FlushPerTile.String():
 			tilePct = (r.Normalized - 1) * 100
@@ -66,9 +88,8 @@ func Table1(cfg npu.Config) (*Result[Table1Row], error) {
 			coarsePct = (r.Normalized - 1) * 100
 		}
 	}
-	f15, err := Fig15(cfg)
-	if err != nil {
-		return nil, err
+	if !found {
+		return nil, fmt.Errorf("table1: fig14 has no %s rows", Table1Model)
 	}
 	// Partition overhead: the paper's point is that no single static
 	// fraction suits every workload pair. Score each static policy by
@@ -76,7 +97,7 @@ func Table1(cfg npu.Config) (*Result[Table1Row], error) {
 	// best such policy, and compare it against the dynamic policy's
 	// worst case.
 	worstOf := map[string]float64{}
-	for _, r := range f15.Rows {
+	for _, r := range fig15.Rows {
 		m := r.Trusted.Normalized
 		if r.Untrusted.Normalized > m {
 			m = r.Untrusted.Normalized

@@ -47,18 +47,17 @@ func (t *IOTLB) EnableParity() { t.parity = true }
 // Size reports the configured entry count.
 func (t *IOTLB) Size() int { return len(t.entries) }
 
-// entryParity folds the protected fields of an entry into one byte.
+// entryParity folds the protected fields of an entry into one byte:
+// the XOR of every byte of the VPN, the ASID and the PPN, then the
+// permission bits and 0x80 for a secure page. XOR is linear, so the
+// three words are XORed first and the one word folds to a byte in
+// three shifts.
 func entryParity(vpn uint64, asid int, pte PTE) uint8 {
-	var p uint8
-	fold := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			p ^= uint8(v >> (8 * i))
-		}
-	}
-	fold(vpn)
-	fold(uint64(asid))
-	fold(pte.PPN)
-	p ^= uint8(pte.Perm)
+	v := vpn ^ uint64(asid) ^ pte.PPN
+	v ^= v >> 32
+	v ^= v >> 16
+	v ^= v >> 8
+	p := uint8(v) ^ uint8(pte.Perm)
 	if pte.Secure {
 		p ^= 0x80
 	}

@@ -45,6 +45,9 @@ type secureTask struct {
 	// spanLo and spanHi bound the VAs the measured ops touch, derived
 	// at submit from those ops; load programs the Guarder from them.
 	spanLo, spanHi mem.VirtAddr
+	// measurement is the value the code verifier computed over those
+	// ops and checked at submit; Attest quotes it.
+	measurement tee.Measurement
 }
 
 // Transition bits for the monitor's state-transition coverage bitmap
@@ -168,8 +171,9 @@ func (m *Monitor) ProvisionKey(keyID string, key []byte) error {
 // submit is the code-verifier + trusted-allocator path behind FnSubmit:
 // decrypt the sealed model in c.Shared, measure the program against the
 // owner's expectation, allocate the task's secure-memory chunk, and
-// enqueue it. The task keeps what submit derived from the measured ops,
-// not c.Program, which stays in driver memory.
+// enqueue it. The task keeps what submit derived from the measured ops
+// (their measurement and VA span), not c.Program, which stays in
+// driver memory.
 func (m *Monitor) submit(c Call) (int, error) {
 	if c.Program == nil {
 		return 0, m.reject(fmt.Errorf("monitor: nil program"))
@@ -179,7 +183,8 @@ func (m *Monitor) submit(c Call) (int, error) {
 	if err := c.Program.Validate(); err != nil {
 		return 0, m.reject(fmt.Errorf("monitor: program rejected: %w", err))
 	}
-	if got := c.Program.Measurement(); got != c.Expected {
+	meas := c.Program.Measurement()
+	if meas != c.Expected {
 		m.note(TrSubmitBadMeas)
 		return 0, m.reject(ErrBadMeasurement)
 	}
@@ -209,13 +214,14 @@ func (m *Monitor) submit(c Call) (int, error) {
 		return 0, m.reject(err)
 	}
 	task := &secureTask{
-		ID:        m.nextID,
-		model:     model,
-		Chunk:     chunk,
-		ChunkSize: size,
-		Topology:  c.Topology,
-		spanLo:    lo,
-		spanHi:    hi,
+		ID:          m.nextID,
+		model:       model,
+		Chunk:       chunk,
+		ChunkSize:   size,
+		Topology:    c.Topology,
+		spanLo:      lo,
+		spanHi:      hi,
+		measurement: meas,
 	}
 	m.nextID++
 	m.queue = append(m.queue, task)
@@ -487,6 +493,19 @@ func (m *Monitor) mapNonSecure(core int, slot int, vbase mem.VirtAddr, pbase mem
 func (m *Monitor) HasTask(taskID int) bool {
 	_, ok := m.tasks[taskID]
 	return ok
+}
+
+// Attest quotes a held task: the Root-of-Trust binds the measurement
+// FnSubmit's code verifier checked to the boot chain and the nonce,
+// under the monitor's secure context. It hashes nothing and reads no
+// driver memory. A task the monitor no longer holds (never submitted,
+// unloaded, aborted, or dropped by Reset) gets no quote.
+func (m *Monitor) Attest(taskID int, nonce uint64) (tee.Report, error) {
+	t, ok := m.tasks[taskID]
+	if !ok {
+		return tee.Report{}, ErrUnknownTask
+	}
+	return m.machine.Attest(m.ctx, t.measurement, nonce)
 }
 
 // QueueLen reports pending (submitted, unloaded) secure tasks.

@@ -443,3 +443,59 @@ func TestMapNonSecureRefusesSecureSlot(t *testing.T) {
 		t.Fatalf("slot 1: %v", err)
 	}
 }
+
+// Attest quotes the measurement FnSubmit's code verifier checked. It
+// hashes nothing, so ops the driver changes after FnSubmit do not reach
+// the quote, and it is read-only: no call or rejection is counted and
+// no transition bit is set.
+func TestAttestQuotesVerifiedMeasurement(t *testing.T) {
+	w := bootWorld(t)
+	if _, err := w.mon.Attest(1, 7); !errors.Is(err, ErrUnknownTask) {
+		t.Fatalf("unknown task quoted: %v", err)
+	}
+	prog := testProgram(t)
+	checked := tee.Measurement(prog.Measurement())
+	id := submitSpec(t, w, prog, isolator.Topology{W: 1, H: 1})
+	calls, rejected := w.stats.Get(sim.CtrMonitorCalls), w.stats.Get(sim.CtrMonitorRejected)
+	bitmap := w.mon.TransitionBitmap()
+	prog.Ops[0].VA ^= 0x1000
+	for nonce := uint64(7); nonce < 9; nonce++ {
+		rep, err := w.mon.Attest(id, nonce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.TaskDigest != checked {
+			t.Fatalf("quote binds %v, want the verified %v", rep.TaskDigest, checked)
+		}
+		if err := w.machine.VerifyReport(rep, w.machine.BootChain().Attestation(), checked, nonce); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.stats.Get(sim.CtrMonitorCalls) != calls || w.stats.Get(sim.CtrMonitorRejected) != rejected {
+		t.Fatal("Attest counted a monitor call or rejection")
+	}
+	if w.mon.TransitionBitmap() != bitmap {
+		t.Fatal("Attest set a transition bit")
+	}
+}
+
+// A task the monitor no longer holds gets no quote: after FnUnload,
+// after FnAbort and after Reset.
+func TestAttestRefusesTasksNoLongerHeld(t *testing.T) {
+	for _, fn := range []FuncID{FnUnload, FnAbort} {
+		w := bootWorld(t)
+		id := submitSpec(t, w, testProgram(t), isolator.Topology{W: 1, H: 1})
+		if rep := w.mon.Dispatch(Call{Func: fn, Args: []uint64{uint64(id)}}); rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
+		if _, err := w.mon.Attest(id, 1); !errors.Is(err, ErrUnknownTask) {
+			t.Fatalf("task quoted after %s: %v", fn, err)
+		}
+	}
+	w := bootWorld(t)
+	id := submitSpec(t, w, testProgram(t), isolator.Topology{W: 1, H: 1})
+	w.mon.Reset()
+	if _, err := w.mon.Attest(id, 1); !errors.Is(err, ErrUnknownTask) {
+		t.Fatalf("task quoted after Reset: %v", err)
+	}
+}

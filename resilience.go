@@ -90,10 +90,14 @@ func (s *System) RunSecureResilient(h *SecureTaskHandle) (SecureRunReport, error
 // on a failure FnAbort, then — while fewer than maxRestarts
 // consecutive failures made no checkpoint progress — resubmit, pay the
 // restore and retry from the checkpoint. Past the budget it gives up
-// with ErrTaskAborted.
+// with ErrTaskAborted. A handle from before the last Reset is refused
+// (System.resets).
 func (s *System) runSecure(h *SecureTaskHandle, maxRestarts int) (rep SecureRunReport, err error) {
 	if s.mon == nil {
 		return rep, fmt.Errorf("snpu: baseline system has no monitor")
+	}
+	if h.resets != s.resets {
+		return rep, monitor.ErrUnknownTask
 	}
 	s.soc.NPU.ResetTiming()
 	injectedBefore := s.inj.Injected()

@@ -89,6 +89,9 @@ type System struct {
 	inj *fault.Injector
 	// obs is the attached observability layer (nil = off, the default).
 	obs *obs.Observer
+	// resets counts Reset calls. A handle from before the last one names
+	// a task Reset dropped, even when a later submit reuses its ID.
+	resets uint64
 }
 
 // New boots a system: memory regions, secure-boot chain, NPU cores
@@ -156,6 +159,7 @@ func (s *System) Reset() error {
 	clear(s.nextSlot)
 	s.inj = nil
 	s.obs = nil
+	s.resets++
 	if s.mon != nil {
 		s.mon.Reset()
 		if err := s.mon.SetupPlatform(experiments.ReservedBase, experiments.ReservedSize,
@@ -308,6 +312,8 @@ type SecureTaskHandle struct {
 	// abort re-verifies and re-decrypts it; no plaintext outlives the
 	// abort outside the monitor.
 	sealed []byte
+	// resets is the System's Reset count at submit (System.resets).
+	resets uint64
 }
 
 // ProvisionKey installs a model owner's sealing key into the monitor
@@ -339,15 +345,22 @@ type AttestationReport = tee.Report
 
 // Attest produces a Root-of-Trust quote binding the secure-boot chain
 // to a task's code measurement, for the model owner's verifier. The
-// monitor requests the quote on behalf of a submitted secure task.
+// monitor quotes the measurement its code verifier checked when the
+// task was submitted, so a quote costs no hash and never reads the
+// program the handle still points to in driver memory. A task the
+// monitor no longer holds (run to completion, aborted, or dropped by
+// Reset) gets no quote.
 func (s *System) Attest(h *SecureTaskHandle, nonce uint64) (AttestationReport, error) {
 	if s.mon == nil {
 		return AttestationReport{}, fmt.Errorf("snpu: baseline system has no monitor")
 	}
-	if h == nil || h.prog == nil {
+	if h == nil {
 		return AttestationReport{}, fmt.Errorf("snpu: nil task handle")
 	}
-	return s.soc.Machine.Attest(s.soc.Machine.SecureContext(), tee.Measurement(h.prog.Measurement()), nonce)
+	if h.resets != s.resets {
+		return AttestationReport{}, monitor.ErrUnknownTask
+	}
+	return s.mon.Attest(h.ID, nonce)
 }
 
 // VerifyAttestation is the model owner's check: the report must carry
@@ -400,6 +413,7 @@ func (s *System) SubmitSecureWorkload(w workload.Workload, keyID string, sealedM
 		prog:   prog,
 		keyID:  keyID,
 		sealed: append([]byte(nil), sealedModel...),
+		resets: s.resets,
 	}, nil
 }
 
