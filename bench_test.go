@@ -381,7 +381,7 @@ func BenchmarkDecodeServing(b *testing.B) {
 	var res *experiments.Result[Episode]
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = DecodeBench(1, false)
+		res, err = DecodeBench(1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -45,8 +45,6 @@ type options struct {
 	models   []workload.Workload
 	markdown bool
 	seed     int64
-	// small shrinks the randomized sweeps for CI smoke jobs.
-	small bool
 	// metricsDir, when set, exports per-experiment metrics files
 	// (<exp>.prom + <exp>.json) aggregated over the experiment's SoCs.
 	metricsDir string
@@ -192,7 +190,7 @@ func suiteSpecs() []expSpec {
 			return []section{{title, res.TableString()}}, nil
 		}},
 		{"decode", func(o options) ([]section, error) {
-			res, err := snpu.DecodeBench(o.seed, o.small)
+			res, err := snpu.DecodeBench(o.seed)
 			if err != nil {
 				return nil, err
 			}
@@ -201,7 +199,7 @@ func suiteSpecs() []expSpec {
 			return []section{{title, res.TableString()}}, nil
 		}},
 		{"resilience", func(o options) ([]section, error) {
-			res, err := snpu.ResilienceBench(o.seed, o.small)
+			res, err := snpu.ResilienceBench(o.seed)
 			if err != nil {
 				return nil, err
 			}
@@ -284,7 +282,6 @@ func main() {
 	markdown := flag.Bool("markdown", false, "emit fenced code blocks with headings")
 	outPath := flag.String("o", "", "write output to this file instead of stdout")
 	seed := flag.Int64("seed", 1, "seed for randomized experiments (serve, decode, resilience, chaos); same seed = identical output")
-	small := flag.Bool("small", false, "shrink randomized sweeps (resilience, decode) for CI smoke jobs")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "experiment-cell worker pool width; output is identical for any value")
 	benchJSON := flag.String("bench-json", "", "write a perf snapshot (wall-time per experiment, cells/sec, allocs) to this file")
 	benchAgainst := flag.String("bench-against", "", "compare wall-times and fig1 allocs/cell against a committed snapshot; exit 1 on regression")
@@ -308,7 +305,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := options{exp: *exp, models: models, markdown: *markdown, seed: *seed, small: *small}
+	opts := options{exp: *exp, models: models, markdown: *markdown, seed: *seed}
 
 	var seqMeasured []BenchExperiment
 	if *benchJSON != "" && *jobs > 1 {

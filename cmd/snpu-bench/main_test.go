@@ -120,7 +120,7 @@ func TestDifferentialChaosSeeded(t *testing.T) {
 // each with an armed transient-fault plan, retries, and shedding, must
 // render byte-identically at any pool width.
 func TestDifferentialResilienceSweep(t *testing.T) {
-	opts := options{exp: "resilience", seed: 5, small: testing.Short()}
+	opts := options{exp: "resilience", seed: 5}
 	seq := renderSuite(t, opts, 1)
 	par := renderSuite(t, opts, 4)
 	if !bytes.Equal(seq, par) {
@@ -135,7 +135,7 @@ func TestDifferentialResilienceSweep(t *testing.T) {
 // experiment alone: continuous batching, KV claims, and per-token
 // timing must render byte-identically at any pool width.
 func TestDifferentialDecodeSweep(t *testing.T) {
-	opts := options{exp: "decode", seed: 3, small: testing.Short()}
+	opts := options{exp: "decode", seed: 3}
 	seq := renderSuite(t, opts, 1)
 	par := renderSuite(t, opts, 4)
 	if !bytes.Equal(seq, par) {

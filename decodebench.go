@@ -88,22 +88,17 @@ func DecodeTrace(seed int64, n, tenants int) []sched.Request {
 	return reqs
 }
 
-// DecodeBench runs the batch-width sweep; small selects the CI smoke
-// shape (6 requests, batch widths 1 and 2). Each point replays the
+// DecodeBench runs the batch-width sweep. Each point replays the
 // seeded trace through one scheduler episode on a pooled protected SoC.
-func DecodeBench(seed int64, small bool) (*experiments.Result[Episode], error) {
-	requests, batches := decodeRequests, decodeBatches
-	if small {
-		requests, batches = 6, []int{1, 2}
-	}
-	rows, err := experiments.MapIndexed(len(batches), func(i int) (Episode, error) {
-		ep, err := runEpisode(seed, decodeTenants, nil, sched.Config{Cores: []int{0, 1}, MaxBatch: batches[i]},
-			DecodeTrace(seed, requests, decodeTenants),
+func DecodeBench(seed int64) (*experiments.Result[Episode], error) {
+	rows, err := experiments.MapIndexed(len(decodeBatches), func(i int) (Episode, error) {
+		ep, err := runEpisode(seed, decodeTenants, nil, sched.Config{Cores: []int{0, 1}, MaxBatch: decodeBatches[i]},
+			DecodeTrace(seed, decodeRequests, decodeTenants),
 			func(string) []byte { return []byte("decode preemptor model") })
 		if err != nil {
-			return Episode{}, fmt.Errorf("decode batch %d: %w", batches[i], err)
+			return Episode{}, fmt.Errorf("decode batch %d: %w", decodeBatches[i], err)
 		}
-		ep.MaxBatch = batches[i]
+		ep.MaxBatch = decodeBatches[i]
 		return ep, nil
 	})
 	if err != nil {

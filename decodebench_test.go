@@ -15,7 +15,7 @@ import (
 // preemption-induced inter-token tail collapses.
 func TestDecodeBenchDeterministicAndBatched(t *testing.T) {
 	experiments.SetPooling(false)
-	res, err := DecodeBench(1, false)
+	res, err := DecodeBench(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestDecodeBenchDeterministicAndBatched(t *testing.T) {
 
 	experiments.SetPooling(true)
 	defer experiments.SetPooling(true)
-	res2, err := DecodeBench(1, false)
+	res2, err := DecodeBench(1)
 	if err != nil {
 		t.Fatal(err)
 	}

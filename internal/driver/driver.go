@@ -65,10 +65,10 @@ func (d *Driver) Reserved() *mem.ContigAlloc { return d.reserved }
 
 // Submit compiles a workload under the given scratchpad budget (0 =
 // whole scratchpad) and allocates its DMA chunk. Each task gets its
-// own IOVA range (4 GiB apart) so concurrently mapped tasks never
-// alias in the access-control hardware.
+// own IOVA range (layoutFor), so tasks mapped side by side on one core
+// never alias in the access-control hardware.
 func (d *Driver) Submit(w workload.Workload, spadBudget int, secure bool) (*Task, error) {
-	prog, _, err := npu.CompileCached(w, d.cfg, spadBudget, LayoutFor(d.nextID))
+	prog, _, err := npu.CompileCached(w, d.cfg, spadBudget, layoutFor(d.nextID))
 	if err != nil {
 		return nil, err
 	}
@@ -80,21 +80,20 @@ func (d *Driver) Release(t *Task) error {
 	return d.reserved.Free(t.Chunk)
 }
 
-// LayoutFor is the per-task VA layout Submit would compile task `id`
-// under: each id gets its own 4 GiB-apart IOVA range so concurrently
-// mapped tasks never alias in the access-control hardware. Exposed so
-// callers that compile programs out-of-band (the scheduler's parallel
-// prepare phase) produce the same non-aliasing spans.
-func LayoutFor(id int) npu.Layout {
+// layoutFor is the VA layout Submit compiles task `id` under: each id
+// gets its own 4 GiB-apart IOVA range, so co-resident tasks (a
+// time-shared pair, the SLA probe's tenants) can hold their windows
+// side by side.
+func layoutFor(id int) npu.Layout {
 	return npu.Layout{WeightBase: npu.DefaultLayout.WeightBase + mem.VirtAddr(uint64(id)<<32)}
 }
 
-// SubmitProgram registers an externally compiled program as a task,
-// allocating only its DMA chunk. Compilation is pure, so callers may
-// run it on a worker pool and then register results here sequentially
-// — chunk addresses stay deterministic because the allocator sees one
-// fixed registration order. The caller owns VA-span uniqueness (use
-// LayoutFor).
+// SubmitProgram registers an already compiled program as a task,
+// allocating only its DMA chunk. The caller owns the VA span: a task
+// whose window is the only one mapped on its core (a scheduler job, a
+// solo run) compiles at npu.DefaultLayout and shares that compile with
+// every other request for the model; tasks mapped side by side need
+// distinct spans, which Submit gives them.
 func (d *Driver) SubmitProgram(w workload.Workload, prog *npu.Program, secure bool) (*Task, error) {
 	_, size := mem.PageWindow(prog.VASpan())
 	chunk, err := d.reserved.Alloc(size, mem.PageSize)

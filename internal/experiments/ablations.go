@@ -127,7 +127,7 @@ func AblationL2(model string, cfg npu.Config) (*AblationResult, error) {
 	for _, useL2 := range []bool{false, true} {
 		c := cfg
 		c.UseL2 = useL2
-		cycles, _, err := RunSolo(w, Mechanism{Name: "none"}, c)
+		cycles, _, err := RunSolo(w, c)
 		if err != nil {
 			return nil, err
 		}
@@ -254,7 +254,7 @@ func AblationBandwidth(model string, cfg npu.Config) (*AblationResult, error) {
 	rows, err := mapCells([]uint64{4, 8, 16, 32, 64}, func(bpc uint64) (AblationRow, error) {
 		c := cfg
 		c.DRAMBytesPerCycle = bpc
-		cycles, _, err := RunSolo(w, Mechanism{Name: "none"}, c)
+		cycles, _, err := RunSolo(w, c)
 		if err != nil {
 			return AblationRow{}, err
 		}

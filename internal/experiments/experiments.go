@@ -106,10 +106,10 @@ func Fig13Mechanisms() []Mechanism {
 	}
 }
 
-// RunSolo compiles a workload, installs the mechanism's mappings, and
-// runs it alone on core 0, returning the cycle count and the final
-// stats snapshot.
-func RunSolo(w workload.Workload, mech Mechanism, cfg npu.Config) (sim.Cycle, map[string]int64, error) {
+// RunSolo compiles a workload and runs it alone on core 0 behind the
+// boot identity translator (the unprotected baseline), returning the
+// cycle count and the final stats snapshot.
+func RunSolo(w workload.Workload, cfg npu.Config) (sim.Cycle, map[string]int64, error) {
 	soc, err := AcquireSoC(cfg)
 	if err != nil {
 		return 0, nil, err
@@ -121,9 +121,6 @@ func RunSolo(w workload.Workload, mech Mechanism, cfg npu.Config) (sim.Cycle, ma
 	}
 	core, err := soc.NPU.Core(0)
 	if err != nil {
-		return 0, nil, err
-	}
-	if err := installMechanism(soc, core, prog, mech, ReservedBase); err != nil {
 		return 0, nil, err
 	}
 	ex := npu.NewExec(core, prog, 1)
@@ -212,10 +209,10 @@ func installShared(soc *SoC, core0, core1 *npu.Core, prog0, prog1 *npu.Program, 
 	return nil
 }
 
-// installMechanism wires one access-control unit in front of core's
-// DMA engine and installs the program's mappings onto the physical
-// window at pa through the appropriate path: the untrusted driver maps
-// the IOMMU; the secure context setter programs the Guarder.
+// installMechanism wires a per-core access-control unit in front of
+// core's DMA engine: the Guarder, its window onto the physical range
+// at pa programmed by the secure context setter, or the identity
+// translator of the baseline. A shared IOMMU is installShared's.
 func installMechanism(soc *SoC, core *npu.Core, prog *npu.Program, mech Mechanism, pa mem.PhysAddr) error {
 	vbase, size := mem.PageWindow(prog.VASpan())
 	switch {
@@ -229,12 +226,6 @@ func installMechanism(soc *SoC, core *npu.Core, prog *npu.Program, mech Mechanis
 			return err
 		}
 		core.DMA().SetTranslator(g)
-	case mech.IOTLBEntries > 0:
-		u := iommu.New(iommu.DefaultConfig(mech.IOTLBEntries), soc.Stats)
-		if err := u.Table().MapRange(vbase, pa, size, mem.PermRW, false); err != nil {
-			return err
-		}
-		core.DMA().SetTranslator(u)
 	default:
 		core.DMA().SetTranslator(xlate.NewIdentity(soc.Stats))
 	}

@@ -29,7 +29,7 @@ var fig1Cols = []Column[Fig1Row]{
 // matters.
 func Fig1(models []workload.Workload, cfg npu.Config) (*Result[Fig1Row], error) {
 	rows, err := mapCells(models, func(w workload.Workload) (Fig1Row, error) {
-		cycles, _, err := RunSolo(w, Mechanism{Name: "none"}, cfg)
+		cycles, _, err := RunSolo(w, cfg)
 		if err != nil {
 			return Fig1Row{}, fmt.Errorf("fig1 %s: %w", w.Name, err)
 		}

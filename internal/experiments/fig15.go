@@ -75,7 +75,7 @@ func Fig15(cfg npu.Config) (*Result[Fig15Row], error) {
 		if err != nil {
 			return 0, err
 		}
-		c, _, err := RunSolo(w, Mechanism{Name: "none"}, cfg)
+		c, _, err := RunSolo(w, cfg)
 		if err != nil {
 			return 0, err
 		}

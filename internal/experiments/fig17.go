@@ -31,10 +31,6 @@ var fig17Cols = []Column[Fig17Row]{
 	Col("normalized", "%.3f", func(r Fig17Row) any { return r.Normalized }),
 }
 
-// fig17ShmVA is the shared-memory bounce buffer the software NoC
-// routes activations through.
-const fig17ShmVA = 0x8100_0000
-
 // Fig17 runs each model over a 2x2 core block under three transfer
 // methods: the unauthorized direct NoC, the peephole NoC, and the
 // software NoC through shared memory.
@@ -69,7 +65,7 @@ func Fig17(models []workload.Workload, cfg npu.Config) (*Result[Fig17Row], error
 				return Fig17Row{}, err
 			}
 		}
-		r, err := soc.NPU.RunModelParallel(w, coreIDs, method.mode, fig17ShmVA, nil)
+		r, err := soc.NPU.RunModelParallel(w, coreIDs, method.mode, nil)
 		if err != nil {
 			return Fig17Row{}, fmt.Errorf("fig17 %s/%s: %w", w.Name, method.name, err)
 		}

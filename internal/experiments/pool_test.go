@@ -19,21 +19,21 @@ import (
 // the same cell on a fresh boot, across reuse epochs) and isolation
 // (no prior tenant's bytes survive a recycle).
 
-// renderCells runs a representative mix of cells — solo and contended,
+// renderCells runs a representative mix of cells — solo, and contended
 // across the baseline/IOTLB/Guarder mechanisms — and renders every
 // cycle count and the full sorted stats snapshot into one byte string.
 func renderCells(t *testing.T, models []workload.Workload) []byte {
 	t.Helper()
 	cfg := npu.DefaultConfig()
 	var buf bytes.Buffer
-	for _, mech := range Fig13Mechanisms() {
-		for _, w := range models {
-			cyc, stats, err := RunSolo(w, mech, cfg)
-			if err != nil {
-				t.Fatalf("RunSolo(%s, %s): %v", w.Name, mech.Name, err)
-			}
-			fmt.Fprintf(&buf, "solo %s %s %d\n", w.Name, mech.Name, cyc)
-			writeStats(&buf, stats)
+	for _, w := range models {
+		cyc, stats, err := RunSolo(w, cfg)
+		if err != nil {
+			t.Fatalf("RunSolo(%s): %v", w.Name, err)
+		}
+		fmt.Fprintf(&buf, "solo %s %d\n", w.Name, cyc)
+		writeStats(&buf, stats)
+		for _, mech := range Fig13Mechanisms() {
 			cyc, stats, err = RunContended(w, mech, cfg)
 			if err != nil {
 				t.Fatalf("RunContended(%s, %s): %v", w.Name, mech.Name, err)

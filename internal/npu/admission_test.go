@@ -2,11 +2,16 @@ package npu_test
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	snpu "repro"
+	"repro/internal/guarder"
+	"repro/internal/mem"
 	"repro/internal/npu"
 	"repro/internal/sched"
+	"repro/internal/workload"
 )
 
 // secureSystem boots a protected System with one provisioned key and
@@ -103,5 +108,97 @@ func TestSchedulerAdmissionHashesOnce(t *testing.T) {
 	}
 	if rep.BatchedRuns != 1 {
 		t.Fatalf("%d batched runs, want the second request to join the first", rep.BatchedRuns)
+	}
+}
+
+// The scheduler compiles every request at the default layout and maps
+// only the running job's window: at each non-secure dispatch and
+// resume, the core's one valid non-secure translation register holds
+// the starting request's window. So the requests of one model share one
+// compile; the IDs here are used by no other test, so a layout per
+// request would miss the cache once per request.
+func TestSchedulerCompilesOnceAndMapsOneWindow(t *testing.T) {
+	sys, err := snpu.New(snpu.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	episode := func(onDecision func(sched.Decision), reqs ...sched.Request) *sched.Report {
+		t.Helper()
+		sc, err := sys.NewScheduler(sched.Config{Cores: []int{0}, OnDecision: onDecision})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range reqs {
+			if err := sc.Submit(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := sc.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Completed != len(reqs) {
+			t.Fatalf("%d of %d requests completed", rep.Completed, len(reqs))
+		}
+		return rep
+	}
+
+	var four []sched.Request
+	for id := 7101; id <= 7104; id++ {
+		four = append(four, sched.Request{ID: id, Tenant: "a", Model: "yololite"})
+	}
+	_, before := npu.ProgCacheCounters()
+	episode(nil, four...)
+	if _, after := npu.ProgCacheCounters(); after-before > 1 {
+		t.Fatalf("four yololite requests missed the compile cache %d times, want at most 1", after-before)
+	}
+
+	window := func(model string) guarder.TransReg {
+		w, err := workload.Lookup(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, _, err := npu.CompileCached(w, snpu.DefaultConfig().NPU, 0, npu.DefaultLayout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vbase, size := mem.PageWindow(prog.VASpan())
+		return guarder.TransReg{VBase: vbase, Size: size}
+	}
+	want := map[string]guarder.TransReg{"yololite": window("yololite"), "alexnet": window("alexnet")}
+	core, err := sys.NPU().Core(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, ok := core.DMA().Translator().(*guarder.Guarder)
+	if !ok {
+		t.Fatal("core 0 has no Guarder")
+	}
+	var starts []string
+	check := func(d sched.Decision) {
+		if d.Event != "dispatch" && d.Event != "resume" {
+			return
+		}
+		starts = append(starts, fmt.Sprintf("%s %d", d.Event, d.Req))
+		var valid []guarder.TransReg
+		for _, r := range g.TransRegs()[1:] { // slot 0 is the secure task's
+			if r.Valid {
+				valid = append(valid, r)
+			}
+		}
+		w := want[d.Model]
+		if len(valid) != 1 || valid[0].VBase != w.VBase || valid[0].Size != w.Size {
+			t.Errorf("%s of req %d (%s): valid non-secure windows %+v, want only [%#x,+%#x)",
+				d.Event, d.Req, d.Model, valid, uint64(w.VBase), w.Size)
+		}
+	}
+	rep := episode(check,
+		sched.Request{ID: 7201, Tenant: "lo", Model: "yololite"},
+		sched.Request{ID: 7202, Tenant: "hi", Model: "alexnet", Priority: 1, Arrival: 200_000})
+	if rep.Preemptions != 1 {
+		t.Fatalf("%d preemptions, want the alexnet request to preempt the yololite one", rep.Preemptions)
+	}
+	if got, wantStarts := strings.Join(starts, ", "), "dispatch 7201, dispatch 7202, resume 7201"; got != wantStarts {
+		t.Fatalf("starts %q, want %q", got, wantStarts)
 	}
 }

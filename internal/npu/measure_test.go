@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/driver"
 	"repro/internal/mem"
 	"repro/internal/npu"
 	"repro/internal/workload"
@@ -68,7 +67,7 @@ func referenceSpan(p *npu.Program) (lo, hi mem.VirtAddr) {
 }
 
 // forEachModel compiles every registry model at the default layout and
-// at a per-task driver layout, and hands each program to check.
+// at a layout 12 GiB above it, and hands each program to check.
 func forEachModel(t *testing.T, check func(t *testing.T, p *npu.Program)) {
 	t.Helper()
 	for _, name := range workload.Names() {
@@ -76,7 +75,7 @@ func forEachModel(t *testing.T, check func(t *testing.T, p *npu.Program)) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, layout := range []npu.Layout{npu.DefaultLayout, driver.LayoutFor(3)} {
+		for _, layout := range []npu.Layout{npu.DefaultLayout, {WeightBase: 0x3_0010_0000}} {
 			p, _, err := npu.Compile(w, npu.DefaultConfig(), 0, layout)
 			if err != nil {
 				t.Fatal(err)
@@ -170,7 +169,7 @@ func TestVASpanMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, _, err := npu.Compile(w, npu.DefaultConfig(), 0, driver.LayoutFor(5))
+		p, _, err := npu.Compile(w, npu.DefaultConfig(), 0, npu.Layout{WeightBase: 0x5_0010_0000})
 		if err != nil {
 			t.Fatal(err)
 		}

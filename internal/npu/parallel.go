@@ -111,6 +111,12 @@ func layerOutBytes(l workload.Layer) uint64 {
 	return total
 }
 
+// SharedMemVA is the software NoC's shared-memory bounce buffer
+// (TransferSharedMemory): an unprotected system identity-translates it
+// into the normal region, and a protected one maps it through the
+// Guarder onto NPU-reserved memory.
+const SharedMemVA = mem.VirtAddr(0x8100_0000)
+
 // MapWindow installs access-control state for one core's compiled
 // slice before a model-parallel run: on a protected system the
 // monitor's context setter programs the core's Guarder; unprotected
@@ -118,11 +124,10 @@ func layerOutBytes(l workload.Layer) uint64 {
 type MapWindow func(coreID int, prog *Program) error
 
 // RunModelParallel executes one inference of w split across the given
-// cores, exchanging activation slices after every layer per mode.
-// shmVA is the software-NoC bounce buffer (identity/guarder-translated
-// into the shared region); mapWindow (optional) installs each core's
-// translation window before execution.
-func (n *NPU) RunModelParallel(w workload.Workload, coreIDs []int, mode TransferMode, shmVA mem.VirtAddr, mapWindow MapWindow) (ModelParallelResult, error) {
+// cores, exchanging activation slices after every layer per mode (the
+// software NoC bounces them through SharedMemVA); mapWindow (optional)
+// installs each core's translation window before execution.
+func (n *NPU) RunModelParallel(w workload.Workload, coreIDs []int, mode TransferMode, mapWindow MapWindow) (ModelParallelResult, error) {
 	parts := len(coreIDs)
 	if parts == 0 {
 		return ModelParallelResult{}, fmt.Errorf("npu: no cores for model-parallel run")
@@ -185,7 +190,7 @@ func (n *NPU) RunModelParallel(w workload.Workload, coreIDs []int, mode Transfer
 			if bytes == 0 {
 				continue
 			}
-			done, err := n.allGatherFrom(cores, i, bytes, mode, shmVA, layerEnd)
+			done, err := n.allGatherFrom(cores, i, bytes, mode, layerEnd)
 			if err != nil {
 				return ModelParallelResult{}, err
 			}
@@ -211,7 +216,7 @@ const ExchangeTxnLines = 64
 
 // allGatherFrom broadcasts core src's slice to every peer in
 // streaming transactions.
-func (n *NPU) allGatherFrom(cores []*Core, src int, bytes uint64, mode TransferMode, shmVA mem.VirtAddr, at sim.Cycle) (sim.Cycle, error) {
+func (n *NPU) allGatherFrom(cores []*Core, src int, bytes uint64, mode TransferMode, at sim.Cycle) (sim.Cycle, error) {
 	s := cores[src]
 	txnBytes := uint64(ExchangeTxnLines * noc.FlitBytes)
 	var last sim.Cycle = at
@@ -248,7 +253,7 @@ func (n *NPU) allGatherFrom(cores []*Core, src int, bytes uint64, mode TransferM
 			if off+b > bytes {
 				b = bytes - off
 			}
-			storeDone, err := s.dmaEng.DoPipelined(storeLoad(shmVA+mem.VirtAddr(off), b, true, s), nil, s.domain, t)
+			storeDone, err := s.dmaEng.DoPipelined(storeLoad(SharedMemVA+mem.VirtAddr(off), b, true, s), nil, s.domain, t)
 			if err != nil {
 				return 0, err
 			}
@@ -257,7 +262,7 @@ func (n *NPU) allGatherFrom(cores []*Core, src int, bytes uint64, mode TransferM
 				if j == src {
 					continue
 				}
-				done, err := d.dmaEng.DoPipelined(storeLoad(shmVA+mem.VirtAddr(off), b, false, d), nil, d.domain, storeDone)
+				done, err := d.dmaEng.DoPipelined(storeLoad(SharedMemVA+mem.VirtAddr(off), b, false, d), nil, d.domain, storeDone)
 				if err != nil {
 					return 0, err
 				}

@@ -86,13 +86,13 @@ func TestStripOnChipActivations(t *testing.T) {
 func TestRunModelParallelValidation(t *testing.T) {
 	n := testNPU(t, DefaultConfig(), nil)
 	w := smallWorkload()
-	if _, err := n.RunModelParallel(w, nil, TransferNoC, 0, nil); err == nil {
+	if _, err := n.RunModelParallel(w, nil, TransferNoC, nil); err == nil {
 		t.Fatal("empty core list accepted")
 	}
-	if _, err := n.RunModelParallel(w, []int{99}, TransferNoC, 0, nil); err == nil {
+	if _, err := n.RunModelParallel(w, []int{99}, TransferNoC, nil); err == nil {
 		t.Fatal("out-of-range core accepted")
 	}
-	if _, err := n.RunModelParallel(w, []int{0, 1}, TransferMode(9), 0, nil); err == nil {
+	if _, err := n.RunModelParallel(w, []int{0, 1}, TransferMode(9), nil); err == nil {
 		t.Fatal("unknown transfer mode accepted")
 	}
 }
@@ -100,7 +100,7 @@ func TestRunModelParallelValidation(t *testing.T) {
 func TestRunModelParallelMapWindowFailurePropagates(t *testing.T) {
 	n := testNPU(t, DefaultConfig(), nil)
 	called := 0
-	_, err := n.RunModelParallel(smallWorkload(), []int{0, 1}, TransferNoC, 0,
+	_, err := n.RunModelParallel(smallWorkload(), []int{0, 1}, TransferNoC,
 		func(coreID int, prog *Program) error {
 			called++
 			return errTest
@@ -118,7 +118,7 @@ var errTest = workload.Workload{}.Validate() // any non-nil error
 func TestRunModelParallelSingleCoreDegeneratesToSolo(t *testing.T) {
 	w := smallWorkload()
 	n1 := testNPU(t, DefaultConfig(), nil)
-	res, err := n1.RunModelParallel(w, []int{0}, TransferNoC, 0, nil)
+	res, err := n1.RunModelParallel(w, []int{0}, TransferNoC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,10 +39,12 @@ type progEntry struct {
 }
 
 // progCacheMax bounds the cache. The suite uses ~10 distinct
-// (model, cfg, layout) combinations; scheduler-driven compiles use
-// per-task layouts (driver.LayoutFor) whose IDs grow without bound, so
-// on overflow the whole map is dropped — deterministic, and correctness
-// never depends on residency.
+// (model, cfg, layout) combinations, and the scheduler compiles every
+// request at the default layout; but driver.Submit gives each
+// co-resident task its own layout, keyed by a task ID that grows
+// without bound, and every distinct custom graph is a key of its own.
+// So on overflow the whole map is dropped — deterministic, and
+// correctness never depends on residency.
 const progCacheMax = 128
 
 var progCache = struct {

@@ -10,7 +10,7 @@ import (
 // must refuse before any channel resource is claimed.
 func TestRunModelParallelRejectsDuplicateCores(t *testing.T) {
 	n := testNPU(t, DefaultConfig(), nil)
-	_, err := n.RunModelParallel(smallWorkload(), []int{0, 1, 0}, TransferNoC, 0x8100_0000, nil)
+	_, err := n.RunModelParallel(smallWorkload(), []int{0, 1, 0}, TransferNoC, nil)
 	if err == nil {
 		t.Fatal("duplicate core list accepted")
 	}
@@ -25,7 +25,7 @@ func TestRunModelParallelRejectsDuplicateCores(t *testing.T) {
 func TestRunModelParallelRejectsOutOfRangeCores(t *testing.T) {
 	n := testNPU(t, DefaultConfig(), nil)
 	for _, cores := range [][]int{{-1}, {0, 99}, {0, 1, n.Config().Tiles}} {
-		if _, err := n.RunModelParallel(smallWorkload(), cores, TransferNoC, 0x8100_0000, nil); err == nil {
+		if _, err := n.RunModelParallel(smallWorkload(), cores, TransferNoC, nil); err == nil {
 			t.Fatalf("cores %v accepted", cores)
 		}
 	}
@@ -34,7 +34,7 @@ func TestRunModelParallelRejectsOutOfRangeCores(t *testing.T) {
 // Distinct, in-range cores still run.
 func TestRunModelParallelValidCoresStillRun(t *testing.T) {
 	n := testNPU(t, DefaultConfig(), nil)
-	res, err := n.RunModelParallel(smallWorkload(), []int{0, 1}, TransferNoC, 0x8100_0000, nil)
+	res, err := n.RunModelParallel(smallWorkload(), []int{0, 1}, TransferNoC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

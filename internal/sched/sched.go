@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"repro/internal/driver"
-	"repro/internal/guarder"
 	"repro/internal/mem"
 	"repro/internal/monitor"
 	"repro/internal/npu"
@@ -247,10 +246,7 @@ type job struct {
 	// loadCost is the one-time FnSubmit amortization charged at first
 	// load (verification handshake + streaming unseal).
 	loadCost sim.Cycle
-	// slot/mapped track the non-secure translation window.
-	slot   int
-	mapped bool
-	coreID int // affine core once started (-1 before)
+	coreID   int // affine core once started (-1 before)
 
 	// decode marks a continuous decode batch: requests join and leave
 	// at token boundaries.
@@ -297,7 +293,6 @@ type coreState struct {
 	freeAt sim.Cycle
 	cur    *job
 	resume []*job // preempted jobs, affine to this core
-	slots  []bool // translation-window slots 1..DefaultTransRegs-1; true = taken
 }
 
 // Scheduler runs one deterministic scheduling episode. It is not safe
@@ -542,9 +537,7 @@ func (s *Scheduler) Run() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.cores = append(s.cores, &coreState{
-			id: ci, core: core, slots: make([]bool, guarder.DefaultTransRegs),
-		})
+		s.cores = append(s.cores, &coreState{id: ci, core: core})
 	}
 	for _, rs := range s.all {
 		if !rs.terminal {
@@ -641,9 +634,10 @@ func (rs *reqState) workload() (workload.Workload, error) {
 	return workload.Lookup(rs.req.Model)
 }
 
-// prepare compiles every request's programs in submission order.
-// Per-request layouts keep VA spans non-aliasing (secure programs use
-// the monitor's fixed layout; the per-core slot-0 window disambiguates).
+// prepare compiles every request's programs in submission order, all at
+// the default layout: only the running job's window is mapped on a core
+// (startJob), so spans never need to differ and every request of one
+// model shares one cached compile.
 func (s *Scheduler) prepare() {
 	compile := func(rs *reqState) {
 		if rs.terminal { // shed at submit time: nothing to compile
@@ -663,14 +657,10 @@ func (s *Scheduler) prepare() {
 			}
 			passes = append(passes, wl)
 		}
-		layout := npu.DefaultLayout
-		if !rs.req.Secure {
-			layout = driver.LayoutFor(rs.req.ID)
-		}
 		progs := make([]*npu.Program, len(passes))
 		var floor sim.Cycle
 		for i, p := range passes {
-			prog, _, err := npu.CompileCached(p, s.deps.Cfg, 0, layout)
+			prog, _, err := npu.CompileCached(p, s.deps.Cfg, 0, npu.DefaultLayout)
 			if err != nil {
 				rs.errMsg = err.Error()
 				return
@@ -899,28 +889,10 @@ func (s *Scheduler) dispatchIdle(clock sim.Cycle) {
 	}
 }
 
-// canHost reports whether core c could start job j now: resumed jobs
-// are affine to their core; fresh non-secure jobs need a free
-// translation-window slot.
+// canHost reports whether core c could start job j now: a job that
+// has started is affine to its core.
 func (s *Scheduler) canHost(c *coreState, j *job) bool {
-	if j.coreID >= 0 && j.coreID != c.id {
-		return false
-	}
-	if !j.secure && !j.mapped && s.deps.Monitor != nil && s.freeSlot(c) < 0 {
-		return false
-	}
-	return true
-}
-
-// freeSlot finds the lowest free window slot on c (slot 0 is the
-// monitor's secure-task window).
-func (s *Scheduler) freeSlot(c *coreState) int {
-	for i := 1; i < len(c.slots); i++ {
-		if !c.slots[i] {
-			return i
-		}
-	}
-	return -1
+	return j.coreID < 0 || j.coreID == c.id
 }
 
 // dispatchOn picks the best placeable job for idle core c and starts
@@ -1068,26 +1040,20 @@ func (s *Scheduler) startJob(c *coreState, j *job, start sim.Cycle, resumed bool
 			start += s.flush(uint64(lines * lineBytes))
 			s.decide(start, c.id, "kv_alloc", m, fmt.Sprintf("lines=%d domain=%d", lines, rep.Value))
 		}
-	} else if s.deps.Monitor != nil && !j.mapped {
-		if j.slot == 0 {
-			j.slot = s.freeSlot(c)
-			if j.slot < 0 {
-				// canHost filtered this; defensive re-queue.
-				s.ready = append(s.ready, j)
-				return
-			}
-			c.slots[j.slot] = true
-		}
+	} else if s.deps.Monitor != nil {
+		// The Guarder caches no translations (§IV-A): every dispatch and
+		// resume programs the starting job's window into translation
+		// register 1, replacing whichever job ran here before. Slot 0
+		// is the secure task's.
 		vbase, size := mem.PageWindow(m.curProg().VASpan())
 		rep := s.deps.Monitor.Dispatch(monitor.Call{
 			Func: monitor.FnMapNonSecure,
-			Args: []uint64{uint64(c.id), uint64(j.slot), uint64(vbase), uint64(m.task.Chunk), size},
+			Args: []uint64{uint64(c.id), 1, uint64(vbase), uint64(m.task.Chunk), size},
 		})
 		if rep.Err != nil {
 			s.abortJob(c, j, start)
 			return
 		}
-		j.mapped = true
 	}
 	j.coreID = c.id
 	c.cur = j
@@ -1240,7 +1206,6 @@ func (s *Scheduler) preempt(c *coreState, at sim.Cycle) {
 			return
 		}
 		c.freeAt = at + s.flush(npu.FlushLiveBytes(m.curProg()))
-		s.invalidateWindows(c)
 	}
 	s.decide(at, c.id, "preempt", m, fmt.Sprintf("prio=%d", j.prio))
 	c.resume = append(c.resume, j)
@@ -1253,7 +1218,7 @@ func (s *Scheduler) preempt(c *coreState, at sim.Cycle) {
 // streaming cost of walking it — and the task then leaves the monitor:
 // by FnUnload when done, by the fail-closed FnAbort when failed, the
 // latter only while the monitor still holds the task. Non-secure
-// members release their DMA chunk and translation-window slot.
+// members release their DMA chunk.
 func (s *Scheduler) teardown(c *coreState, j *job, at sim.Cycle, abort bool) {
 	if j.secure {
 		s.closeBatch(j)
@@ -1264,12 +1229,9 @@ func (s *Scheduler) teardown(c *coreState, j *job, at sim.Cycle, abort bool) {
 		}
 		args := []uint64{uint64(j.monID)}
 		if !abort {
-			if rep := s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnUnload, Args: args}); rep.Err == nil {
-				s.invalidateWindows(c)
-			}
+			_ = s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnUnload, Args: args})
 		} else if s.deps.Monitor.HasTask(j.monID) {
 			_ = s.deps.Monitor.Dispatch(monitor.Call{Func: monitor.FnAbort, Args: args})
-			s.invalidateWindows(c)
 		}
 	} else {
 		for _, m := range j.members {
@@ -1278,25 +1240,10 @@ func (s *Scheduler) teardown(c *coreState, j *job, at sim.Cycle, abort bool) {
 				m.task = nil
 			}
 		}
-		if j.slot > 0 {
-			c.slots[j.slot] = false
-			j.slot = 0
-		}
 	}
 	s.memFreed = true
 	if c.cur == j {
 		c.cur = nil
-	}
-}
-
-// invalidateWindows records that the monitor's ClearTask wiped every
-// translation register on c: resident non-secure jobs must remap
-// before their next slice.
-func (s *Scheduler) invalidateWindows(c *coreState) {
-	for _, o := range c.resume {
-		if !o.secure {
-			o.mapped = false
-		}
 	}
 }
 

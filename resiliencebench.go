@@ -71,20 +71,15 @@ func resilienceTrace(seed int64, loadPerM float64, n, tenants int) []sched.Reque
 	return reqs
 }
 
-// ResilienceBench runs the grid; small selects the CI smoke shape
-// (12 requests, one load of 0.4/Mcyc, both fault rates). Each cell
-// installs a seeded transient-fault plan on a pooled protected SoC and
-// replays the deadlined trace through one scheduler episode with
-// retries and queue bounds armed.
-func ResilienceBench(seed int64, small bool) (*experiments.Result[Episode], error) {
-	requests, loads := resilienceRequests, resilienceLoadsPerM
-	if small {
-		requests, loads = 12, []float64{0.4}
-	}
-	rates := resilienceFaultRatesPerM
+// ResilienceBench runs the grid. Each cell installs a seeded
+// transient-fault plan on a pooled protected SoC and replays the
+// deadlined trace through one scheduler episode with retries and queue
+// bounds armed.
+func ResilienceBench(seed int64) (*experiments.Result[Episode], error) {
+	rates, loads := resilienceFaultRatesPerM, resilienceLoadsPerM
 	rows, err := experiments.MapIndexed(len(rates)*len(loads), func(i int) (Episode, error) {
 		rate, load := rates[i/len(loads)], loads[i%len(loads)]
-		ep, err := resilienceCell(seed+int64(i)*104729, rate, load, requests)
+		ep, err := resilienceCell(seed+int64(i)*104729, rate, load, resilienceRequests)
 		if err != nil {
 			return Episode{}, fmt.Errorf("resilience cell fault=%g load=%g: %w", rate, load, err)
 		}

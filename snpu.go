@@ -83,8 +83,6 @@ type System struct {
 	guarders map[int]*guarder.Guarder
 	drv      *driver.Driver
 	mon      *monitor.Monitor
-	// next translation-register slot per core for non-secure windows
-	nextSlot map[int]int
 	// inj is the armed fault injector (nil without a plan).
 	inj *fault.Injector
 	// obs is the attached observability layer (nil = off, the default).
@@ -115,7 +113,6 @@ func New(cfg Config) (*System, error) {
 		soc:      soc,
 		guarders: guarders,
 		drv:      driver.New(cfg.NPU, experiments.ReservedBase, experiments.ReservedSize, soc.Stats),
-		nextSlot: make(map[int]int),
 	}
 	if cfg.Protected {
 		mon, err := monitor.New(soc.Machine, soc.NPU, guarders, experiments.SecureBase, experiments.SecureSize, soc.Stats)
@@ -156,7 +153,6 @@ func (s *System) Reset() error {
 		g.Reset()
 	}
 	s.drv.Reset()
-	clear(s.nextSlot)
 	s.inj = nil
 	s.obs = nil
 	s.resets++
@@ -232,8 +228,9 @@ func Workloads() []string {
 }
 
 // RunModel runs one non-secure inference of a built-in model on core
-// 0: the driver compiles and allocates it, asks the monitor (via the
-// trampoline) to program the core's translation window, and executes.
+// 0: the model compiles at the default layout, the driver allocates
+// its chunk, the monitor (via the trampoline) programs the core's
+// translation window, and the core executes.
 func (s *System) RunModel(name string) (InferenceResult, error) {
 	w, err := workload.Lookup(name)
 	if err != nil {
@@ -249,7 +246,11 @@ func (s *System) RunModel(name string) (InferenceResult, error) {
 // concurrent execution).
 func (s *System) RunWorkload(w workload.Workload) (InferenceResult, error) {
 	s.soc.NPU.ResetTiming()
-	task, err := s.drv.Submit(w, 0, false)
+	prog, _, err := npu.CompileCached(w, s.cfg.NPU, 0, npu.DefaultLayout)
+	if err != nil {
+		return InferenceResult{}, err
+	}
+	task, err := s.drv.SubmitProgram(w, prog, false)
 	if err != nil {
 		return InferenceResult{}, err
 	}
@@ -258,7 +259,7 @@ func (s *System) RunWorkload(w workload.Workload) (InferenceResult, error) {
 	if err != nil {
 		return InferenceResult{}, err
 	}
-	if err := s.mapNonSecure(0, task); err != nil {
+	if err := s.mapNonSecure(0, 1, task); err != nil {
 		return InferenceResult{}, err
 	}
 	cycles, err := npu.NewExec(core, task.Program, task.ID).Run(0)
@@ -278,17 +279,16 @@ func (s *System) result(prog *npu.Program, cycles sim.Cycle) InferenceResult {
 	}
 }
 
-// mapNonSecure installs a task's translation window through the
-// monitor trampoline (protected systems) or not at all (baseline:
-// identity translation needs no window — but then the task's VAs must
-// equal PAs, so the baseline rewrites nothing and simply runs).
-func (s *System) mapNonSecure(core int, task *driver.Task) error {
+// mapNonSecure installs a task's translation window in one Guarder
+// slot (1..15; slot 0 is the secure task's) through the monitor
+// trampoline (protected systems) or not at all (baseline: identity
+// translation needs no window — but then the task's VAs must equal
+// PAs, so the baseline rewrites nothing and simply runs).
+func (s *System) mapNonSecure(core, slot int, task *driver.Task) error {
 	if s.mon == nil {
 		return nil
 	}
 	vbase, size := mem.PageWindow(task.Program.VASpan())
-	slot := s.nextSlot[core]%(guarder.DefaultTransRegs-1) + 1 // slot 0 is reserved for secure tasks
-	s.nextSlot[core]++
 	return s.mapWindow(core, slot, vbase, task.Chunk, size)
 }
 
@@ -444,10 +444,6 @@ const (
 // ModelParallelResult re-exports the multi-core run report.
 type ModelParallelResult = npu.ModelParallelResult
 
-// shmWindowVA is the shared-memory bounce buffer used by software-NoC
-// transfers, identity-translated into the normal region.
-const shmWindowVA = mem.VirtAddr(0x8100_0000)
-
 // RunModelParallel runs one inference of a built-in model split across
 // the given cores (a contiguous mesh block), exchanging activations
 // per mode. On protected systems the monitor programs each core's
@@ -471,10 +467,10 @@ func (s *System) RunModelParallel(name string, cores []int, mode TransferMode) (
 			// the tail of NPU-reserved memory so the platform checking
 			// registers cover it.
 			shmPA := experiments.ReservedBase + mem.PhysAddr(experiments.ReservedSize-(32<<20))
-			return s.mapWindow(coreID, 2, shmWindowVA, shmPA, 16<<20)
+			return s.mapWindow(coreID, 2, npu.SharedMemVA, shmPA, 16<<20)
 		}
 	}
-	return s.soc.NPU.RunModelParallel(w, cores, mode, shmWindowVA, mapWindow)
+	return s.soc.NPU.RunModelParallel(w, cores, mode, mapWindow)
 }
 
 // TimeShareResult re-exports the driver's time-sharing report.
@@ -542,8 +538,8 @@ func (s *System) TimeShare(nameA, nameB string, gran FlushGranularity, flush boo
 	if err != nil {
 		return TimeShareResult{}, err
 	}
-	for _, task := range []*driver.Task{ta, tb} {
-		if err := s.mapNonSecure(0, task); err != nil {
+	for i, task := range []*driver.Task{ta, tb} {
+		if err := s.mapNonSecure(0, i+1, task); err != nil {
 			return TimeShareResult{}, err
 		}
 	}

@@ -1,10 +1,10 @@
 package snpu
 
-// Golden pin for the beyond-paper sweep tables. The serve, resilience
-// (full and -small), decode (full and -small) and chaos sweeps must
-// render byte-identical tables for seeds 1–3, compared against a
-// committed file. The fresh-vs-pooled tests only compare a run with
-// itself; this one pins the numbers. -short checks seed 1 only.
+// Golden pin for the beyond-paper sweep tables. The serve, resilience,
+// decode and chaos sweeps must render byte-identical tables for seeds
+// 1–3, compared against a committed file. The fresh-vs-pooled tests
+// only compare a run with itself; this one pins the numbers. -short
+// checks seed 1 only.
 // Regenerate with:
 //
 //	go test . -run TestSweepTablesGolden -update-golden
@@ -40,10 +40,8 @@ var sweepPins = []struct {
 	render func(seed int64) (string, error)
 }{
 	{"serve", func(seed int64) (string, error) { return table(ServeBench(seed)) }},
-	{"resilience", func(seed int64) (string, error) { return table(ResilienceBench(seed, false)) }},
-	{"resilience-small", func(seed int64) (string, error) { return table(ResilienceBench(seed, true)) }},
-	{"decode", func(seed int64) (string, error) { return table(DecodeBench(seed, false)) }},
-	{"decode-small", func(seed int64) (string, error) { return table(DecodeBench(seed, true)) }},
+	{"resilience", func(seed int64) (string, error) { return table(ResilienceBench(seed)) }},
+	{"decode", func(seed int64) (string, error) { return table(DecodeBench(seed)) }},
 	{"chaos-yololite", func(seed int64) (string, error) { return table(Chaos("yololite", seed)) }},
 }
 
