@@ -104,7 +104,7 @@ func measureMetricsOverhead() (overheadReading, error) {
 	if err != nil {
 		return overheadReading{}, err
 	}
-	task, err := sys.Driver().Submit(w, 0, false)
+	task, err := sys.Driver().Submit(w, npu.DefaultLayout, false)
 	if err != nil {
 		return overheadReading{}, err
 	}

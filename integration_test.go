@@ -193,7 +193,7 @@ func TestDriverChurnNoLeak(t *testing.T) {
 	}
 	before := sys.Driver().Reserved().UsedBytes()
 	for i := 0; i < 10; i++ {
-		task, err := sys.Driver().Submit(w, 0, false)
+		task, err := sys.Driver().Submit(w, npu.DefaultLayout, false)
 		if err != nil {
 			t.Fatal(err)
 		}

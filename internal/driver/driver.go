@@ -1,8 +1,8 @@
 // Package driver is the *untrusted* NPU software stack: it allocates
 // DMA buffer chunks from NPU-reserved memory (the ION/CMA analogue),
 // compiles workloads into op streams, maps them for the access-control
-// hardware, and schedules tasks onto cores — time-shared at op-kernel
-// granularity or spatially across cores.
+// hardware, and time-shares tasks on a core at op-kernel, layer or
+// five-layer granularity.
 //
 // Nothing in this package is in the TCB (the untrusted software of
 // the paper's §III threat model). Secure tasks flow through the
@@ -52,9 +52,9 @@ func New(cfg npu.Config, reservedBase mem.PhysAddr, reservedSize uint64, stats *
 
 // Reset returns the driver to its freshly constructed state: the
 // reserved-memory allocator is emptied and task IDs restart at 1, so
-// a recycled System submits tasks with the same IDs, layouts, and
-// chunk addresses a fresh boot would — the determinism half of the
-// pooling contract.
+// a recycled System submits tasks with the same IDs and chunk
+// addresses a fresh boot would — the determinism half of the pooling
+// contract.
 func (d *Driver) Reset() {
 	d.reserved.Reset()
 	d.nextID = 1
@@ -63,12 +63,13 @@ func (d *Driver) Reset() {
 // Reserved exposes the reserved-memory allocator.
 func (d *Driver) Reserved() *mem.ContigAlloc { return d.reserved }
 
-// Submit compiles a workload under the given scratchpad budget (0 =
-// whole scratchpad) and allocates its DMA chunk. Each task gets its
-// own IOVA range (layoutFor), so tasks mapped side by side on one core
-// never alias in the access-control hardware.
-func (d *Driver) Submit(w workload.Workload, spadBudget int, secure bool) (*Task, error) {
-	prog, _, err := npu.CompileCached(w, d.cfg, spadBudget, layoutFor(d.nextID))
+// Submit compiles a workload for the whole scratchpad at the given VA
+// layout and allocates its DMA chunk. A task mapped alone takes
+// npu.DefaultLayout; of two tasks mapped side by side, the second takes
+// npu.CompanionLayout, so their windows never alias in the
+// access-control hardware.
+func (d *Driver) Submit(w workload.Workload, layout npu.Layout, secure bool) (*Task, error) {
+	prog, _, err := npu.CompileCached(w, d.cfg, 0, layout)
 	if err != nil {
 		return nil, err
 	}
@@ -80,20 +81,12 @@ func (d *Driver) Release(t *Task) error {
 	return d.reserved.Free(t.Chunk)
 }
 
-// layoutFor is the VA layout Submit compiles task `id` under: each id
-// gets its own 4 GiB-apart IOVA range, so co-resident tasks (a
-// time-shared pair, the SLA probe's tenants) can hold their windows
-// side by side.
-func layoutFor(id int) npu.Layout {
-	return npu.Layout{WeightBase: npu.DefaultLayout.WeightBase + mem.VirtAddr(uint64(id)<<32)}
-}
-
 // SubmitProgram registers an already compiled program as a task,
 // allocating only its DMA chunk. The caller owns the VA span: a task
 // whose window is the only one mapped on its core (a scheduler job, a
 // solo run) compiles at npu.DefaultLayout and shares that compile with
 // every other request for the model; tasks mapped side by side need
-// distinct spans, which Submit gives them.
+// distinct spans.
 func (d *Driver) SubmitProgram(w workload.Workload, prog *npu.Program, secure bool) (*Task, error) {
 	_, size := mem.PageWindow(prog.VASpan())
 	chunk, err := d.reserved.Alloc(size, mem.PageSize)
@@ -147,12 +140,7 @@ func (r TimeShareResult) Makespan() sim.Cycle {
 // save/restore cost of each switch (Fig. 14). flush=false at the same
 // granularity is sNPU's ID-isolated sharing: switches still happen,
 // but no scrubbing is needed for security, so they cost nothing.
-// gran == FlushNone selects tile-granularity switching with no flush
-// regardless of the flag.
 func (d *Driver) RunTimeShared(core *npu.Core, tasks []*Task, gran spad.FlushGranularity, flush bool) (TimeShareResult, error) {
-	if gran == spad.FlushNone {
-		flush = false
-	}
 	if len(tasks) == 0 {
 		return TimeShareResult{}, fmt.Errorf("driver: no tasks")
 	}
@@ -212,7 +200,7 @@ func boundaryFor(gran spad.FlushGranularity) npu.Boundary {
 		return npu.BoundaryLayers(1)
 	case spad.FlushPer5Layers:
 		return npu.BoundaryLayers(5)
-	default: // tile granularity, also used for FlushNone
+	default: // tile granularity
 		return npu.BoundaryTile
 	}
 }

@@ -40,7 +40,7 @@ func testSetup(t *testing.T) (*Driver, *npu.NPU) {
 
 func TestSubmitAllocatesChunk(t *testing.T) {
 	d, _ := testSetup(t)
-	task, err := d.Submit(smallWorkload("a"), 0, false)
+	task, err := d.Submit(smallWorkload("a"), npu.DefaultLayout, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,11 @@ func TestSubmitAllocatesChunk(t *testing.T) {
 
 func TestSubmitDistinctIDs(t *testing.T) {
 	d, _ := testSetup(t)
-	t1, err := d.Submit(smallWorkload("a"), 0, false)
+	t1, err := d.Submit(smallWorkload("a"), npu.DefaultLayout, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := d.Submit(smallWorkload("b"), 0, true)
+	t2, err := d.Submit(smallWorkload("b"), npu.DefaultLayout, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRunSoloWithIOMMU(t *testing.T) {
 	core.DMA().SetTranslator(u)
 
 	d := New(cfg, 0x8800_0000, 256<<20, stats)
-	task, err := d.Submit(smallWorkload("a"), 0, false)
+	task, err := d.Submit(smallWorkload("a"), npu.DefaultLayout, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,26 +115,26 @@ func TestRunSoloWithIOMMU(t *testing.T) {
 func TestTimeSharedFlushCostOrdering(t *testing.T) {
 	// tile-granularity flushing must cost more than 5-layer flushing,
 	// which must cost more than no flushing at all.
-	run := func(gran spad.FlushGranularity) sim.Cycle {
+	run := func(gran spad.FlushGranularity, flush bool) sim.Cycle {
 		d, n := testSetup(t)
 		core, _ := n.Core(0)
-		t1, err := d.Submit(smallWorkload("a"), 0, true)
+		t1, err := d.Submit(smallWorkload("a"), npu.DefaultLayout, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t2, err := d.Submit(smallWorkload("b"), 0, false)
+		t2, err := d.Submit(smallWorkload("b"), npu.DefaultLayout, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := d.RunTimeShared(core, []*Task{t1, t2}, gran, true)
+		res, err := d.RunTimeShared(core, []*Task{t1, t2}, gran, flush)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Makespan()
 	}
-	none := run(spad.FlushNone)
-	five := run(spad.FlushPer5Layers)
-	tile := run(spad.FlushPerTile)
+	none := run(spad.FlushPerTile, false)
+	five := run(spad.FlushPer5Layers, true)
+	tile := run(spad.FlushPerTile, true)
 	// Finer flushing costs more; no-flush tile sharing is cheapest at
 	// the same (tile) switching granularity.
 	if !(none < tile && five < tile) {
@@ -145,8 +145,8 @@ func TestTimeSharedFlushCostOrdering(t *testing.T) {
 func TestTimeSharedBothFinish(t *testing.T) {
 	d, n := testSetup(t)
 	core, _ := n.Core(0)
-	t1, _ := d.Submit(smallWorkload("a"), 0, false)
-	t2, _ := d.Submit(smallWorkload("b"), 0, false)
+	t1, _ := d.Submit(smallWorkload("a"), npu.DefaultLayout, false)
+	t2, _ := d.Submit(smallWorkload("b"), npu.DefaultLayout, false)
 	res, err := d.RunTimeShared(core, []*Task{t1, t2}, spad.FlushPerLayer, true)
 	if err != nil {
 		t.Fatal(err)
@@ -162,52 +162,7 @@ func TestTimeSharedBothFinish(t *testing.T) {
 	if res.FlushCycles <= 0 {
 		t.Fatal("no flush cost recorded")
 	}
-	if err := func() error { _, err := d.RunTimeShared(core, nil, spad.FlushNone, false); return err }(); err == nil {
+	if err := func() error { _, err := d.RunTimeShared(core, nil, spad.FlushPerTile, false); return err }(); err == nil {
 		t.Fatal("empty task list accepted")
-	}
-}
-
-func TestSpatialStaticVsDynamic(t *testing.T) {
-	cfg := npu.DefaultConfig()
-	stats := sim.NewStats()
-	n, err := npu.New(cfg, mem.NewPhysical(), stats, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := smallWorkload("a"), smallWorkload("b")
-	var static []SpatialResult
-	for _, pol := range StaticPartitions() {
-		n.ResetTiming()
-		r, err := RunSpatialPair(n, a, b, pol, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.CyclesA <= 0 || r.CyclesB <= 0 {
-			t.Fatalf("%s: zero runtime", pol.Name)
-		}
-		static = append(static, r)
-	}
-	n.ResetTiming()
-	dyn, err := RunSpatialPair(n, a, b, DynamicPolicy(), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The dynamic policy searches splits including the static ones, so
-	// its objective is never worse than the best static choice.
-	for _, s := range static {
-		if dyn.Objective() > s.Objective() {
-			t.Fatalf("dynamic objective %v worse than %s %v", dyn.Objective(), s.Policy, s.Objective())
-		}
-	}
-}
-
-func TestSpatialResultMakespan(t *testing.T) {
-	r := SpatialResult{CyclesA: 10, CyclesB: 20}
-	if r.Makespan() != 20 {
-		t.Fatal("makespan")
-	}
-	r = SpatialResult{CyclesA: 30, CyclesB: 20}
-	if r.Makespan() != 30 {
-		t.Fatal("makespan")
 	}
 }

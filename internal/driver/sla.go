@@ -1,8 +1,6 @@
 package driver
 
 import (
-	"fmt"
-
 	"repro/internal/npu"
 	"repro/internal/sim"
 	"repro/internal/spad"
@@ -20,21 +18,19 @@ import (
 type PreemptionResult struct {
 	// ArrivalCycle is when the high-priority task became runnable.
 	ArrivalCycle sim.Cycle
-	// StartCycle is when it first ran on the core.
+	// StartCycle is the first cycle it may run on the core.
 	StartCycle sim.Cycle
 }
 
 // Latency is the SLA metric: arrival-to-start delay.
 func (r PreemptionResult) Latency() sim.Cycle { return r.StartCycle - r.ArrivalCycle }
 
-// MeasurePreemption runs `low` on the core, lets `high` arrive at the
-// given cycle, and reports when high actually starts. The scheduler
-// honours the boundary granularity (gran; FlushNone = tile boundaries)
-// and pays the flush when flush is true.
-func (d *Driver) MeasurePreemption(core *npu.Core, low, high *Task, arrival sim.Cycle, gran spad.FlushGranularity, flush bool) (PreemptionResult, error) {
-	if gran == spad.FlushNone {
-		flush = false
-	}
+// MeasurePreemption runs `low` on the core, lets a high-priority task
+// arrive at the given cycle, and reports when that task could start.
+// The scheduler honours the boundary granularity (gran) and pays the
+// flush when flush is true; sNPU's ID isolation is tile boundaries with
+// no flush.
+func (d *Driver) MeasurePreemption(core *npu.Core, low *Task, arrival sim.Cycle, gran spad.FlushGranularity, flush bool) (PreemptionResult, error) {
 	lowExec := npu.NewExec(core, low.Program, low.ID)
 	bound := boundaryFor(gran)
 	var now sim.Cycle
@@ -64,25 +60,5 @@ func (d *Driver) MeasurePreemption(core *npu.Core, low, high *Task, arrival sim.
 			d.cfg.DRAMBytesPerCycle, d.cfg.DRAMLatency, d.stats)
 	}
 	d.stats.Inc(sim.CtrCtxSwitches)
-	// The high-priority task's first op-kernel marks its start; we
-	// only need the scheduling delay, not its full runtime.
-	highExec := npu.NewExec(core, high.Program, high.ID)
-	if _, err := highExec.RunUntil(start, npu.BoundaryTile); err != nil {
-		return PreemptionResult{}, err
-	}
 	return PreemptionResult{ArrivalCycle: arrival, StartCycle: start}, nil
-}
-
-// SLAProbe is a convenience wrapper: submit two copies of a model,
-// measure the preemption latency at a mid-run arrival point.
-func (d *Driver) SLAProbe(core *npu.Core, model *Task, gran spad.FlushGranularity, flush bool, arrival sim.Cycle) (PreemptionResult, error) {
-	if model == nil {
-		return PreemptionResult{}, fmt.Errorf("driver: nil task")
-	}
-	high, err := d.Submit(model.Model, 0, true)
-	if err != nil {
-		return PreemptionResult{}, err
-	}
-	defer func() { _ = d.Release(high) }()
-	return d.MeasurePreemption(core, model, high, arrival, gran, flush)
 }

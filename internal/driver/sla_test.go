@@ -3,6 +3,7 @@ package driver
 import (
 	"testing"
 
+	"repro/internal/npu"
 	"repro/internal/sim"
 	"repro/internal/spad"
 )
@@ -12,14 +13,14 @@ func TestPreemptionLatencyOrdering(t *testing.T) {
 	// latency; coarser flushing buys throughput at the cost of SLA.
 	d, n := testSetup(t)
 	core, _ := n.Core(0)
-	low, err := d.Submit(smallWorkload("low"), 0, false)
+	low, err := d.Submit(smallWorkload("low"), npu.DefaultLayout, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	arrival := sim.Cycle(15_000) // mid-run: the small workload takes ~47k cycles solo
 	latency := func(gran spad.FlushGranularity, flush bool) sim.Cycle {
 		n.ResetTiming()
-		r, err := d.SLAProbe(core, low, gran, flush, arrival)
+		r, err := d.MeasurePreemption(core, low, arrival, gran, flush)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +29,7 @@ func TestPreemptionLatencyOrdering(t *testing.T) {
 		}
 		return r.Latency()
 	}
-	snpuTile := latency(spad.FlushNone, false)
+	snpuTile := latency(spad.FlushPerTile, false)
 	flushTile := latency(spad.FlushPerTile, true)
 	coarse := latency(spad.FlushPer5Layers, true)
 	if snpuTile > flushTile {
@@ -46,25 +47,17 @@ func TestPreemptionLatencyOrdering(t *testing.T) {
 func TestPreemptionAfterLowFinishes(t *testing.T) {
 	d, n := testSetup(t)
 	core, _ := n.Core(0)
-	low, err := d.Submit(smallWorkload("low"), 0, false)
+	low, err := d.Submit(smallWorkload("low"), npu.DefaultLayout, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Arrival far beyond the low task's completion: the core is idle,
-	// latency must be ~0 (one op-kernel issue, no flush).
-	r, err := d.SLAProbe(core, low, spad.FlushPer5Layers, true, 1<<40)
+	// so there is no boundary to wait for and nothing to flush.
+	r, err := d.MeasurePreemption(core, low, 1<<40, spad.FlushPer5Layers, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Latency() != 0 {
 		t.Fatalf("idle-core preemption latency = %d, want 0", r.Latency())
-	}
-}
-
-func TestSLAProbeNilTask(t *testing.T) {
-	d, n := testSetup(t)
-	core, _ := n.Core(0)
-	if _, err := d.SLAProbe(core, nil, spad.FlushNone, false, 0); err == nil {
-		t.Fatal("nil task accepted")
 	}
 }

@@ -284,7 +284,7 @@ func AblationPreemption(model string, cfg npu.Config) (*AblationResult, error) {
 	}
 	defer soc.Release()
 	d := driver.New(cfg, ReservedBase, ReservedSize, soc.Stats)
-	low, err := d.Submit(w, 0, false)
+	low, err := d.Submit(w, npu.DefaultLayout, false)
 	if err != nil {
 		return nil, err
 	}
@@ -303,13 +303,13 @@ func AblationPreemption(model string, cfg npu.Config) (*AblationResult, error) {
 		gran  spad.FlushGranularity
 		flush bool
 	}{
-		{"snpu-tile", spad.FlushNone, false},
+		{"snpu-tile", spad.FlushPerTile, false},
 		{"flush-tile", spad.FlushPerTile, true},
 		{"flush-layer", spad.FlushPerLayer, true},
 		{"flush-5layers", spad.FlushPer5Layers, true},
 	} {
 		soc.NPU.ResetTiming()
-		r, err := d.SLAProbe(core, low, c.gran, c.flush, arrival)
+		r, err := d.MeasurePreemption(core, low, arrival, c.gran, c.flush)
 		if err != nil {
 			return nil, err
 		}

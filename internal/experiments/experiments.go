@@ -132,11 +132,6 @@ func RunSolo(w workload.Workload, cfg npu.Config) (sim.Cycle, map[string]int64, 
 	return end, snap, nil
 }
 
-// CompanionLayout places a second task's VA window away from the
-// first so both can share one IO page table (distinct IOVA ranges, as
-// a real driver would allocate).
-var CompanionLayout = npu.Layout{WeightBase: 0x4000_0000}
-
 // RunContended reproduces the paper's multi-tasking environment: the
 // measured model runs on core 0 while a companion copy runs on core 1,
 // both behind the SAME access-control unit (the TrustZone-NPU design
@@ -154,36 +149,53 @@ func RunContended(w workload.Workload, mech Mechanism, cfg npu.Config) (sim.Cycl
 	if err != nil {
 		return 0, nil, err
 	}
-	prog1, _, err := npu.CompileCached(w, cfg, 0, CompanionLayout)
+	prog1, _, err := npu.CompileCached(w, cfg, 0, npu.CompanionLayout)
 	if err != nil {
 		return 0, nil, err
 	}
-	core0, err := soc.NPU.Core(0)
+	if err := installShared(soc, prog0, prog1, mech); err != nil {
+		return 0, nil, err
+	}
+	end, _, err := runPairOn(soc, prog0, prog1)
 	if err != nil {
 		return 0, nil, err
+	}
+	return end, soc.Stats.Snapshot(), nil
+}
+
+// runPairOn runs prog0 on core 0 and prog1 on core 1 of soc,
+// interleaved so their DRAM-channel contention is mutual rather than
+// sequential, and returns each core's finish cycle.
+func runPairOn(soc *SoC, prog0, prog1 *npu.Program) (sim.Cycle, sim.Cycle, error) {
+	var execs []*npu.Exec
+	for i, prog := range []*npu.Program{prog0, prog1} {
+		core, err := soc.NPU.Core(i)
+		if err != nil {
+			return 0, 0, err
+		}
+		execs = append(execs, npu.NewExec(core, prog, i+1))
+	}
+	now := make([]sim.Cycle, len(execs))
+	if err := npu.Interleave(execs, now, nil); err != nil {
+		return 0, 0, err
+	}
+	return now[0], now[1], nil
+}
+
+// installShared wires the mechanism for the contended pair on cores 0
+// and 1. For an IOMMU, one unit serves both cores (stream-tagged
+// entries, so no flush between streams, but full capacity contention).
+// For the Guarder and the baseline, state is per core. Each task's
+// window maps onto its own half of the reserved region.
+func installShared(soc *SoC, prog0, prog1 *npu.Program, mech Mechanism) error {
+	core0, err := soc.NPU.Core(0)
+	if err != nil {
+		return err
 	}
 	core1, err := soc.NPU.Core(1)
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
-	if err := installShared(soc, core0, core1, prog0, prog1, mech); err != nil {
-		return 0, nil, err
-	}
-
-	execs := []*npu.Exec{npu.NewExec(core0, prog0, 1), npu.NewExec(core1, prog1, 2)}
-	now := make([]sim.Cycle, len(execs))
-	if err := npu.Interleave(execs, now, nil); err != nil {
-		return 0, nil, err
-	}
-	return now[0], soc.Stats.Snapshot(), nil
-}
-
-// installShared wires the mechanism for the contended pair. For an
-// IOMMU, one unit serves both cores (stream-tagged entries, so no
-// flush between streams, but full capacity contention). For the
-// Guarder and the baseline, state is per core. Each task's window maps
-// onto its own half of the reserved region.
-func installShared(soc *SoC, core0, core1 *npu.Core, prog0, prog1 *npu.Program, mech Mechanism) error {
 	companionPA := ReservedBase + mem.PhysAddr(ReservedSize/2)
 	if mech.IOTLBEntries == 0 {
 		if err := installMechanism(soc, core0, prog0, mech, ReservedBase); err != nil {

@@ -48,11 +48,11 @@ func Fig14(models []workload.Workload, cfg npu.Config) (*Result[Fig14Row], error
 		}
 		defer soc.Release()
 		d := driver.New(cfg, ReservedBase, ReservedSize, soc.Stats)
-		t1, err := d.Submit(w, 0, true)
+		t1, err := d.Submit(w, npu.DefaultLayout, true)
 		if err != nil {
 			return 0, err
 		}
-		t2, err := d.Submit(w, 0, false)
+		t2, err := d.Submit(w, npu.CompanionLayout, false)
 		if err != nil {
 			return 0, err
 		}

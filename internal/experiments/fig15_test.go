@@ -25,11 +25,7 @@ func TestFig15Shape(t *testing.T) {
 		if worst[r.Group] == nil {
 			worst[r.Group] = map[string]float64{}
 		}
-		m := r.Trusted.Normalized
-		if r.Untrusted.Normalized > m {
-			m = r.Untrusted.Normalized
-		}
-		worst[r.Group][r.Policy] = m
+		worst[r.Group][r.Policy] = worseOf(r)
 		// Sharing never beats running alone with the whole scratchpad.
 		if r.Trusted.Normalized < 0.999 || r.Untrusted.Normalized < 0.999 {
 			t.Errorf("%s/%s: shared run faster than solo (%v / %v)",

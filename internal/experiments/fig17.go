@@ -31,9 +31,6 @@ var fig17Cols = []Column[Fig17Row]{
 	Col("normalized", "%.3f", func(r Fig17Row) any { return r.Normalized }),
 }
 
-// Fig17 runs each model over a 2x2 core block under three transfer
-// methods: the unauthorized direct NoC, the peephole NoC, and the
-// software NoC through shared memory.
 // fig17Methods is the transfer-method comparison set; the first entry
 // is the normalization baseline.
 var fig17Methods = []struct {
@@ -46,6 +43,9 @@ var fig17Methods = []struct {
 	{"software-noc", false, npu.TransferSharedMemory},
 }
 
+// Fig17 runs each model over a 2x2 core block under three transfer
+// methods: the unauthorized direct NoC, the peephole NoC, and the
+// software NoC through shared memory.
 func Fig17(models []workload.Workload, cfg npu.Config) (*Result[Fig17Row], error) {
 	rows, err := runCells(len(models)*len(fig17Methods), func(i int) (Fig17Row, error) {
 		w, method := models[i/len(fig17Methods)], fig17Methods[i%len(fig17Methods)]

@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"repro/internal/driver"
 	"repro/internal/npu"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -93,24 +92,27 @@ func TestGoldenFig14(t *testing.T) {
 // TestGoldenFig15 pins the smallest spatial-sharing cell: group 1
 // (alexnet + yololite) under the dynamic policy.
 func TestGoldenFig15Cell(t *testing.T) {
-	cfg := npu.DefaultConfig()
-	soc, err := NewSoC(cfg, nil)
+	res, err := fig15(npu.DefaultConfig(), Fig15Groups()[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := driver.RunSpatialPair(soc.NPU,
-		goldenModel(t, "alexnet"), goldenModel(t, "yololite"),
-		driver.DynamicPolicy(), goldenAlexnetSolo, goldenYololiteSolo)
-	if err != nil {
-		t.Fatal(err)
+	r := res.Rows[len(res.Rows)-1]
+	if r.Policy != "snpu-dynamic" {
+		t.Fatalf("last group1 row is %s, want snpu-dynamic", r.Policy)
 	}
 	const wantA, wantB = sim.Cycle(30681298), sim.Cycle(5131129)
-	if r.CyclesA != wantA || r.CyclesB != wantB {
+	if r.Trusted.Cycles != wantA || r.Untrusted.Cycles != wantB {
 		t.Errorf("fig15 group1/dynamic = (%d, %d), pinned (%d, %d)",
-			r.CyclesA, r.CyclesB, wantA, wantB)
+			r.Trusted.Cycles, r.Untrusted.Cycles, wantA, wantB)
 	}
 	if r.FractionA != 0.75 {
 		t.Errorf("fig15 group1/dynamic fracA = %v, pinned 0.75", r.FractionA)
+	}
+	// The pair is normalized against the pinned solo runs.
+	if r.Trusted.Normalized != float64(wantA)/float64(goldenAlexnetSolo) ||
+		r.Untrusted.Normalized != float64(wantB)/float64(goldenYololiteSolo) {
+		t.Errorf("fig15 group1/dynamic normalized (%v, %v) against other than the pinned solo runs",
+			r.Trusted.Normalized, r.Untrusted.Normalized)
 	}
 }
 

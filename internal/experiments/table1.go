@@ -98,11 +98,7 @@ func Table1From(fig14 *Result[Fig14Row], fig15 *Result[Fig15Row]) (*Result[Table
 	// worst case.
 	worstOf := map[string]float64{}
 	for _, r := range fig15.Rows {
-		m := r.Trusted.Normalized
-		if r.Untrusted.Normalized > m {
-			m = r.Untrusted.Normalized
-		}
-		if m > worstOf[r.Policy] {
+		if m := worseOf(r); m > worstOf[r.Policy] {
 			worstOf[r.Policy] = m
 		}
 	}

@@ -202,3 +202,43 @@ func TestSchedulerCompilesOnceAndMapsOneWindow(t *testing.T) {
 		t.Fatalf("starts %q, want %q", got, wantStarts)
 	}
 }
+
+// A time-shared pair compiles at the two fixed co-resident layouts, so
+// a second TimeShare of the same models on one System compiles nothing,
+// and core 0 ends with the pair's two windows side by side in
+// translation registers 1 and 2.
+func TestTimeShareCompilesOncePerLayout(t *testing.T) {
+	sys, err := snpu.New(snpu.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeShare := func() {
+		t.Helper()
+		if _, err := sys.TimeShare("yololite", "mobilenet", snpu.FlushPerLayer, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	timeShare() // warm-up: compiles each model at its layout
+	_, before := npu.ProgCacheCounters()
+	timeShare()
+	if _, after := npu.ProgCacheCounters(); after != before {
+		t.Fatalf("a second TimeShare added %d compile-cache misses, want 0", after-before)
+	}
+
+	core, err := sys.NPU().Core(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, ok := core.DMA().Translator().(*guarder.Guarder)
+	if !ok {
+		t.Fatal("core 0 has no Guarder")
+	}
+	regs := g.TransRegs()
+	a, b := regs[1], regs[2]
+	if !a.Valid || !b.Valid {
+		t.Fatalf("translation registers 1 and 2: %+v, %+v, want both valid", a, b)
+	}
+	if uint64(a.VBase) < uint64(b.VBase)+b.Size && uint64(b.VBase) < uint64(a.VBase)+a.Size {
+		t.Fatalf("windows [%#x,+%#x) and [%#x,+%#x) overlap", uint64(a.VBase), a.Size, uint64(b.VBase), b.Size)
+	}
+}

@@ -244,6 +244,12 @@ type Layout struct {
 // window starting at 1 MiB with activations following the weights.
 var DefaultLayout = Layout{WeightBase: 0x10_0000}
 
+// CompanionLayout is the second task's plan when two windows are mapped
+// at once (a time-shared pair on one core, Fig. 13's pair behind one
+// shared IOMMU). Every built-in model's DefaultLayout window ends below
+// it (vgg16, the largest, at 0x0E36_23E8), so the two never overlap.
+var CompanionLayout = Layout{WeightBase: 0x4000_0000}
+
 // CompileStats summarizes what the compiler produced.
 type CompileStats struct {
 	Ops          int

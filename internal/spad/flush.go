@@ -5,19 +5,17 @@ import "repro/internal/sim"
 // This file models the flushing strawman the paper compares against
 // (Table I, Fig. 14): scratchpad flushes with context save/restore,
 // which add no hardware but cost performance. The other strawman,
-// Fig. 15's static partition, is the driver's spatial split
-// (driver.SpatialPolicy).
+// Fig. 15's static partition, is a fixed scratchpad split
+// (experiments.Fig15).
 
-// FlushGranularity selects how often a time-shared NPU flushes the
-// scratchpad between tasks (Fig. 14).
+// FlushGranularity selects how often a time-shared NPU switches tasks,
+// and so flushes the scratchpad when the mechanism needs it (Fig. 14).
+// sNPU's ID isolation switches at tiles and flushes nothing.
 type FlushGranularity int
 
 const (
-	// FlushNone disables flushing (baseline / sNPU — ID isolation
-	// removes the need to flush).
-	FlushNone FlushGranularity = iota
 	// FlushPerTile flushes at op-kernel (tile) boundaries.
-	FlushPerTile
+	FlushPerTile FlushGranularity = iota
 	// FlushPerLayer flushes at layer boundaries.
 	FlushPerLayer
 	// FlushPer5Layers flushes every five layers.
@@ -26,8 +24,6 @@ const (
 
 func (g FlushGranularity) String() string {
 	switch g {
-	case FlushNone:
-		return "none"
 	case FlushPerTile:
 		return "tile"
 	case FlushPerLayer:

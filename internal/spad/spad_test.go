@@ -288,7 +288,7 @@ func TestFlushCost(t *testing.T) {
 
 func TestFlushGranularityString(t *testing.T) {
 	for g, want := range map[FlushGranularity]string{
-		FlushNone: "none", FlushPerTile: "tile", FlushPerLayer: "layer",
+		FlushPerTile: "tile", FlushPerLayer: "layer",
 		FlushPer5Layers: "5-layers", FlushGranularity(99): "unknown",
 	} {
 		if g.String() != want {

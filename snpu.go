@@ -481,7 +481,6 @@ type FlushGranularity = spad.FlushGranularity
 
 // Flush granularities for TimeShare.
 const (
-	FlushNone       = spad.FlushNone
 	FlushPerTile    = spad.FlushPerTile
 	FlushPerLayer   = spad.FlushPerLayer
 	FlushPer5Layers = spad.FlushPer5Layers
@@ -523,12 +522,12 @@ func (s *System) TimeShare(nameA, nameB string, gran FlushGranularity, flush boo
 	if err != nil {
 		return TimeShareResult{}, err
 	}
-	ta, err := s.drv.Submit(wa, 0, true)
+	ta, err := s.drv.Submit(wa, npu.DefaultLayout, true)
 	if err != nil {
 		return TimeShareResult{}, err
 	}
 	defer func() { _ = s.drv.Release(ta) }()
-	tb, err := s.drv.Submit(wb, 0, false)
+	tb, err := s.drv.Submit(wb, npu.CompanionLayout, false)
 	if err != nil {
 		return TimeShareResult{}, err
 	}
