@@ -19,3 +19,12 @@ func StrippedSlices(w workload.Workload, cfg Config, parts int) ([]*Program, err
 	}
 	return out, nil
 }
+
+// SliceWorkload is core part of parts' share of w in a model-parallel
+// run.
+func SliceWorkload(w workload.Workload, part, parts, dim int) workload.Workload {
+	return sliceWorkload(w, part, parts, dim)
+}
+
+// ExpandOps returns p's op stream.
+func ExpandOps(p *Program) []Op { return p.Ops }

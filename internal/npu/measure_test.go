@@ -1,6 +1,7 @@
 package npu_test
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -13,20 +14,21 @@ import (
 	"repro/internal/workload"
 )
 
-// referenceMeasurement hashes the measured bytes one 64-bit word per
-// write: the name, the source digest, then per op its kind, VA, bytes,
+// referenceHash hashes the measured bytes one 64-bit word per write:
+// the name, the source digest, then per op its kind, VA, bytes,
 // cycles, layer, flags (bit 0 Tile, bit 1 Weight) and MACs.
 // Measurement writes in chunks and must hash exactly these bytes.
-func referenceMeasurement(p *npu.Program) [sha256.Size]byte {
+func referenceHash(name string, digest [sha256.Size]byte, ops []npu.Op) [sha256.Size]byte {
 	h := sha256.New()
+	bw := bufio.NewWriterSize(h, 1<<16)
 	var buf [8]byte
 	write := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+		bw.Write(buf[:])
 	}
-	h.Write([]byte(p.Name))
-	h.Write(p.SourceDigest[:])
-	for _, op := range p.Ops {
+	bw.WriteString(name)
+	bw.Write(digest[:])
+	for _, op := range ops {
 		var flags uint64
 		if op.Tile {
 			flags |= 1
@@ -42,9 +44,15 @@ func referenceMeasurement(p *npu.Program) [sha256.Size]byte {
 		write(flags)
 		write(uint64(op.MACs))
 	}
+	bw.Flush()
 	var out [sha256.Size]byte
 	copy(out[:], h.Sum(nil))
 	return out
+}
+
+// referenceMeasurement is referenceHash over p's op stream.
+func referenceMeasurement(p *npu.Program) [sha256.Size]byte {
+	return referenceHash(p.Name, p.SourceDigest, npu.ExpandOps(p))
 }
 
 // referenceSpan scans every load and store of p.
