@@ -121,7 +121,8 @@ func measureMetricsOverhead() (overheadReading, error) {
 	}
 	tiles := o.Registry().Histogram("npu.tile.cycles")
 	var computeOps int64
-	for _, op := range task.Program.Ops {
+	c := task.Program.Cursor()
+	for op, ok := c.Next(); ok; op, ok = c.Next() {
 		if op.Kind == npu.OpCompute {
 			computeOps++
 		}

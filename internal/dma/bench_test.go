@@ -36,13 +36,14 @@ func yololiteProgram(b *testing.B) (p *npu.Program, vbase mem.VirtAddr, size uin
 	return p, vbase, uint64(mem.PageAlignUp(mem.PhysAddr(hi)) - mem.PhysAddr(vbase))
 }
 
-// replay issues p's loads and stores through eng the way the executor
-// does: the loads of a tile as one pipelined batch at its compute op,
-// each store on its own.
+// replay walks p's op stream with a cursor and issues its loads and
+// stores through eng the way the executor does: the loads of a tile as
+// one pipelined batch at its compute op, each store on its own.
 func replay(b *testing.B, eng *dma.Engine, p *npu.Program) sim.Cycle {
 	var loads []dma.Request
 	var at sim.Cycle
-	for _, op := range p.Ops {
+	c := p.Cursor()
+	for op, ok := c.Next(); ok; op, ok = c.Next() {
 		var batch []dma.Request
 		switch op.Kind {
 		case npu.OpLoad:

@@ -204,9 +204,10 @@ func (m *Monitor) submit(c Call) (int, error) {
 	}
 	// Trusted allocator: the task's working buffers live in secure
 	// memory, never in the driver-controlled reserved heap. The window
-	// comes from the ops just measured, not from anything the program
+	// comes from the form just measured (VASpan derives it from the
+	// program's nests or literal ops), not from anything the program
 	// recorded about itself.
-	lo, hi := npu.SpanOf(c.Program.Ops)
+	lo, hi := c.Program.VASpan()
 	_, size := mem.PageWindow(lo, hi)
 	chunk, err := m.alloc.Alloc(size, mem.PageSize)
 	if err != nil {

@@ -151,7 +151,7 @@ func TestSubmitVerifiesMeasurement(t *testing.T) {
 	// A tampered program (driver swapped an op) is rejected.
 	evil := testProgram(t)
 	expected := evil.Measurement()
-	evil.Ops[0].VA ^= 0x1000
+	evil.Nests[0].A ^= 0x1000
 	if _, err := w.mon.submit(Call{Program: evil, Expected: expected}); !errors.Is(err, ErrBadMeasurement) {
 		t.Fatalf("tampered program accepted: %v", err)
 	}
@@ -445,7 +445,7 @@ func TestMapNonSecureRefusesSecureSlot(t *testing.T) {
 }
 
 // Attest quotes the measurement FnSubmit's code verifier checked. It
-// hashes nothing, so ops the driver changes after FnSubmit do not reach
+// hashes nothing, so nests the driver changes after FnSubmit do not reach
 // the quote, and it is read-only: no call or rejection is counted and
 // no transition bit is set.
 func TestAttestQuotesVerifiedMeasurement(t *testing.T) {
@@ -458,7 +458,7 @@ func TestAttestQuotesVerifiedMeasurement(t *testing.T) {
 	id := submitSpec(t, w, prog, isolator.Topology{W: 1, H: 1})
 	calls, rejected := w.stats.Get(sim.CtrMonitorCalls), w.stats.Get(sim.CtrMonitorRejected)
 	bitmap := w.mon.TransitionBitmap()
-	prog.Ops[0].VA ^= 0x1000
+	prog.Nests[0].A ^= 0x1000
 	for nonce := uint64(7); nonce < 9; nonce++ {
 		rep, err := w.mon.Attest(id, nonce)
 		if err != nil {

@@ -33,7 +33,7 @@ func (e *HangError) Error() string {
 type Exec struct {
 	core *Core
 	prog *Program
-	pos  int
+	cur  *Cursor
 
 	pendingLoads []dma.Request
 	// storeReq is the reusable single-descriptor batch for mvout ops:
@@ -56,11 +56,11 @@ type Exec struct {
 // context-switch detection. When the core carries an observer that
 // records spans, the executor's spans land on the observer's timeline.
 func NewExec(core *Core, prog *Program, taskID int) *Exec {
-	return &Exec{core: core, prog: prog, taskID: taskID, rec: core.obs.Trace()}
+	return &Exec{core: core, prog: prog, cur: prog.Cursor(), taskID: taskID, rec: core.obs.Trace()}
 }
 
 // Done reports whether the whole program has executed.
-func (e *Exec) Done() bool { return e.pos >= len(e.prog.Ops) }
+func (e *Exec) Done() bool { return e.cur.Done() }
 
 // Program returns the bound program.
 func (e *Exec) Program() *Program { return e.prog }
@@ -71,7 +71,7 @@ func (e *Exec) CurrentLayer() int {
 	if e.Done() {
 		return e.prog.Layers - 1
 	}
-	return e.prog.Ops[e.pos].Layer
+	return e.cur.peek().Layer
 }
 
 // Boundary decides where RunUntil stops: it is consulted after each
@@ -118,18 +118,16 @@ func (e *Exec) Suspend(at sim.Cycle) {
 func (e *Exec) RunUntil(from sim.Cycle, boundary Boundary) (sim.Cycle, error) {
 	e.Suspend(from)
 	e.core.dmaEng.Translator().OnContextSwitch(e.taskID)
-	for !e.Done() {
-		op := e.prog.Ops[e.pos]
-		e.pos++
+	world := e.core.World()
+	c := e.cur
+	for !c.Done() {
+		op := &c.buf[c.i]
+		c.i++
 		switch op.Kind {
 		case OpLoad:
-			e.pendingLoads = append(e.pendingLoads, dma.Request{
-				VA:     op.VA,
-				Bytes:  op.Bytes,
-				Dir:    dma.ToScratchpad,
-				World:  e.core.World(),
-				TaskID: e.taskID,
-			})
+			e.pendingLoads = append(e.pendingLoads, dma.Request{})
+			req := &e.pendingLoads[len(e.pendingLoads)-1]
+			req.VA, req.Bytes, req.Dir, req.World, req.TaskID = op.VA, op.Bytes, dma.ToScratchpad, world, e.taskID
 		case OpCompute:
 			// Issue the accumulated loads for this tile; they may not
 			// start before the buffer from two tiles ago was released.
@@ -173,7 +171,7 @@ func (e *Exec) RunUntil(from sim.Cycle, boundary Boundary) (sim.Cycle, error) {
 					return 0, &HangError{Core: e.core.id, Detected: end + DefaultHangWatchdog}
 				}
 			}
-			if boundary(op) {
+			if boundary(*op) {
 				return e.retire(), nil
 			}
 		case OpStore:
@@ -187,7 +185,7 @@ func (e *Exec) RunUntil(from sim.Cycle, boundary Boundary) (sim.Cycle, error) {
 				VA:     op.VA,
 				Bytes:  op.Bytes,
 				Dir:    dma.ToMemory,
-				World:  e.core.World(),
+				World:  world,
 				TaskID: e.taskID,
 			}
 			done, err := e.core.dmaEng.DoPipelined(e.storeReq[:], nil, e.core.domain, at)
@@ -253,9 +251,7 @@ func Interleave(execs []*Exec, now []sim.Cycle, in func(*Exec) bool) error {
 // completed layer boundary, with earlier layers' outputs already in
 // (checkpointed) DRAM.
 func (e *Exec) SkipToLayer(layer int) {
-	for e.pos < len(e.prog.Ops) && e.prog.Ops[e.pos].Layer < layer {
-		e.pos++
-	}
+	e.cur.skipTo(layer)
 	e.pendingLoads = e.pendingLoads[:0]
 }
 

@@ -26,5 +26,23 @@ func SliceWorkload(w workload.Workload, part, parts, dim int) workload.Workload 
 	return sliceWorkload(w, part, parts, dim)
 }
 
-// ExpandOps returns p's op stream.
-func ExpandOps(p *Program) []Op { return p.Ops }
+// ExpandOps returns p's op stream, walked with a Cursor.
+func ExpandOps(p *Program) []Op {
+	var ops []Op
+	c := p.Cursor()
+	for op, ok := c.Next(); ok; op, ok = c.Next() {
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// Literal returns p in the literal form: a copy holding p's expanded
+// op stream as Ops and no nests.
+func Literal(p *Program) *Program {
+	lit := *p
+	lit.Ops, lit.Nests = ExpandOps(p), nil
+	return &lit
+}
+
+// OpCount is the op count Validate derives for p without expanding it.
+func OpCount(p *Program) (int, error) { return p.check() }

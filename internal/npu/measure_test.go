@@ -58,7 +58,7 @@ func referenceMeasurement(p *npu.Program) [sha256.Size]byte {
 // referenceSpan scans every load and store of p.
 func referenceSpan(p *npu.Program) (lo, hi mem.VirtAddr) {
 	first := true
-	for _, op := range p.Ops {
+	for _, op := range npu.ExpandOps(p) {
 		if op.Kind != npu.OpLoad && op.Kind != npu.OpStore {
 			continue
 		}
@@ -118,7 +118,13 @@ func TestMeasurementBindsEveryOpField(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := p.Measurement()
-	i := slices.IndexFunc(p.Ops, func(op npu.Op) bool { return op.Kind == npu.OpCompute })
+	// Edit single ops of the program's expansion to the literal form,
+	// which measures the same as the compiled form.
+	lit := npu.Literal(p)
+	if lit.Measurement() != orig {
+		t.Fatal("the literal form of a compiled program measures differently")
+	}
+	i := slices.IndexFunc(lit.Ops, func(op npu.Op) bool { return op.Kind == npu.OpCompute })
 	for _, c := range []struct {
 		field string
 		edit  func(op *npu.Op)
@@ -132,10 +138,10 @@ func TestMeasurementBindsEveryOpField(t *testing.T) {
 		{"Layer", func(op *npu.Op) { op.Layer++ }},
 		{"MACs", func(op *npu.Op) { op.MACs *= 1000 }},
 	} {
-		cp := *p
-		cp.Ops = slices.Clone(p.Ops)
+		cp := *lit
+		cp.Ops = slices.Clone(lit.Ops)
 		c.edit(&cp.Ops[i])
-		if cp.Ops[i] == p.Ops[i] {
+		if cp.Ops[i] == lit.Ops[i] {
 			t.Fatalf("%s: the edit left op %d unchanged", c.field, i)
 		}
 		if cp.Measurement() == orig {
@@ -181,7 +187,7 @@ func TestVASpanMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lit := &npu.Program{Name: "t", Ops: slices.Clone(p.Ops), Layers: p.Layers}
+		lit := &npu.Program{Name: "t", Ops: npu.ExpandOps(p), Layers: p.Layers}
 		check(t, lit)
 		if lo, hi := lit.VASpan(); lo == 0 || hi <= lo {
 			t.Fatalf("literal program span [%#x,%#x) is empty", uint64(lo), uint64(hi))
@@ -189,8 +195,8 @@ func TestVASpanMatchesScan(t *testing.T) {
 	})
 }
 
-// A by-value copy that changes Ops inherits neither the recorded span
-// nor the owner memo of the program it was copied from.
+// A by-value copy that changes its nests inherits neither the span nor
+// the owner memo of the program it was copied from.
 func TestCopyDropsRecordedValues(t *testing.T) {
 	w, err := workload.Lookup("yololite")
 	if err != nil {
@@ -202,15 +208,17 @@ func TestCopyDropsRecordedValues(t *testing.T) {
 	}
 	orig := p.OwnerMeasurement()
 	cp := *p
-	cp.Ops = append([]npu.Op(nil), p.Ops...)
-	cp.Ops[0].VA += 1 << 30
+	cp.Nests = slices.Clone(p.Nests)
+	last := &cp.Nests[len(cp.Nests)-1]
+	last.A += 1 << 30
+	last.C += 1 << 30
 	if got := cp.OwnerMeasurement(); got == orig || got != referenceMeasurement(&cp) {
 		t.Fatal("copy with changed ops reused the original's owner measurement")
 	}
 	lo, hi := cp.VASpan()
 	wlo, whi := referenceSpan(&cp)
 	if _, ohi := p.VASpan(); whi == ohi {
-		t.Fatal("moving op 0 did not move the span; the check below would prove nothing")
+		t.Fatal("moving the last nest did not move the span; the check below would prove nothing")
 	}
 	if lo != wlo || hi != whi {
 		t.Fatalf("copy VASpan [%#x,%#x), scan [%#x,%#x)", uint64(lo), uint64(hi), uint64(wlo), uint64(whi))
@@ -267,7 +275,7 @@ func BenchmarkMeasurement(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(p.Name) + sha256.Size + npu.OpRecordBytes*len(p.Ops)))
+			b.SetBytes(int64(len(p.Name) + sha256.Size + npu.OpRecordBytes*len(npu.ExpandOps(p))))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sinkMeasurement = p.Measurement()

@@ -1,6 +1,7 @@
 package npu
 
 import (
+	"math"
 	"testing"
 	"unsafe"
 
@@ -75,7 +76,7 @@ func TestCompileProducesRunnableProgram(t *testing.T) {
 	}
 	// Ops interleave loads, computes, stores.
 	var loads, computes, stores int
-	for _, op := range prog.Ops {
+	for _, op := range ExpandOps(prog) {
 		switch op.Kind {
 		case OpLoad:
 			loads++
@@ -107,7 +108,7 @@ func TestProgramMeasurementDetectsTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 	m1 := prog.Measurement()
-	prog.Ops[0].VA ^= 0x40 // redirect one load
+	prog.Nests[0].A ^= 0x40 // redirect the first GEMM's input loads
 	if prog.Measurement() == m1 {
 		t.Fatal("measurement insensitive to op tamper")
 	}
@@ -120,7 +121,7 @@ func TestVASpanCoversAllAccesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := prog.VASpan()
-	for _, op := range prog.Ops {
+	for _, op := range ExpandOps(prog) {
 		if op.Kind != OpLoad && op.Kind != OpStore {
 			continue
 		}
@@ -311,14 +312,20 @@ func TestOpSize(t *testing.T) {
 
 func TestProgramValidate(t *testing.T) {
 	cfg := DefaultConfig()
-	prog, _, err := Compile(smallWorkload(), cfg, 0, DefaultLayout)
-	if err != nil {
-		t.Fatal(err)
+	compiled := func() *Program {
+		p, _, err := Compile(smallWorkload(), cfg, 0, DefaultLayout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	if err := prog.Validate(); err != nil {
+	if err := compiled().Validate(); err != nil {
 		t.Fatalf("compiler output invalid: %v", err)
 	}
-	cases := []struct {
+	if err := Literal(compiled()).Validate(); err != nil {
+		t.Fatalf("literal form of the compiler output invalid: %v", err)
+	}
+	literal := []struct {
 		name   string
 		mutate func(*Program)
 	}{
@@ -329,15 +336,59 @@ func TestProgramValidate(t *testing.T) {
 		{"empty-load", func(p *Program) { p.Ops[0].Bytes = 0 }},
 		{"bad-kind", func(p *Program) { p.Ops[0].Kind = OpKind(99) }},
 	}
-	for _, c := range cases {
-		p, _, err := Compile(smallWorkload(), cfg, 0, DefaultLayout)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range literal {
+		p := Literal(compiled())
 		c.mutate(p)
 		if err := p.Validate(); err == nil {
-			t.Errorf("%s: validated", c.name)
+			t.Errorf("literal %s: validated", c.name)
 		}
+	}
+	nests := []struct {
+		name   string
+		mutate func(*Program)
+	}{
+		{"no-nests", func(p *Program) { p.Nests = nil }},
+		{"both-forms", func(p *Program) { p.Ops = ExpandOps(p) }},
+		{"zero-layers", func(p *Program) { p.Layers = 0 }},
+		{"layer-out-of-range", func(p *Program) { p.Nests[2].Layer = p.Layers }},
+		{"negative-layer", func(p *Program) { p.Nests[0].Layer = -1 }},
+		{"layer-regression", func(p *Program) { p.Nests[0].Layer = 2 }},
+		{"zero-M", func(p *Program) { p.Nests[0].M = 0 }},
+		{"negative-K", func(p *Program) { p.Nests[0].K = -64 }},
+		{"zero-N", func(p *Program) { p.Nests[0].N = 0 }},
+		{"zero-Mt", func(p *Program) { p.Nests[0].Mt = 0 }},
+		{"negative-Kt", func(p *Program) { p.Nests[0].Kt = -1 }},
+		{"zero-Nt", func(p *Program) { p.Nests[0].Nt = 0 }},
+		{"zero-dim", func(p *Program) { p.Nests[0].Dim = 0 }},
+		{"huge-N", func(p *Program) { p.Nests[0].N = 1 << 40 }},
+		{"zero-eff", func(p *Program) { p.Nests[0].Eff = 0 }},
+		{"negative-eff", func(p *Program) { p.Nests[0].Eff = -1 }},
+		{"nan-eff", func(p *Program) { p.Nests[0].Eff = math.NaN() }},
+		{"inf-eff", func(p *Program) { p.Nests[0].Eff = math.Inf(1) }},
+		{"cycles-below-one", func(p *Program) { p.Nests[0].Eff = 1e12 }},
+		{"cycles-overflow", func(p *Program) { p.Nests[0].Eff = 1e-300 }},
+		{"A-wraps", func(p *Program) { p.Nests[0].A = math.MaxUint64 - 64 }},
+		{"B-wraps", func(p *Program) { p.Nests[1].B = math.MaxUint64 - 64 }},
+		{"C-wraps", func(p *Program) { p.Nests[2].C = math.MaxUint64 - 64 }},
+		{"too-many-ops", func(p *Program) { p.Nests[0].M, p.Nests[0].Mt = 1<<30, 16 }},
+		{"macs-overflow", func(p *Program) {
+			n := &p.Nests[0]
+			n.M, n.Mt, n.K, n.Kt, n.N, n.Nt, n.Dim = maxNestDim, maxNestDim, maxNestDim, maxNestDim, 4, 4, 1<<30
+			n.A, n.B, n.C = 0, 0, 0
+		}},
+	}
+	for _, c := range nests {
+		p := compiled()
+		c.mutate(p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("nest %s: validated", c.name)
+		}
+		// Every reader still terminates: the cursor and the span skip a
+		// nest they cannot expand.
+		if len(ExpandOps(p)) > MaxProgramOps {
+			t.Errorf("nest %s: expanded past the op bound", c.name)
+		}
+		p.VASpan()
 	}
 	// Zero-cycle compute rejected.
 	bad := &Program{Name: "x", Layers: 1, Ops: []Op{{Kind: OpCompute, Cycles: 0}}}

@@ -143,6 +143,9 @@ func checkStream(t *testing.T, p *npu.Program, ref []npu.Op) {
 			t.Fatalf("%s: op %d is %+v, reference %+v", p.Name, i, got[i], ref[i])
 		}
 	}
+	if n, err := npu.OpCount(p); err != nil || n != len(ref) {
+		t.Fatalf("%s: Validate counts %d ops (%v), reference %d", p.Name, n, err, len(ref))
+	}
 	if m, want := p.Measurement(), referenceHash(p.Name, p.SourceDigest, ref); m != want {
 		t.Fatalf("%s: Measurement %x, reference %x", p.Name, m, want)
 	}

@@ -2,6 +2,7 @@ package npu
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/noc"
@@ -76,27 +77,20 @@ func sliceOfN(n, part, parts, dim int) int {
 	return s
 }
 
-// stripOnChipActivations removes the DRAM traffic that the NoC
-// carries instead in the model-parallel mapping: activation loads of
-// every layer after the first (inputs arrive over the exchange and sit
-// in the scratchpad) and activation stores of every layer before the
-// last (outputs leave over the exchange). Weight loads always stream
-// from DRAM.
+// stripOnChipActivations drops the DRAM traffic that the NoC carries
+// instead in the model-parallel mapping: activation loads of every
+// layer after the first (inputs arrive over the exchange and sit in
+// the scratchpad) and activation stores of every layer before the last
+// (outputs leave over the exchange). Weight loads always stream from
+// DRAM. p is a compiled program, possibly shared through the compile
+// cache, so the flags go on a copy of its nests.
 func stripOnChipActivations(p *Program) *Program {
 	out := *p
-	out.Ops = make([]Op, 0, len(p.Ops))
-	for _, op := range p.Ops {
-		switch op.Kind {
-		case OpLoad:
-			if !op.Weight && op.Layer > 0 {
-				continue
-			}
-		case OpStore:
-			if !op.Weight && op.Layer < p.Layers-1 {
-				continue
-			}
-		}
-		out.Ops = append(out.Ops, op)
+	out.Nests = slices.Clone(p.Nests)
+	for i := range out.Nests {
+		n := &out.Nests[i]
+		n.OnChipIn = n.OnChipIn || n.Layer > 0
+		n.OnChipOut = n.OnChipOut || n.Layer < p.Layers-1
 	}
 	return &out
 }

@@ -1,6 +1,7 @@
 package npu
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
@@ -48,8 +49,9 @@ func TestStripOnChipActivations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := slices.Clone(prog.Nests)
 	stripped := stripOnChipActivations(prog)
-	for i, op := range stripped.Ops {
+	for i, op := range ExpandOps(stripped) {
 		switch op.Kind {
 		case OpLoad:
 			if !op.Weight && op.Layer > 0 {
@@ -64,7 +66,7 @@ func TestStripOnChipActivations(t *testing.T) {
 	// Weight loads all survive.
 	count := func(p *Program, weight bool) int {
 		n := 0
-		for _, op := range p.Ops {
+		for _, op := range ExpandOps(p) {
 			if op.Kind == OpLoad && op.Weight == weight {
 				n++
 			}
@@ -77,9 +79,13 @@ func TestStripOnChipActivations(t *testing.T) {
 	if count(stripped, false) >= count(prog, false) {
 		t.Fatal("no activation loads were stripped")
 	}
-	// Original untouched.
-	if len(prog.Ops) == len(stripped.Ops) {
+	if len(ExpandOps(prog)) == len(ExpandOps(stripped)) {
 		t.Fatal("nothing stripped at all")
+	}
+	// The original, possibly a shared compile-cache program, is
+	// untouched.
+	if !slices.Equal(prog.Nests, before) {
+		t.Fatal("stripping changed the original program's nests")
 	}
 }
 

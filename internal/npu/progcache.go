@@ -11,9 +11,9 @@ import (
 // measurement, and validation only read them), so identical compile
 // requests can share one *Program. The experiment suite compiles the
 // same handful of models hundreds of times — once per cell, sometimes
-// twice per cell — and each alexnet-class op stream is tens of MB, so
-// sharing turns the dominant allocation source of the suite into a
-// near-free map lookup.
+// twice per cell — so sharing turns each repeat compile (tiling every
+// GEMM) into a map lookup. A compiled program holds one nest per GEMM,
+// a few KB for any built-in model.
 //
 // The cache key covers everything Compile's output depends on: the
 // workload's digest (workload.Digest, the SHA-256 of its canonical
@@ -56,9 +56,9 @@ var progCache = struct {
 
 // CompileCached is Compile behind a process-wide cache of immutable
 // programs. Callers MUST treat the returned Program as read-only — it
-// may be shared with concurrent experiment cells. Code that intends to
-// mutate the op stream (slicing per-core partitions) must keep calling
-// Compile.
+// may be shared with concurrent experiment cells. Code that changes a
+// program (stripping a model-parallel slice) works on a copy of its
+// nests.
 //
 // Concurrent misses on one key coalesce: the first caller publishes an
 // in-flight entry and compiles outside the lock (cells missing on

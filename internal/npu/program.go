@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -63,10 +64,16 @@ type Op struct {
 	MACs int64
 }
 
-// Program is a compiled workload: a linear op stream for one core.
+// Program is a workload lowered for one core. Its op stream takes one
+// of two forms: Nests, one tile loop per GEMM, which is what Compile
+// builds, or Ops, a literal stream for hand-built programs. Every
+// reader walks the stream with a Cursor, whichever form is set.
 type Program struct {
 	Name string
-	Ops  []Op
+	// Ops is the literal form. Compile leaves it nil.
+	Ops []Op
+	// Nests is the compiled form, in execution order.
+	Nests []Nest
 	// Layers is the layer count (boundaries usable for flushing).
 	Layers int
 	// TotalMACs is the arithmetic work, for utilization reporting.
@@ -90,20 +97,17 @@ type Program struct {
 	// attest distinctly.
 	SourceDigest [sha256.Size]byte
 
-	// derived holds the VA span Compile recorded and the owner's
-	// measurement once someone asks for it. It belongs to the *Program
-	// Compile built: a by-value copy, which may carry other Ops, sees
-	// no recorded span and no memo. The monitor reads neither; it
-	// derives the span from the ops it measures.
+	// derived holds the owner's measurement once someone asks for it.
+	// It belongs to the *Program Compile built: a by-value copy, which
+	// may carry other nests, sees no memo.
 	derived *derived
 }
 
 // derived is what a compiled Program keeps about its own op stream.
 type derived struct {
-	prog   *Program
-	lo, hi mem.VirtAddr
-	once   sync.Once
-	owner  [sha256.Size]byte
+	prog  *Program
+	once  sync.Once
+	owner [sha256.Size]byte
 }
 
 // own returns p's derived values, or nil when p was not built by
@@ -157,18 +161,22 @@ func appendOp(b []byte, op Op) []byte {
 // code-integrity measurement the NPU Monitor's code verifier checks
 // before loading a secure task, and the value an attestation quote
 // binds. The hashed bytes are the name, the source digest, then each
-// op's record (appendOp), written in chunks of measureChunkOps ops.
+// op's record (appendOp) in stream order, written in chunks of
+// measureChunkOps ops.
 func (p *Program) Measurement() [sha256.Size]byte {
 	measureCalls.Add(1)
 	h := sha256.New()
 	h.Write([]byte(p.Name))
 	h.Write(p.SourceDigest[:])
 	buf := make([]byte, 0, measureChunkOps*OpRecordBytes)
-	for _, op := range p.Ops {
-		buf = appendOp(buf, op)
-		if len(buf) == cap(buf) {
-			h.Write(buf)
-			buf = buf[:0]
+	c := p.Cursor()
+	for ops := c.chunk(); len(ops) > 0; ops = c.chunk() {
+		for _, op := range ops {
+			buf = appendOp(buf, op)
+			if len(buf) == cap(buf) {
+				h.Write(buf)
+				buf = buf[:0]
+			}
 		}
 	}
 	h.Write(buf)
@@ -192,42 +200,75 @@ func (p *Program) OwnerMeasurement() [sha256.Size]byte {
 	return d.owner
 }
 
-// Validate statically checks a program's structure: layer indices in
-// range and non-decreasing (the flush/pipeline machinery depends on
-// monotonic layers), op kinds known, loads/stores non-empty, and
-// compute ops carrying positive occupancy. The NPU Monitor runs this
-// on every submitted program before measuring it — a malformed stream
-// is rejected rather than executed.
+// Validate statically checks a program's structure: exactly one form
+// set, layer indices in range and non-decreasing (the flush/pipeline
+// machinery depends on monotonic layers), op kinds known, loads and
+// stores non-empty and inside the address space, compute ops carrying
+// positive occupancy, and at most MaxProgramOps ops. A nest must
+// expand to ops that pass these checks and its arithmetic must not
+// overflow; Validate checks it without expanding it. The NPU Monitor
+// runs this on every submitted program before measuring it — a
+// malformed stream is rejected rather than executed.
 func (p *Program) Validate() error {
+	_, err := p.check()
+	return err
+}
+
+// check is Validate, returning the program's op count.
+func (p *Program) check() (int, error) {
 	if p.Layers <= 0 {
-		return fmt.Errorf("npu: program %q has %d layers", p.Name, p.Layers)
+		return 0, fmt.Errorf("npu: program %q has %d layers", p.Name, p.Layers)
 	}
-	if len(p.Ops) == 0 {
-		return fmt.Errorf("npu: program %q has no ops", p.Name)
+	if (len(p.Ops) > 0) == (len(p.Nests) > 0) {
+		return 0, fmt.Errorf("npu: program %q must hold either literal ops or nests", p.Name)
 	}
-	prevLayer := 0
+	layer := func(l, prev int) error {
+		if l < 0 || l >= p.Layers {
+			return fmt.Errorf("layer %d out of range [0,%d)", l, p.Layers)
+		}
+		if l < prev {
+			return fmt.Errorf("layer %d after layer %d (must be non-decreasing)", l, prev)
+		}
+		return nil
+	}
+	prev := 0
 	for i, op := range p.Ops {
-		if op.Layer < 0 || op.Layer >= p.Layers {
-			return fmt.Errorf("npu: op %d layer %d out of range [0,%d)", i, op.Layer, p.Layers)
+		if err := layer(op.Layer, prev); err != nil {
+			return 0, fmt.Errorf("npu: op %d: %w", i, err)
 		}
-		if op.Layer < prevLayer {
-			return fmt.Errorf("npu: op %d layer %d after layer %d (must be non-decreasing)", i, op.Layer, prevLayer)
-		}
-		prevLayer = op.Layer
+		prev = op.Layer
 		switch op.Kind {
 		case OpLoad, OpStore:
 			if op.Bytes == 0 {
-				return fmt.Errorf("npu: op %d: empty %s", i, op.Kind)
+				return 0, fmt.Errorf("npu: op %d: empty %s", i, op.Kind)
+			}
+			if op.Bytes > math.MaxUint64-uint64(op.VA) {
+				return 0, fmt.Errorf("npu: op %d: %s of %d bytes at %#x wraps the address space", i, op.Kind, op.Bytes, uint64(op.VA))
 			}
 		case OpCompute:
 			if op.Cycles <= 0 {
-				return fmt.Errorf("npu: op %d: compute with %d cycles", i, op.Cycles)
+				return 0, fmt.Errorf("npu: op %d: compute with %d cycles", i, op.Cycles)
 			}
 		default:
-			return fmt.Errorf("npu: op %d: unknown kind %d", i, op.Kind)
+			return 0, fmt.Errorf("npu: op %d: unknown kind %d", i, op.Kind)
 		}
 	}
-	return nil
+	total := uint64(len(p.Ops))
+	for i := range p.Nests {
+		n := &p.Nests[i]
+		if err := layer(n.Layer, prev); err != nil {
+			return 0, fmt.Errorf("npu: nest %d: %w", i, err)
+		}
+		prev = n.Layer
+		if err := n.check(); err != nil {
+			return 0, fmt.Errorf("npu: nest %d: %w", i, err)
+		}
+		total = capAdd(total, n.opCount())
+	}
+	if total > MaxProgramOps {
+		return 0, fmt.Errorf("npu: program %q has more than %d ops", p.Name, MaxProgramOps)
+	}
+	return int(total), nil
 }
 
 // Layout fixes the virtual-address plan of a compiled task: the
@@ -259,10 +300,12 @@ type CompileStats struct {
 }
 
 // Compile lowers a workload into a Program for one core: every GEMM is
-// tiled for the scratchpad budget, and each tile iteration becomes
-// mvin/matmul/mvout ops. Matrices are assumed packed in tile order by
-// the driver (the usual NPU weight layout), so each DMA descriptor
-// covers SystolicDim rows of a tile contiguously.
+// tiled for the scratchpad budget and becomes one nest, whose tile
+// iterations stand for mvin/matmul/mvout ops. Matrices are assumed
+// packed in tile order by the driver (the usual NPU weight layout), so
+// each DMA descriptor covers SystolicDim rows of a tile contiguously.
+// A program Validate would refuse (more than MaxProgramOps ops, say)
+// is an error.
 func Compile(w workload.Workload, cfg Config, spadBudget int, layout Layout) (*Program, CompileStats, error) {
 	return compile(w, cfg, spadBudget, layout, workload.Digest(w))
 }
@@ -300,17 +343,10 @@ func compile(w workload.Workload, cfg Config, spadBudget int, layout Layout, dig
 	}
 	actBase := layout.WeightBase + mem.VirtAddr(mem.PageAlignUp(mem.PhysAddr(weightTotal)))
 
-	// Size the op stream exactly before emitting: append-growth on
-	// multi-million-op streams dominated the whole suite's allocation
-	// profile (~90% of fig1's bytes), and a right-sized slice is also a
-	// precondition for sharing compiled programs via the compile cache.
-	p.Ops = make([]Op, 0, countOps(w, tilings, dim))
-
-	gemmIdx := 0
+	p.Nests = make([]Nest, 0, len(tilings))
 	for li, layer := range w.Layers {
 		for _, g := range layer.GEMMs {
-			tl := tilings[gemmIdx]
-			gemmIdx++
+			tl := tilings[len(p.Nests)]
 			mc, kc, nc := tl.Counts()
 			st.TileIters += mc * kc * nc
 			st.TrafficBytes += tl.DRAMTrafficBytes()
@@ -328,131 +364,52 @@ func compile(w workload.Workload, cfg Config, spadBudget int, layout Layout, dig
 			bPacked := uint64(kc * nc * tl.Kt * tl.Nt)
 			cPacked := uint64(mc * nc * tl.Mt * tl.Nt)
 			aBase := actBase + mem.VirtAddr(actOff)
-			bBase := layout.WeightBase + mem.VirtAddr(weightOff)
-			cBase := aBase + mem.VirtAddr(aPacked)
-
-			for mi := 0; mi < mc; mi++ {
-				mt := tileSize(g.M, tl.Mt, mi, mc)
-				for ni := 0; ni < nc; ni++ {
-					nt := tileSize(g.N, tl.Nt, ni, nc)
-					for ki := 0; ki < kc; ki++ {
-						kt := tileSize(g.K, tl.Kt, ki, kc)
-						// mvin A tile (mi,ki): descriptors of dim rows.
-						aTileVA := aBase + mem.VirtAddr((mi*kc+ki)*(tl.Mt*tl.Kt))
-						emitDescriptors(p, OpLoad, aTileVA, mt, kt, dim, tl.Kt, li, false)
-						// mvin B tile (ki,ni).
-						bTileVA := bBase + mem.VirtAddr((ki*nc+ni)*(tl.Kt*tl.Nt))
-						emitDescriptors(p, OpLoad, bTileVA, kt, nt, dim, tl.Nt, li, true)
-						// matmul.
-						passes := int64(ceilDiv(mt, dim)) * int64(ceilDiv(nt, dim))
-						cycles := float64(passes*int64(kt+2*dim)) / g.Eff()
-						p.Ops = append(p.Ops, Op{
-							Kind: OpCompute, Cycles: sim.Cycle(cycles), Layer: li, Tile: true,
-							MACs: int64(mt) * int64(kt) * int64(nt),
-						})
-					}
-					// mvout C tile (mi,ni).
-					cTileVA := cBase + mem.VirtAddr((mi*nc+ni)*(tl.Mt*tl.Nt))
-					emitDescriptors(p, OpStore, cTileVA, mt, nt, dim, tl.Nt, li, false)
-				}
-			}
+			p.Nests = append(p.Nests, Nest{
+				Layer: li, M: g.M, K: g.K, N: g.N, Mt: tl.Mt, Kt: tl.Kt, Nt: tl.Nt,
+				A: aBase, B: layout.WeightBase + mem.VirtAddr(weightOff), C: aBase + mem.VirtAddr(aPacked),
+				Dim: dim, Eff: g.Eff(),
+			})
 			weightOff += bPacked
 			actOff += aPacked + cPacked
 		}
 	}
 	p.LiveSpadBytes = maxLive
-	lo, hi := SpanOf(p.Ops)
-	p.derived = &derived{prog: p, lo: lo, hi: hi}
-	st.Ops = len(p.Ops)
+	ops, err := p.check()
+	if err != nil {
+		return nil, CompileStats{}, fmt.Errorf("npu: compiling %s: %w", w.Name, err)
+	}
+	p.derived = &derived{prog: p}
+	st.Ops = ops
 	st.WeightBytes = int64(weightOff)
 	return p, st, nil
 }
 
-// tileSize is the edge-aware extent of tile idx out of count covering
-// total elements with full tiles of size tile.
-func tileSize(total, tile, idx, count int) int {
-	if idx == count-1 {
-		return total - tile*(count-1)
-	}
-	return tile
-}
-
-// countOps walks the same tile loops as the emit pass and returns the
-// exact number of ops Compile will produce, so p.Ops can be allocated
-// once at final size (no append doubling, no slack).
-func countOps(w workload.Workload, tilings []workload.Tiling, dim int) int {
-	total := 0
-	gi := 0
-	for _, layer := range w.Layers {
-		for _, g := range layer.GEMMs {
-			tl := tilings[gi]
-			gi++
-			mc, kc, nc := tl.Counts()
-			for mi := 0; mi < mc; mi++ {
-				mt := tileSize(g.M, tl.Mt, mi, mc)
-				aDesc := ceilDiv(mt, dim)
-				// Per (mi,ni): kc iterations of (A descriptors + B
-				// descriptors + 1 matmul), then the C mvout descriptors.
-				inner := 0
-				for ki := 0; ki < kc; ki++ {
-					kt := tileSize(g.K, tl.Kt, ki, kc)
-					inner += aDesc + ceilDiv(kt, dim) + 1
-				}
-				total += nc * (inner + aDesc)
-			}
-		}
-	}
-	return total
-}
-
-// emitDescriptors appends the mvin/mvout descriptors for a rows x cols
-// tile stored packed with row stride strideCols: one descriptor per
-// dim-row block, each contiguous in the packed layout.
-func emitDescriptors(p *Program, kind OpKind, base mem.VirtAddr, rows, cols, dim, strideCols, layer int, weight bool) {
-	for r := 0; r < rows; r += dim {
-		blockRows := dim
-		if r+blockRows > rows {
-			blockRows = rows - r
-		}
-		va := base + mem.VirtAddr(r*strideCols)
-		p.Ops = append(p.Ops, Op{
-			Kind:   kind,
-			VA:     va,
-			Bytes:  uint64(blockRows * cols * workload.ElemBytes),
-			Layer:  layer,
-			Weight: weight,
-		})
-	}
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
 // VASpan reports the lowest VA and one past the highest VA the
-// program's loads/stores touch — the window the driver must map (and
-// the monitor must cover with translation registers). A program
-// Compile built returns the span it recorded; any other scans its ops.
+// program's loads/stores touch (zero, zero when there are none) — the
+// window the driver must map and the monitor covers with a translation
+// register. It derives the window from whichever form the program
+// holds: a literal program's ops one by one, a compiled program's
+// nests in O(nests).
 func (p *Program) VASpan() (lo, hi mem.VirtAddr) {
-	if d := p.own(); d != nil {
-		return d.lo, d.hi
-	}
-	return SpanOf(p.Ops)
-}
-
-// SpanOf scans ops for the lowest VA and one past the highest VA their
-// loads and stores touch (zero, zero when there are none).
-func SpanOf(ops []Op) (lo, hi mem.VirtAddr) {
 	first := true
-	for _, op := range ops {
-		if op.Kind != OpLoad && op.Kind != OpStore {
-			continue
+	add := func(l, h mem.VirtAddr) {
+		if first || l < lo {
+			lo = l
 		}
-		if first || op.VA < lo {
-			lo = op.VA
-		}
-		if end := op.VA + mem.VirtAddr(op.Bytes); first || end > hi {
-			hi = end
+		if first || h > hi {
+			hi = h
 		}
 		first = false
+	}
+	for _, op := range p.Ops {
+		if op.Kind == OpLoad || op.Kind == OpStore {
+			add(op.VA, op.VA+mem.VirtAddr(op.Bytes))
+		}
+	}
+	for i := range p.Nests {
+		if n := &p.Nests[i]; n.expandable() {
+			add(n.span())
+		}
 	}
 	return lo, hi
 }

@@ -1,6 +1,7 @@
 package npu
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
@@ -33,13 +34,8 @@ func TestMeasurementBindsSourceDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pa.Ops) != len(pb.Ops) {
-		t.Fatalf("op streams diverged (%d vs %d ops) — rename was supposed to be op-neutral", len(pa.Ops), len(pb.Ops))
-	}
-	for i := range pa.Ops {
-		if pa.Ops[i] != pb.Ops[i] {
-			t.Fatalf("op %d differs — rename was supposed to be op-neutral", i)
-		}
+	if !slices.Equal(ExpandOps(pa), ExpandOps(pb)) {
+		t.Fatal("op streams differ — rename was supposed to be op-neutral")
 	}
 	if pa.SourceDigest == pb.SourceDigest {
 		t.Fatal("different sources share a digest")
