@@ -53,9 +53,11 @@ type options struct {
 	ran *suiteResults
 }
 
-// suiteResults carries a pass's Fig. 14 and Fig. 15 results to Table I,
-// which derives its table from them instead of re-running their cells.
+// suiteResults carries a pass's results to later experiments instead
+// of re-running their cells: Fig. 1's solo runs to Fig. 15, and Fig. 14
+// and Fig. 15 to Table I, which derives its table from them.
 type suiteResults struct {
+	fig1  *experiments.Result[experiments.Fig1Row]
 	fig14 *experiments.Result[experiments.Fig14Row]
 	fig15 *experiments.Result[experiments.Fig15Row]
 }
@@ -94,6 +96,9 @@ func suiteSpecs() []expSpec {
 			if err != nil {
 				return nil, err
 			}
+			if o.ran != nil {
+				o.ran.fig1 = res
+			}
 			return []section{{"Fig. 1 — FLOPS utilization of single inference workloads", res.TableString()}}, nil
 		}},
 		{"table1", func(o options) ([]section, error) {
@@ -124,7 +129,11 @@ func suiteSpecs() []expSpec {
 			return []section{{"Fig. 14 — flush granularity overhead (time-shared)", res.TableString()}}, nil
 		}},
 		{"fig15", func(o options) ([]section, error) {
-			res, err := experiments.Fig15(cfg)
+			var fig1 *experiments.Result[experiments.Fig1Row]
+			if o.ran != nil {
+				fig1 = o.ran.fig1
+			}
+			res, err := experiments.Fig15From(cfg, fig1)
 			if err != nil {
 				return nil, err
 			}

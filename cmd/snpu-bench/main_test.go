@@ -61,6 +61,7 @@ func TestDifferentialFullSuite(t *testing.T) {
 func TestFullSuiteDerivesTable1(t *testing.T) {
 	experiments.SetWorkers(2)
 	defer experiments.SetWorkers(0)
+	var fig15Cells int64 // in the full pass
 	run := func(exp string) (string, BenchExperiment) {
 		t.Helper()
 		var buf bytes.Buffer
@@ -73,6 +74,11 @@ func TestFullSuiteDerivesTable1(t *testing.T) {
 			t.Fatalf("-exp %s printed no Table I section", exp)
 		}
 		section, _, _ = strings.Cut(section, "\n==== ")
+		for _, m := range measured {
+			if m.Name == "fig15" {
+				fig15Cells = m.Cells
+			}
+		}
 		for _, m := range measured {
 			if m.Name == "table1" {
 				return strings.TrimRight(section, "\n"), m
@@ -88,6 +94,19 @@ func TestFullSuiteDerivesTable1(t *testing.T) {
 	}
 	if inAll.Cells != 0 || onItsOwn.Cells == 0 {
 		t.Fatalf("table1 ran %d cells in the full pass and %d on its own, want 0 and more", inAll.Cells, onItsOwn.Cells)
+	}
+	// Fig. 15 reads the solo cycles of the models Fig. 1 ran and runs
+	// the rest solo, besides its 27 pair cells.
+	solos := int64(6)
+	for _, w := range testModels(t) {
+		for _, g := range experiments.Fig15Groups() {
+			if w.Name == g.Trusted || w.Name == g.Untrusted {
+				solos--
+			}
+		}
+	}
+	if want := 27 + solos; fig15Cells != want {
+		t.Fatalf("fig15 ran %d cells in the full pass, want %d", fig15Cells, want)
 	}
 
 	yolo := &experiments.Result[experiments.Fig14Row]{Rows: []experiments.Fig14Row{{Model: "yololite"}}}

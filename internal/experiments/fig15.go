@@ -67,17 +67,32 @@ var fig15Static = map[float64]string{0.25: "static-1/4", 0.5: "static-1/2", 0.75
 // split with the lowest worse-of-two normalized time, so a short task
 // is not starved just because the long task dominates absolute time.
 func Fig15(cfg npu.Config) (*Result[Fig15Row], error) {
-	return fig15(cfg, Fig15Groups())
+	return fig15(cfg, Fig15Groups(), nil)
 }
 
-func fig15(cfg npu.Config, groups []Fig15Group) (*Result[Fig15Row], error) {
+// Fig15From is Fig15 reusing a finished Fig. 1 result on the same
+// config: a model's Fig. 1 cycles are its solo full-scratchpad run, so
+// only the models fig1 lacks run solo. fig1 may be nil.
+func Fig15From(cfg npu.Config, fig1 *Result[Fig1Row]) (*Result[Fig15Row], error) {
+	solo := map[string]sim.Cycle{}
+	if fig1 != nil {
+		for _, r := range fig1.Rows {
+			solo[r.Model] = r.Cycles
+		}
+	}
+	return fig15(cfg, Fig15Groups(), solo)
+}
+
+// fig15 runs groups' pairs; solo holds the solo cycles already known
+// (nil for none).
+func fig15(cfg npu.Config, groups []Fig15Group, solo map[string]sim.Cycle) (*Result[Fig15Row], error) {
 	// Phase 1: solo full-scratchpad baselines, one cell per distinct
-	// model.
+	// model not yet known.
 	var names []string
 	seen := map[string]bool{}
 	for _, grp := range groups {
 		for _, n := range []string{grp.Trusted, grp.Untrusted} {
-			if !seen[n] {
+			if _, known := solo[n]; !seen[n] && !known {
 				seen[n] = true
 				names = append(names, n)
 			}
@@ -94,7 +109,9 @@ func fig15(cfg npu.Config, groups []Fig15Group) (*Result[Fig15Row], error) {
 	if err != nil {
 		return nil, err
 	}
-	solo := map[string]sim.Cycle{}
+	if solo == nil {
+		solo = map[string]sim.Cycle{}
+	}
 	for i, n := range names {
 		solo[n] = soloCycles[i]
 	}

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/npu"
+	"repro/internal/sim"
 	"repro/internal/spad"
+	"repro/internal/workload"
 )
 
 func TestFig15Shape(t *testing.T) {
@@ -110,5 +112,46 @@ func TestTable1FromReadsItsModel(t *testing.T) {
 	}
 	if _, err := Table1From(&Result[Fig14Row]{Rows: rows[:1]}, f15); err == nil {
 		t.Fatalf("derived Table I from a Fig. 14 without %s", Table1Model)
+	}
+}
+
+// Fig. 1's cycles are Fig. 15's solo runs: a Fig. 15 that reads them
+// runs only its pair cells and prints the same rows.
+func TestFig15FromFig1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-model pair runs")
+	}
+	cfg := npu.DefaultConfig()
+	groups := Fig15Groups()[:1]
+	want, err := fig15(cfg, groups, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var models []workload.Workload
+	for _, name := range []string{groups[0].Trusted, groups[0].Untrusted} {
+		w, err := workload.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, w)
+	}
+	fig1, err := Fig1(models, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo := map[string]sim.Cycle{}
+	for _, r := range fig1.Rows {
+		solo[r.Model] = r.Cycles
+	}
+	before := CellsRun()
+	got, err := fig15(cfg, groups, solo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ran := CellsRun() - before; ran != int64(len(fig15Splits)) {
+		t.Fatalf("ran %d cells, want the %d pair cells", ran, len(fig15Splits))
+	}
+	if got.TableString() != want.TableString() {
+		t.Fatalf("rows differ:\n%s\nvs\n%s", got.TableString(), want.TableString())
 	}
 }

@@ -92,7 +92,7 @@ func TestGoldenFig14(t *testing.T) {
 // TestGoldenFig15 pins the smallest spatial-sharing cell: group 1
 // (alexnet + yololite) under the dynamic policy.
 func TestGoldenFig15Cell(t *testing.T) {
-	res, err := fig15(npu.DefaultConfig(), Fig15Groups()[:1])
+	res, err := fig15(npu.DefaultConfig(), Fig15Groups()[:1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,8 +56,11 @@ type CheckReg struct {
 	Valid bool
 }
 
+// covers reports whether [pa, pa+size) lies inside the register's
+// range. A request whose end wraps the address space is never covered.
 func (c CheckReg) covers(pa mem.PhysAddr, size uint64) bool {
-	return c.Valid && pa >= c.Base && pa+mem.PhysAddr(size) <= c.Base+mem.PhysAddr(c.Size)
+	end := pa + mem.PhysAddr(size)
+	return c.Valid && pa >= c.Base && end >= pa && end <= c.Base+mem.PhysAddr(c.Size)
 }
 
 // TransReg maps the virtual range [VBase, VBase+Size) onto the
@@ -69,8 +72,12 @@ type TransReg struct {
 	Valid bool
 }
 
+// covers reports whether [va, va+size) lies inside the register's
+// window. A request whose end wraps the address space is never
+// covered: its translation would wrap too, below the window's PBase.
 func (t TransReg) covers(va mem.VirtAddr, size uint64) bool {
-	return t.Valid && va >= t.VBase && uint64(va)+size <= uint64(t.VBase)+t.Size
+	end := uint64(va) + size
+	return t.Valid && va >= t.VBase && end >= uint64(va) && end <= uint64(t.VBase)+t.Size
 }
 
 // Guarder is the per-NPU translation/checking unit.

@@ -203,3 +203,32 @@ func TestGuarderNormalWorldNeverReachesSecurePA(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A request whose end wraps the address space is covered by no
+// register. Before the check, a window at 0x10_0000 mapped to
+// 0x8880_0000 translated a 0x80-byte request at 0xFFFF_FFFF_FFFF_FFC0
+// (end 0x40) to 0x886F_FFC0, below the window's physical range.
+func TestGuarderDeniesWrappingRequest(t *testing.T) {
+	stats := sim.NewStats()
+	g := NewDefault(stats)
+	sec := tee.NewMachine(mem.NewPhysical()).SecureContext()
+	if err := g.SetCheckReg(sec, 0, CheckReg{Base: 0x8800_0000, Size: 0x0100_0000, Perm: mem.PermRW, World: mem.Normal, Valid: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetTransReg(sec, 0, TransReg{VBase: 0x10_0000, PBase: 0x8880_0000, Size: 0x1000, Valid: true}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := g.Translate(xlate.Request{VA: 0xFFFF_FFFF_FFFF_FFC0, Bytes: 0x80, Need: mem.PermRead, World: mem.Normal}, 0)
+	if !errors.Is(err, ErrNoTranslation) {
+		t.Fatalf("wrapping request produced %v", err)
+	}
+	if stats.Get(sim.CtrGuarderDenied) != 1 {
+		t.Fatal("denial not counted")
+	}
+	if (CheckReg{Base: 0, Size: 0x1000, Valid: true}).covers(0xFFFF_FFFF_FFFF_FF00, 0x200) {
+		t.Fatal("checking register covers a physical range that wraps")
+	}
+	if (TransReg{VBase: 0, Size: 0x1000, Valid: true}).covers(0xFFFF_FFFF_FFFF_FF00, 0x200) {
+		t.Fatal("translation register covers a virtual range that wraps")
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/spad"
 	"repro/internal/tee"
 	"repro/internal/workload"
+	"repro/internal/xlate"
 )
 
 const (
@@ -45,13 +46,15 @@ func bootWorld(t *testing.T) *world {
 	if err := machine.Boot([][]byte{loader, fw, teeos, monBlob}); err != nil {
 		t.Fatal(err)
 	}
-	acc, err := npu.New(npu.DefaultConfig(), phys, stats, nil)
+	// Every core's DMA translates through its Guarder.
+	cfg := npu.DefaultConfig()
+	guarders := make(map[int]*guarder.Guarder)
+	for i := 0; i < cfg.Tiles; i++ {
+		guarders[i] = guarder.NewDefault(stats)
+	}
+	acc, err := npu.New(cfg, phys, stats, func(i int) xlate.Translator { return guarders[i] })
 	if err != nil {
 		t.Fatal(err)
-	}
-	guarders := make(map[int]*guarder.Guarder)
-	for i := range acc.Cores() {
-		guarders[i] = guarder.NewDefault(stats)
 	}
 	mon, err := New(machine, acc, guarders, secureBase, secureSize, stats)
 	if err != nil {
@@ -497,5 +500,62 @@ func TestAttestRefusesTasksNoLongerHeld(t *testing.T) {
 	w.mon.Reset()
 	if _, err := w.mon.Attest(id, 1); !errors.Is(err, ErrUnknownTask) {
 		t.Fatalf("task quoted after Reset: %v", err)
+	}
+}
+
+// A load whose end wraps the address space cannot reach another
+// secure task's chunk. Task A (alexnet) holds the chunk at 0x9000_0000;
+// hostile task B loads 64 bytes at 0x10_0000 and 0x40B_60C0 bytes at
+// 0xFFFF_FFFF_FBF4_A040, whose end wraps to 0x100. FnSubmit refuses B.
+// Loaded anyway under a benign program's window, which starts at B's
+// chunk right after A's, the wrapping load would translate to
+// 0x9000_0040, inside A's chunk: the Guarder denies it.
+func TestWrappingLoadCannotReachAnotherChunk(t *testing.T) {
+	w := bootWorld(t)
+	if err := w.mon.SetupPlatform(0x8800_0000, 16<<20, secureBase, secureSize); err != nil {
+		t.Fatal(err)
+	}
+	alexnet, err := workload.Lookup("alexnet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	progA, _, err := npu.Compile(alexnet, npu.DefaultConfig(), 0, npu.DefaultLayout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := w.mon.tasks[submitSpec(t, w, progA, isolator.Topology{W: 1, H: 1})]
+	if a.Chunk != 0x9000_0000 || a.ChunkSize != 0x41B_6000 {
+		t.Fatalf("task A's chunk is %#x+%#x, the scenario assumes 0x90000000+0x41b6000", uint64(a.Chunk), a.ChunkSize)
+	}
+	hostile := &npu.Program{Name: "b", Layers: 1, Ops: []npu.Op{
+		{Kind: npu.OpLoad, VA: 0x10_0000, Bytes: 64},
+		{Kind: npu.OpLoad, VA: 0xFFFF_FFFF_FBF4_A040, Bytes: 0x40B_60C0},
+		{Kind: npu.OpCompute, Cycles: 10, Tile: true},
+	}}
+	if _, err := w.mon.submit(Call{Program: hostile, Expected: hostile.Measurement()}); err == nil {
+		t.Fatal("FnSubmit accepted a program whose load wraps the address space")
+	}
+
+	benign := &npu.Program{Name: "b", Layers: 1, Ops: []npu.Op{hostile.Ops[0], hostile.Ops[2]}}
+	idB, err := w.mon.submit(Call{Program: benign, Expected: benign.Measurement()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := w.mon.tasks[idB]; b.Chunk != a.Chunk+mem.PhysAddr(a.ChunkSize) {
+		t.Fatalf("task B's chunk is %#x, the scenario assumes it follows A's", uint64(b.Chunk))
+	}
+	if err := w.mon.load(idB, []int{1}, 0, 64); err != nil {
+		t.Fatal(err)
+	}
+	core, err := w.acc.Core(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	denied := w.stats.Get(sim.CtrGuarderDenied)
+	if _, err := npu.NewExec(core, hostile, idB).Run(0); !errors.Is(err, guarder.ErrNoTranslation) {
+		t.Fatalf("the wrapping load ran: %v", err)
+	}
+	if got := w.stats.Get(sim.CtrGuarderDenied) - denied; got != 1 {
+		t.Fatalf("Guarder counted %d denials, want 1", got)
 	}
 }
