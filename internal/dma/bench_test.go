@@ -19,31 +19,35 @@ const benchPA = mem.PhysAddr(0x8000_0000)
 
 var sinkCycle sim.Cycle
 
-// yololiteProgram compiles the op stream the benchmarks replay and
-// returns it with its page-aligned VA window.
-func yololiteProgram(b *testing.B) (p *npu.Program, vbase mem.VirtAddr, size uint64) {
+// yololiteOps compiles yololite, walks its op stream with a cursor
+// once, and returns the ops with their page-aligned VA window. The
+// benchmarks replay the collected ops, so they time the DMA path and
+// not the expansion.
+func yololiteOps(b *testing.B) (ops []npu.Op, vbase mem.VirtAddr, size uint64) {
 	b.Helper()
 	w, err := workload.Lookup("yololite")
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, _, err = npu.CompileCached(w, npu.DefaultConfig(), 0, npu.DefaultLayout)
+	p, _, err := npu.CompileCached(w, npu.DefaultConfig(), 0, npu.DefaultLayout)
 	if err != nil {
 		b.Fatal(err)
 	}
-	lo, hi := p.VASpan()
-	vbase = mem.VirtAddr(mem.PageAlignDown(mem.PhysAddr(lo)))
-	return p, vbase, uint64(mem.PageAlignUp(mem.PhysAddr(hi)) - mem.PhysAddr(vbase))
-}
-
-// replay walks p's op stream with a cursor and issues its loads and
-// stores through eng the way the executor does: the loads of a tile as
-// one pipelined batch at its compute op, each store on its own.
-func replay(b *testing.B, eng *dma.Engine, p *npu.Program) sim.Cycle {
-	var loads []dma.Request
-	var at sim.Cycle
 	c := p.Cursor()
 	for op, ok := c.Next(); ok; op, ok = c.Next() {
+		ops = append(ops, op)
+	}
+	vbase, size = mem.PageWindow(p.VASpan())
+	return ops, vbase, size
+}
+
+// replay issues the loads and stores of ops through eng the way the
+// executor does: the loads of a tile as one pipelined batch at its
+// compute op, each store on its own.
+func replay(b *testing.B, eng *dma.Engine, ops []npu.Op) sim.Cycle {
+	var loads []dma.Request
+	var at sim.Cycle
+	for _, op := range ops {
 		var batch []dma.Request
 		switch op.Kind {
 		case npu.OpLoad:
@@ -65,12 +69,12 @@ func replay(b *testing.B, eng *dma.Engine, p *npu.Program) sim.Cycle {
 
 // benchOpStream replays yololite's op stream through one core's DMA
 // engine behind xl, once per iteration; stats is xl's counter sink.
-func benchOpStream(b *testing.B, p *npu.Program, xl xlate.Translator, stats *sim.Stats) {
+func benchOpStream(b *testing.B, ops []npu.Op, xl xlate.Translator, stats *sim.Stats) {
 	eng := dma.New(dma.DefaultConfig(), xl, sim.NewResource("dram"), mem.NewPhysical(), stats)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkCycle = replay(b, eng, p)
+		sinkCycle = replay(b, eng, ops)
 	}
 	b.ReportMetric(float64(stats.Get(sim.CtrDMARequests))/float64(b.N), "requests/op")
 }
@@ -78,7 +82,7 @@ func benchOpStream(b *testing.B, p *npu.Program, xl xlate.Translator, stats *sim
 // BenchmarkOpStreamGuarder is the per-request path of the paper's
 // Guarder: one register lookup and one check per DMA request.
 func BenchmarkOpStreamGuarder(b *testing.B) {
-	p, vbase, size := yololiteProgram(b)
+	ops, vbase, size := yololiteOps(b)
 	stats := sim.NewStats()
 	g := guarder.NewDefault(stats)
 	sec := tee.NewMachine(mem.NewPhysical()).SecureContext()
@@ -88,17 +92,17 @@ func BenchmarkOpStreamGuarder(b *testing.B) {
 	if err := g.SetCheckReg(sec, 0, guarder.CheckReg{Base: benchPA, Size: size, Perm: mem.PermRW, World: mem.Normal, Valid: true}); err != nil {
 		b.Fatal(err)
 	}
-	benchOpStream(b, p, g, stats)
+	benchOpStream(b, ops, g, stats)
 }
 
 // BenchmarkOpStreamIOTLB16 is the per-packet path of an IOMMU with a
 // 16-entry IOTLB: a lookup per 64-byte packet and a walk per miss.
 func BenchmarkOpStreamIOTLB16(b *testing.B) {
-	p, vbase, size := yololiteProgram(b)
+	ops, vbase, size := yololiteOps(b)
 	stats := sim.NewStats()
 	u := iommu.New(iommu.DefaultConfig(16), stats)
 	if err := u.Table().MapRange(vbase, benchPA, size, mem.PermRW, false); err != nil {
 		b.Fatal(err)
 	}
-	benchOpStream(b, p, u, stats)
+	benchOpStream(b, ops, u, stats)
 }

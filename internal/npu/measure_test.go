@@ -274,8 +274,9 @@ func BenchmarkMeasurement(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		ops := len(npu.ExpandOps(p))
 		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(p.Name) + sha256.Size + npu.OpRecordBytes*len(npu.ExpandOps(p))))
+			b.SetBytes(int64(len(p.Name) + sha256.Size + npu.OpRecordBytes*ops))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sinkMeasurement = p.Measurement()
