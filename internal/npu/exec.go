@@ -119,6 +119,8 @@ func (e *Exec) RunUntil(from sim.Cycle, boundary Boundary) (sim.Cycle, error) {
 	e.Suspend(from)
 	e.core.dmaEng.Translator().OnContextSwitch(e.taskID)
 	world := e.core.World()
+	// The cursor's Next, read in place: copying each op out costs more
+	// than the rest of a load's handling here.
 	c := e.cur
 	for !c.Done() {
 		op := &c.buf[c.i]
