@@ -84,7 +84,7 @@ func Fig15From(cfg npu.Config, fig1 *Result[Fig1Row]) (*Result[Fig15Row], error)
 }
 
 // fig15 runs groups' pairs; solo holds the solo cycles already known
-// (nil for none).
+// (nil for none), and fig15 adds the ones it runs to it.
 func fig15(cfg npu.Config, groups []Fig15Group, solo map[string]sim.Cycle) (*Result[Fig15Row], error) {
 	// Phase 1: solo full-scratchpad baselines, one cell per distinct
 	// model not yet known.

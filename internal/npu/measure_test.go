@@ -14,10 +14,11 @@ import (
 	"repro/internal/workload"
 )
 
-// referenceHash hashes the measured bytes one 64-bit word per write:
-// the name, the source digest, then per op its kind, VA, bytes,
-// cycles, layer, flags (bit 0 Tile, bit 1 Weight) and MACs.
-// Measurement writes in chunks and must hash exactly these bytes.
+// referenceHash hashes the measured bytes, written one 64-bit word at
+// a time through a buffer: the name, the source digest, then per op
+// its kind, VA, bytes, cycles, layer, flags (bit 0 Tile, bit 1 Weight)
+// and MACs. Measurement writes in chunks and must hash exactly these
+// bytes.
 func referenceHash(name string, digest [sha256.Size]byte, ops []npu.Op) [sha256.Size]byte {
 	h := sha256.New()
 	bw := bufio.NewWriterSize(h, 1<<16)
@@ -213,7 +214,7 @@ func TestCopyDropsRecordedValues(t *testing.T) {
 	last.A += 1 << 30
 	last.C += 1 << 30
 	if got := cp.OwnerMeasurement(); got == orig || got != referenceMeasurement(&cp) {
-		t.Fatal("copy with changed ops reused the original's owner measurement")
+		t.Fatal("copy with changed nests reused the original's owner measurement")
 	}
 	lo, hi := cp.VASpan()
 	wlo, whi := referenceSpan(&cp)

@@ -372,9 +372,9 @@ func (n *Nest) check() error {
 }
 
 // expandable reports whether the cursor expands n: it passes check
-// and stays within the op bound. The cursor, the span and the op count
-// skip any other nest, so they terminate on any program; Validate
-// refuses a program holding one.
+// and stays within the op bound. The cursor and VASpan skip any other
+// nest, so they terminate on any program; Validate refuses a program
+// holding one.
 func (n *Nest) expandable() bool {
 	return n.check() == nil && n.opCount() <= MaxProgramOps
 }
